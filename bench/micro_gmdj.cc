@@ -6,6 +6,11 @@
 //   base/n       — scaling with the base-values cardinality at fixed
 //                  detail size (hash dispatch keeps per-row cost flat).
 //   aggs/k       — cost of additional aggregate functions per condition.
+//   compare      — the COMPARE stress shape: six coalesced aggregate
+//                  conditions on one binding (one shared probe per
+//                  detail row, six aggregate updates).
+
+#include <functional>
 
 #include "bench_util.h"
 #include "core/gmdj.h"
@@ -36,11 +41,37 @@ PlanPtr MakeGmdj(int conditions, int aggs_per_condition) {
       std::make_unique<TableScanNode>("orders", "O"), std::move(conds));
 }
 
-void RunPlanLoop(benchmark::State& state, int conditions, int aggs,
-                 int64_t customers, int64_t orders) {
+/// Six select-list-style aggregates over orders per customer, each its
+/// own condition on the same binding (what coalescing produces for a
+/// COMPARE statement).
+PlanPtr MakeCompareGmdj() {
+  auto cond = [](ExprPtr filter, AggSpec agg) {
+    GmdjCondition c;
+    ExprPtr key = Eq(Col("C.c_custkey"), Col("O.o_custkey"));
+    c.theta = filter == nullptr ? std::move(key)
+                                : And(std::move(key), std::move(filter));
+    c.aggs.push_back(std::move(agg));
+    return c;
+  };
+  std::vector<GmdjCondition> conds;
+  conds.push_back(cond(nullptr, CountStar("n_orders")));
+  conds.push_back(cond(nullptr, SumOf(Col("O.o_totalprice"), "total")));
+  conds.push_back(cond(nullptr, MinOf(Col("O.o_totalprice"), "lowest")));
+  conds.push_back(cond(nullptr, MaxOf(Col("O.o_totalprice"), "highest")));
+  conds.push_back(cond(Gt(Col("O.o_totalprice"), Lit(250000.0)),
+                       CountStar("n_big")));
+  conds.push_back(cond(Ge(Col("O.o_orderdate"), Lit(int64_t{9300})),
+                       SumOf(Col("O.o_totalprice"), "recent")));
+  return std::make_unique<GmdjNode>(
+      std::make_unique<TableScanNode>("customer", "C"),
+      std::make_unique<TableScanNode>("orders", "O"), std::move(conds));
+}
+
+void RunPlanLoop(benchmark::State& state, int64_t customers, int64_t orders,
+                 const std::function<PlanPtr()>& make_plan) {
   OlapEngine* engine = bench::TpchEngine(customers, orders, 1);
   for (auto _ : state) {
-    PlanPtr plan = MakeGmdj(conditions, aggs);
+    PlanPtr plan = make_plan();
     if (!plan->Prepare(*engine->catalog()).ok()) {
       state.SkipWithError("prepare failed");
       return;
@@ -60,6 +91,12 @@ void RunPlanLoop(benchmark::State& state, int conditions, int aggs,
       bench::MetricsStorage().counters["expr.compiled_conditions"]);
 }
 
+void RunPlanLoop(benchmark::State& state, int conditions, int aggs,
+                 int64_t customers, int64_t orders) {
+  RunPlanLoop(state, customers, orders,
+              [&] { return MakeGmdj(conditions, aggs); });
+}
+
 void BM_Conditions(benchmark::State& state) {
   RunPlanLoop(state, static_cast<int>(state.range(0)), 1, 1000,
               bench::Scaled(60'000));
@@ -72,6 +109,12 @@ void BM_BaseSize(benchmark::State& state) {
 void BM_Aggs(benchmark::State& state) {
   RunPlanLoop(state, 1, static_cast<int>(state.range(0)), 1000,
               bench::Scaled(60'000));
+}
+
+void BM_Compare(benchmark::State& state) {
+  RunPlanLoop(state, 1000, bench::Scaled(120'000), MakeCompareGmdj);
+  state.counters["hash_probes"] = static_cast<double>(
+      bench::MetricsStorage().counters["exec.hash_probes"]);
 }
 
 // Morsel-parallel detail scan over a fixed 1M-row detail relation (not
@@ -140,6 +183,10 @@ BENCHMARK(gmdj::BM_Aggs)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4);
+BENCHMARK(gmdj::BM_Compare)
+    ->Name("micro/compare")
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.05);
 BENCHMARK(gmdj::BM_ParallelScan)
     ->Name("micro/parallel_scan")
     ->Unit(benchmark::kMillisecond)

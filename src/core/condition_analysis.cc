@@ -26,6 +26,18 @@ std::optional<size_t> AsFrameColumn(const Expr& e, size_t frame) {
   return ref.bound_column();
 }
 
+// The binding of `base.col (op) detail.col` in either orientation, when
+// both sides are bare columns of the two frames.
+std::optional<EqBinding> ColumnPair(const CompareExpr& cmp) {
+  const auto bl = AsFrameColumn(cmp.lhs(), 0);
+  const auto dr = AsFrameColumn(cmp.rhs(), 1);
+  if (bl.has_value() && dr.has_value()) return EqBinding{*bl, *dr};
+  const auto dl = AsFrameColumn(cmp.lhs(), 1);
+  const auto br = AsFrameColumn(cmp.rhs(), 0);
+  if (dl.has_value() && br.has_value()) return EqBinding{*br, *dl};
+  return std::nullopt;
+}
+
 }  // namespace
 
 const char* CondStrategyToString(CondStrategy s) {
@@ -75,12 +87,8 @@ ConditionAnalysis AnalyzeCondition(const Expr& theta, const Schema& base,
       const auto dl = AsFrameColumn(cmp.lhs(), 1);
       const auto dr = AsFrameColumn(cmp.rhs(), 1);
       if (cmp.op() == CompareOp::kEq) {
-        if (bl.has_value() && dr.has_value()) {
-          out.eq_bindings.push_back(EqBinding{*bl, *dr});
-          continue;
-        }
-        if (dl.has_value() && br.has_value()) {
-          out.eq_bindings.push_back(EqBinding{*br, *dl});
+        if (const auto eq = ColumnPair(cmp); eq.has_value()) {
+          out.eq_bindings.push_back(*eq);
           continue;
         }
       } else if (cmp.op() != CompareOp::kNe) {
@@ -144,6 +152,16 @@ ConditionAnalysis AnalyzeCondition(const Expr& theta, const Schema& base,
   for (const RangeConjunct& rc : ranges) out.residual.push_back(rc.node);
   out.strategy = CondStrategy::kScan;
   return out;
+}
+
+std::optional<EqBinding> AnalyzeAntiBinding(
+    const Expr& psi, const ConditionAnalysisOptions& options) {
+  if (!options.allow_index || psi.kind() != ExprKind::kCompare) {
+    return std::nullopt;
+  }
+  const auto& cmp = static_cast<const CompareExpr&>(psi);
+  if (cmp.op() != CompareOp::kNe) return std::nullopt;
+  return ColumnPair(cmp);
 }
 
 }  // namespace gmdj

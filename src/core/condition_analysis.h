@@ -72,6 +72,15 @@ ConditionAnalysis AnalyzeCondition(const Expr& theta, const Schema& base,
                                    const Schema& detail,
                                    const ConditionAnalysisOptions& options = {});
 
+/// Anti-probe key of a fused `<> ALL` pair comparison ψ (bound like θ):
+/// for ψ = `base.col <> detail.col`, in either orientation, the binding
+/// its negation `base.col = detail.col` gets from AnalyzeCondition. The
+/// base tuples ψ rejects for a detail tuple are then exactly one hash
+/// probe of its key. Nullopt for any other ψ, and with
+/// `options.allow_index` false.
+std::optional<EqBinding> AnalyzeAntiBinding(
+    const Expr& psi, const ConditionAnalysisOptions& options = {});
+
 }  // namespace gmdj
 
 #endif  // GMDJ_CORE_CONDITION_ANALYSIS_H_

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "exec/detail_batch.h"
 #include "expr/program.h"
 #include "parallel/parallel_gmdj.h"
 #include "parallel/thread_pool.h"
@@ -37,6 +36,23 @@ void ApplyEvalOrder(std::vector<GmdjCondRuntime>* runtimes,
   ordered.reserve(runtimes->size());
   for (const size_t i : order) ordered.push_back(std::move((*runtimes)[i]));
   *runtimes = std::move(ordered);
+}
+
+bool OnlyCountStar(const GmdjCondition& cond) {
+  for (const AggSpec& agg : cond.aggs) {
+    if (agg.kind != AggKind::kCountStar) return false;
+  }
+  return true;
+}
+
+/// Whether hash equality on keys of these column types agrees with the
+/// comparison operators: the same type, or two numeric types (HashIndex
+/// equates int64 and double keys of equal value, as `=` does).
+bool HashComparable(ValueType a, ValueType b) {
+  const auto numeric = [](ValueType t) {
+    return t == ValueType::kInt64 || t == ValueType::kDouble;
+  };
+  return a == b || (numeric(a) && numeric(b));
 }
 
 }  // namespace
@@ -327,6 +343,69 @@ Result<Table> GmdjNode::ExecuteNaive(ExecContext* ctx, const Table& base,
   return out;
 }
 
+std::vector<GmdjNode::CondRoute> GmdjNode::RouteConditions() const {
+  std::vector<CondRoute> routes(conditions_.size());
+  const auto action = [&](size_t c) {
+    return c < completion_.actions.size() ? completion_.actions[c]
+                                          : CompletionAction::kNone;
+  };
+  ConditionAnalysisOptions options;
+  options.allow_index = allow_index_bindings_;
+  for (const AllPairRule& pair : completion_.all_pairs) {
+    routes[pair.filtered].fused = true;
+    const ConditionAnalysis& theta = analyses_[pair.unfiltered];
+    if (strategy_ != GmdjStrategy::kAuto ||
+        theta.strategy != CondStrategy::kScan || !theta.residual.empty() ||
+        action(pair.unfiltered) != CompletionAction::kNone ||
+        action(pair.filtered) != CompletionAction::kNone ||
+        !OnlyCountStar(conditions_[pair.unfiltered]) ||
+        !OnlyCountStar(conditions_[pair.filtered])) {
+      continue;
+    }
+    const std::optional<EqBinding> key =
+        AnalyzeAntiBinding(*pair.cmp, options);
+    if (key.has_value() &&
+        HashComparable(base_->output_schema().field(key->base_col).type,
+                       detail_->output_schema().field(key->detail_col).type)) {
+      routes[pair.unfiltered].anti_key = key;
+    }
+  }
+
+  // Binding groups, keyed by dispatch kind plus every bound column.
+  std::map<std::vector<size_t>, int> groups;
+  for (size_t c = 0; c < conditions_.size(); ++c) {
+    const ConditionAnalysis& a = analyses_[c];
+    if (routes[c].fused || routes[c].anti_key.has_value() ||
+        a.strategy == CondStrategy::kScan) {
+      continue;
+    }
+    std::vector<size_t> key;
+    if (a.strategy == CondStrategy::kHash) {
+      key.push_back(0);
+      for (const EqBinding& eq : a.eq_bindings) {
+        key.push_back(eq.base_col);
+        key.push_back(eq.detail_col);
+      }
+    } else {
+      const IntervalBinding& iv = *a.interval;
+      key = {1, iv.detail_col, iv.base_lo_col, iv.lo_strict, iv.base_hi_col,
+             iv.hi_strict};
+    }
+    const int next = static_cast<int>(groups.size());
+    routes[c].group = groups.emplace(std::move(key), next).first->second;
+  }
+  std::vector<size_t> sizes(groups.size(), 0);
+  for (const CondRoute& route : routes) {
+    if (route.group >= 0) ++sizes[static_cast<size_t>(route.group)];
+  }
+  for (CondRoute& route : routes) {
+    if (route.group >= 0) {
+      route.group_size = sizes[static_cast<size_t>(route.group)];
+    }
+  }
+  return routes;
+}
+
 /// Compiles conditions into runtime dispatch form (strategy, completion
 /// wiring, indexes, expression programs). The result is read-only during
 /// evaluation and shared by the sequential loop below and the
@@ -338,12 +417,15 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/index-build"));
   const size_t n = base.num_rows();
   const bool completing = completion_.enabled();
+  const std::vector<CondRoute> routes = RouteConditions();
 
   std::vector<GmdjCondRuntime> runtimes(conditions_.size());
   for (size_t c = 0; c < conditions_.size(); ++c) {
     runtimes[c].cond = &conditions_[c];
     runtimes[c].analysis = &analyses_[c];
     runtimes[c].agg_offset = agg_offsets_[c];
+    runtimes[c].group = routes[c].group;
+    runtimes[c].anti_key = routes[c].anti_key;
     if (c < completion_.actions.size()) {
       runtimes[c].action = completion_.actions[c];
       if (runtimes[c].action == CompletionAction::kSatisfyOnMatch) {
@@ -362,14 +444,24 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
   }
 
   // Hash indexes on the base, shared between conditions with identical key
-  // columns (the common case for coalesced conditions and ALL pairs).
+  // columns (the common case for coalesced conditions and ALL pairs), and
+  // interval indexes shared within a binding group.
   const size_t build_threads = ctx->config().ResolvedThreads();
   std::map<std::vector<size_t>, std::shared_ptr<HashIndex>> index_cache;
+  std::map<int, std::shared_ptr<IntervalIndex>> interval_cache;
   for (GmdjCondRuntime& rt : runtimes) {
     if (rt.skip) continue;
-    if (rt.analysis->strategy == CondStrategy::kHash) {
+    if (rt.anti_key.has_value() ||
+        rt.analysis->strategy == CondStrategy::kHash) {
       std::vector<size_t> key_cols;
-      key_cols.reserve(rt.analysis->eq_bindings.size());
+      if (rt.anti_key.has_value()) {
+        key_cols.push_back(rt.anti_key->base_col);
+        for (size_t b = 0; b < n; ++b) {
+          if (base.row(b)[rt.anti_key->base_col].is_null()) {
+            rt.anti_null_bases.push_back(static_cast<uint32_t>(b));
+          }
+        }
+      }
       for (const EqBinding& eq : rt.analysis->eq_bindings) {
         key_cols.push_back(eq.base_col);
       }
@@ -382,6 +474,11 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
       }
       rt.hash = cached;
     } else if (rt.analysis->strategy == CondStrategy::kInterval) {
+      auto& cached = interval_cache[rt.group];
+      if (cached != nullptr) {
+        rt.interval = cached;
+        continue;
+      }
       GMDJ_RETURN_IF_ERROR(ctx->ReserveMemory(n * sizeof(IndexedInterval)));
       const IntervalBinding& iv = *rt.analysis->interval;
       std::vector<IndexedInterval> intervals;
@@ -393,8 +490,9 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
         intervals.push_back(IndexedInterval{lo.AsDouble(), hi.AsDouble(),
                                             static_cast<uint32_t>(b)});
       }
-      rt.interval = std::make_unique<IntervalIndex>(
-          std::move(intervals), iv.lo_strict, iv.hi_strict);
+      cached = std::make_shared<IntervalIndex>(std::move(intervals),
+                                               iv.lo_strict, iv.hi_strict);
+      rt.interval = cached;
     }
   }
 
@@ -484,11 +582,12 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     const Schema& detail_schema = detail_->output_schema();
     std::map<size_t, std::shared_ptr<Int64HashIndex>> typed_cache;
     for (GmdjCondRuntime& rt : runtimes) {
-      if (rt.skip || rt.analysis->strategy != CondStrategy::kHash ||
-          rt.analysis->eq_bindings.size() != 1) {
-        continue;
-      }
-      const EqBinding& eq = rt.analysis->eq_bindings[0];
+      if (rt.skip) continue;
+      const bool single_key = rt.analysis->strategy == CondStrategy::kHash &&
+                              rt.analysis->eq_bindings.size() == 1;
+      if (!single_key && !rt.anti_key.has_value()) continue;
+      const EqBinding& eq = single_key ? rt.analysis->eq_bindings[0]
+                                       : *rt.anti_key;
       if (base_schema.field(eq.base_col).type != ValueType::kInt64 ||
           detail_schema.field(eq.detail_col).type != ValueType::kInt64) {
         continue;
@@ -527,6 +626,10 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
       for (const EqBinding& eq : rt.analysis->eq_bindings) {
         batch_columns->push_back(static_cast<uint32_t>(eq.detail_col));
       }
+      if (rt.anti_key.has_value()) {
+        batch_columns->push_back(
+            static_cast<uint32_t>(rt.anti_key->detail_col));
+      }
       if (rt.analysis->interval.has_value()) {
         batch_columns->push_back(
             static_cast<uint32_t>(rt.analysis->interval->detail_col));
@@ -546,10 +649,8 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
 Status GmdjNode::ExecuteSequential(ExecContext* ctx, const GmdjEvalInput& in,
                                    GmdjEvalResult* out) const {
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/scan"));
-  const Table& base = *in.base;
-  const Table& detail = *in.detail;
   const std::vector<GmdjCondRuntime>& runtimes = *in.runtimes;
-  const size_t n = base.num_rows();
+  const size_t n = in.base->num_rows();
 
   // ---- Base-result structure: one entry per base tuple. ----
   std::vector<AggState>& states = out->states;
@@ -564,251 +665,92 @@ Status GmdjNode::ExecuteSequential(ExecContext* ctx, const GmdjEvalInput& in,
   std::vector<uint32_t> active(n);
   for (size_t i = 0; i < n; ++i) active[i] = static_cast<uint32_t>(i);
   size_t active_dead = 0;
+  auto retire = [&](uint32_t b) {
+    if (discarded[b]) return false;
+    discarded[b] = 1;
+    ++num_discarded;
+    ++active_dead;
+    return true;
+  };
+  // Anti-probes: θ-passing detail tuples seen so far, per runtime.
+  std::vector<uint32_t> anti_seen(runtimes.size(), 0);
 
-  EvalContext ectx;
-  ectx.PushFrame(in.base_schema, nullptr);
-  ectx.PushFrame(in.detail_schema, nullptr);
-
-  std::vector<uint32_t> stab_scratch;
-  Row probe_key;
-
-  // Compiled-mode state: per-chunk columnar staging plus the per-condition
-  // detail-only pass masks computed by the typed programs.
-  const bool compiled = in.compiled;
-  DetailBatch batch;
-  ExprScratch scratch;
-  ExprVecScratch vec_scratch;
-  std::vector<std::vector<uint8_t>> pass(runtimes.size());
-  if (compiled) {
-    batch.Configure(*in.detail_schema, in.batch_columns);
-    scratch.batch_frame = 1;
-  }
-
-  auto update_aggs = [&](const GmdjCondition& cond,
-                         const GmdjCondPrograms* progs, size_t offset,
-                         size_t b) {
-    AggState* entry_states = &states[b * total_aggs_ + offset];
-    for (size_t a = 0; a < cond.aggs.size(); ++a) {
-      const AggSpec& agg = cond.aggs[a];
-      if (agg.kind == AggKind::kCountStar) {
-        ++entry_states[a].count;  // Avoids a Value temporary per pair.
-      } else if (progs != nullptr && progs->agg_args[a] != nullptr) {
-        entry_states[a].Update(agg.kind,
-                               progs->agg_args[a]->Eval(ectx, &scratch));
-      } else {
-        entry_states[a].Update(agg.kind, agg.arg->Eval(ectx));
-      }
-    }
+  GmdjScan scan;
+  scan.Init(in);
+  auto flush_counters = [&] {
+    ctx->stats().predicate_evals += scan.predicate_evals;
+    ctx->stats().hash_probes += scan.hash_probes;
+    scan.predicate_evals = 0;
+    scan.hash_probes = 0;
   };
 
   // The detail relation is consumed in staging chunks; the chunk size
   // doubles as the liveness-poll stride (same ~1k cadence as before the
   // columnar path existed, and as the morsel workers).
   constexpr size_t kChunkRows = 1024;
-  const size_t num_detail = detail.num_rows();
+  const size_t num_detail = in.detail->num_rows();
   for (size_t chunk = 0; chunk < num_detail; chunk += kChunkRows) {
     if (num_discarded == n) break;  // Every base tuple is decided.
     if (chunk != 0) {
+      flush_counters();
       GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
     }
     out->batches += 1;
     const size_t chunk_rows = std::min(kChunkRows, num_detail - chunk);
-
-    if (compiled) {
-      // Decode the chunk once into typed columns, then run each
-      // condition's detail-only conjuncts as per-column loops. Conjunct j
-      // only visits rows that passed conjuncts < j, so predicate_evals
-      // matches the interpreter's short-circuit count exactly.
-      batch.Stage(detail, chunk, chunk_rows);
-      scratch.batch_cols = batch.column_ptrs();
-      scratch.batch_num_cols = batch.num_columns();
-      for (size_t ci = 0; ci < runtimes.size(); ++ci) {
-        const GmdjCondRuntime& rt = runtimes[ci];
-        if (rt.skip || rt.progs->detail_only.empty()) continue;
-        std::vector<uint8_t>& mask = pass[ci];
-        mask.assign(chunk_rows, 1);
-        for (const ExprProgram& prog : rt.progs->detail_only) {
-          // Short-circuit bookkeeping first: the interpreter evaluates
-          // conjunct j only on survivors of conjuncts < j, so that's what
-          // predicate_evals must count — even though the batch kernels
-          // evaluate every lane (dead-lane results are discarded by the
-          // mask AND, and ops are total, so this is invisible).
-          size_t survivors = 0;
-          for (size_t i = 0; i < chunk_rows; ++i) survivors += mask[i];
-          if (survivors == 0) break;
-          if (prog.EvalPredMask(ectx, scratch, &vec_scratch, chunk_rows,
-                                mask.data())) {
-            ctx->stats().predicate_evals += survivors;
-            continue;
-          }
-          for (size_t i = 0; i < chunk_rows; ++i) {
-            if (!mask[i]) continue;
-            scratch.batch_row = i;
-            ectx.SetRow(1, &detail.row(chunk + i));
-            ctx->stats().predicate_evals += 1;
-            if (!IsTrue(prog.EvalPred(ectx, &scratch))) mask[i] = 0;
-          }
-        }
-      }
-    }
+    scan.BeginChunk(chunk, chunk_rows);
 
     for (size_t i = 0; i < chunk_rows; ++i) {
       if (num_discarded == n) break;
-      const size_t r = chunk + i;
-      const Row& drow = detail.row(r);
-      ectx.SetRow(1, &drow);
-      scratch.batch_row = i;
-
-      for (size_t ci = 0; ci < runtimes.size(); ++ci) {
+      scan.SetRow(i);
+      for (uint32_t ci = 0; ci < runtimes.size(); ++ci) {
         const GmdjCondRuntime& rt = runtimes[ci];
-        if (rt.skip) continue;
         // Per-detail filters first (e.g. F.Protocol = "HTTP").
-        if (compiled) {
-          if (!rt.progs->detail_only.empty() && !pass[ci][i]) continue;
-        } else {
-          bool detail_ok = true;
-          for (const Expr* e : rt.analysis->detail_only) {
-            ctx->stats().predicate_evals += 1;
-            if (!IsTrue(e->EvalPred(ectx))) {
-              detail_ok = false;
-              break;
+        if (rt.skip || !scan.PassesDetailOnly(ci)) continue;
+
+        if (rt.anti_key.has_value()) {
+          // θ holds and reads no base column, so every live base tuple
+          // matches it; ψ fails exactly for the key's violators (all of
+          // them on a NULL detail key, NULL base keys on the first row).
+          const uint32_t seen = ++anti_seen[ci];
+          auto violate = [&](uint32_t b) {
+            if (retire(b) && in.rng_counts != nullptr) {
+              (*in.rng_counts)[b * runtimes.size() + ci] = seen;
             }
+          };
+          if (seen == 1) {
+            for (const uint32_t b : rt.anti_null_bases) violate(b);
           }
-          if (!detail_ok) continue;
+          const std::vector<uint32_t>* violators = scan.AntiViolators(rt);
+          for (const uint32_t b : violators != nullptr ? *violators : active) {
+            violate(b);
+          }
+          continue;
         }
 
-        // Locate candidate base tuples; key extraction reads the staged
-        // typed columns when available.
-        const std::vector<uint32_t>* candidates = nullptr;
-        switch (rt.analysis->strategy) {
-          case CondStrategy::kHash: {
-            // Unboxed int64 probe when the condition's single key column
-            // was staged clean for this chunk (CompileRuntimes only built
-            // `typed_hash` for drift-free int64 = int64 bindings).
-            if (rt.typed_hash != nullptr) {
-              const ColumnVector* cv = batch.column(static_cast<uint32_t>(
-                  rt.analysis->eq_bindings[0].detail_col));
-              if (cv != nullptr && cv->type == ValueType::kInt64) {
-                if (cv->null[i]) continue;  // NULL key: no equality match.
-                ctx->stats().hash_probes += 1;
-                candidates = &rt.typed_hash->Probe(cv->i64[i]);
-                break;
-              }
-            }
-            probe_key.clear();
-            bool null_key = false;
-            for (const EqBinding& eq : rt.analysis->eq_bindings) {
-              const ColumnVector* cv =
-                  compiled ? batch.column(
-                                 static_cast<uint32_t>(eq.detail_col))
-                           : nullptr;
-              if (cv != nullptr) {
-                if (cv->null[i]) {
-                  null_key = true;
-                  break;
-                }
-                switch (cv->type) {
-                  case ValueType::kInt64:
-                    probe_key.push_back(Value(cv->i64[i]));
-                    break;
-                  case ValueType::kDouble:
-                    probe_key.push_back(Value(cv->dbl[i]));
-                    break;
-                  default:
-                    probe_key.push_back(Value(*cv->str[i]));
-                    break;
-                }
-                continue;
-              }
-              const Value& v = drow[eq.detail_col];
-              if (v.is_null()) {
-                null_key = true;
-                break;
-              }
-              probe_key.push_back(v);
-            }
-            if (null_key) continue;
-            ctx->stats().hash_probes += 1;
-            candidates = &rt.hash->Probe(probe_key);
-            break;
-          }
-          case CondStrategy::kInterval: {
-            const uint32_t col = static_cast<uint32_t>(
-                rt.analysis->interval->detail_col);
-            const ColumnVector* cv = compiled ? batch.column(col) : nullptr;
-            double stab_key;
-            if (cv != nullptr && cv->type != ValueType::kString) {
-              if (cv->null[i]) continue;
-              stab_key = cv->type == ValueType::kInt64
-                             ? static_cast<double>(cv->i64[i])
-                             : cv->dbl[i];
-            } else {
-              const Value& v = drow[col];
-              if (v.is_null()) continue;
-              stab_key = v.AsDouble();
-            }
-            stab_scratch.clear();
-            rt.interval->Stab(stab_key, &stab_scratch);
-            candidates = &stab_scratch;
-            break;
-          }
-          case CondStrategy::kScan:
-            candidates = &active;
-            break;
-        }
-
-        const GmdjCondPrograms* progs = compiled ? rt.progs : nullptr;
+        const std::vector<uint32_t>* candidates = scan.Candidates(rt, active);
+        if (candidates == nullptr) continue;
+        const GmdjCondPrograms* progs = scan.progs(rt);
         for (const uint32_t b : *candidates) {
           if (discarded[b]) continue;
           if (frozen[b] & rt.freeze_bit) continue;
-          ectx.SetRow(0, &base.row(b));
-          bool match = true;
-          if (progs != nullptr) {
-            for (const ExprProgram& prog : progs->residual) {
-              ctx->stats().predicate_evals += 1;
-              if (!IsTrue(prog.EvalPred(ectx, &scratch))) {
-                match = false;
-                break;
-              }
-            }
-          } else {
-            for (const Expr* e : rt.analysis->residual) {
-              ctx->stats().predicate_evals += 1;
-              if (!IsTrue(e->EvalPred(ectx))) {
-                match = false;
-                break;
-              }
-            }
-          }
-          if (!match) continue;
+          if (!scan.ResidualMatches(rt, progs, b)) continue;
           if (in.rng_counts != nullptr) {
             ++(*in.rng_counts)[b * runtimes.size() + ci];
           }
-
           if (rt.action == CompletionAction::kDiscardOnMatch) {
-            discarded[b] = 1;
-            ++num_discarded;
-            ++active_dead;
+            retire(b);
             continue;
           }
-          update_aggs(*rt.cond, progs, rt.agg_offset, b);
+          AggState* entry = &states[b * total_aggs_];
+          scan.UpdateAggs(*rt.cond, progs, entry + rt.agg_offset);
           if (rt.pair_cmp != nullptr) {
-            ctx->stats().predicate_evals += 1;
-            const TriBool pair_match =
-                progs != nullptr && progs->pair_cmp != nullptr
-                    ? progs->pair_cmp->EvalPred(ectx, &scratch)
-                    : rt.pair_cmp->EvalPred(ectx);
-            if (IsTrue(pair_match)) {
-              update_aggs(*rt.pair_cond,
-                          progs != nullptr ? rt.pair_progs : nullptr,
-                          rt.pair_agg_offset, b);
-            } else {
+            if (!scan.PairMatches(rt)) {
               // The ALL quantifier is violated; counts diverge forever.
-              discarded[b] = 1;
-              ++num_discarded;
-              ++active_dead;
+              retire(b);
               continue;
             }
+            scan.UpdateAggs(*rt.pair_cond, scan.pair_progs(rt),
+                            entry + rt.pair_agg_offset);
           }
           if (rt.action == CompletionAction::kSatisfyOnMatch) {
             frozen[b] |= rt.freeze_bit;
@@ -825,6 +767,27 @@ Status GmdjNode::ExecuteSequential(ExecContext* ctx, const GmdjEvalInput& in,
         }
         active = std::move(next);
         active_dead = 0;
+      }
+    }
+  }
+  flush_counters();
+
+  // Anti-probe survivors matched θ on every θ-passing detail tuple and ψ
+  // never failed: both halves of the pair count all of those tuples.
+  for (size_t ci = 0; ci < runtimes.size(); ++ci) {
+    const GmdjCondRuntime& rt = runtimes[ci];
+    if (!rt.anti_key.has_value()) continue;
+    for (size_t b = 0; b < n; ++b) {
+      if (discarded[b]) continue;
+      AggState* entry = &states[b * total_aggs_];
+      for (size_t a = 0; a < rt.cond->aggs.size(); ++a) {
+        entry[rt.agg_offset + a].count = anti_seen[ci];
+      }
+      for (size_t a = 0; a < rt.pair_cond->aggs.size(); ++a) {
+        entry[rt.pair_agg_offset + a].count = anti_seen[ci];
+      }
+      if (in.rng_counts != nullptr) {
+        (*in.rng_counts)[b * runtimes.size() + ci] = anti_seen[ci];
       }
     }
   }
@@ -1075,7 +1038,24 @@ Result<Table> GmdjNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
   return out;
 }
 
+std::string GmdjNode::RouteLabel(size_t c,
+                                 const std::vector<CondRoute>& routes) const {
+  if (routes[c].anti_key.has_value()) return "anti-probe";
+  for (const AllPairRule& pair : completion_.all_pairs) {
+    if (pair.filtered == c && routes[pair.unfiltered].anti_key.has_value()) {
+      return "anti-probe";
+    }
+  }
+  std::string out = CondStrategyToString(analyses_[c].strategy);
+  if (routes[c].group_size > 1) {
+    out += ", shared probe ×" + std::to_string(routes[c].group_size);
+  }
+  return out;
+}
+
 std::string GmdjNode::label() const {
+  const std::vector<CondRoute> routes =
+      analyses_.empty() ? std::vector<CondRoute>() : RouteConditions();
   std::string out = "GMDJ[";
   for (size_t c = 0; c < conditions_.size(); ++c) {
     if (c > 0) out += "; ";
@@ -1087,9 +1067,8 @@ std::string GmdjNode::label() const {
     out += ") theta" + std::to_string(c + 1) + ": ";
     out += conditions_[c].theta == nullptr ? "true"
                                            : conditions_[c].theta->ToString();
-    if (!analyses_.empty()) {
-      out += " {" + std::string(CondStrategyToString(analyses_[c].strategy)) +
-             "}";
+    if (!routes.empty()) {
+      out += " {" + RouteLabel(c, routes) + "}";
     }
   }
   out += "]";

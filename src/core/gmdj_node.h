@@ -195,6 +195,25 @@ class GmdjNode final : public PlanNode {
                                const Table& base, const Table& detail,
                                size_t initial_partitions) const;
 
+  /// How the kernel locates one condition's candidate base tuples.
+  struct CondRoute {
+    int group = -1;         // Binding group (hash/interval dispatch).
+    size_t group_size = 0;  // Conditions sharing the group's probe.
+    bool fused = false;     // Filtered half of a fused ALL pair.
+    std::optional<EqBinding> anti_key;  // Anti-probe (unfiltered half).
+  };
+
+  /// Routes the (prepared) conditions by binding: conditions whose
+  /// bindings are identical — same base index, same detail key columns —
+  /// share a group and so one probe per detail tuple; fused `<> ALL`
+  /// pairs whose θ never reads the base and whose ψ is `base.k <>
+  /// detail.k` become anti-probes. Anti-probes need completion, so they
+  /// only exist on a completing kAuto node.
+  std::vector<CondRoute> RouteConditions() const;
+  /// EXPLAIN name of condition `c`'s dispatch: hash, interval, scan,
+  /// anti-probe, or "<kind>, shared probe ×k".
+  std::string RouteLabel(size_t c, const std::vector<CondRoute>& routes) const;
+
   /// Compiles conditions into dispatch runtimes (indexes included); the
   /// hash-index build parallelizes on the shared pool for large bases.
   /// Non-OK on governance abort (index memory over budget) or an injected

@@ -690,7 +690,7 @@ Result<Table> OlapEngine::ExecuteSql(std::string_view sql, Strategy strategy,
     ctx.set_spill(spill_scope.get());
   }
   auto result = plan->Execute(&ctx);
-  run->stats.gmdj_ops += ctx.stats().gmdj_ops;
+  run->stats.Add(ctx.stats());
   RecordQueryStats(&metrics_, ctx.stats());
   return result;
 }

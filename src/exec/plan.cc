@@ -16,6 +16,25 @@ void Render(const PlanNode& node, int depth, std::string* out) {
 
 }  // namespace
 
+void ExecStats::Add(const ExecStats& other) {
+  table_scans += other.table_scans;
+  rows_scanned += other.rows_scanned;
+  rows_output += other.rows_output;
+  hash_probes += other.hash_probes;
+  predicate_evals += other.predicate_evals;
+  joins += other.joins;
+  gmdj_ops += other.gmdj_ops;
+  morsels += other.morsels;
+  compiled_conditions += other.compiled_conditions;
+  interpreter_fallbacks += other.interpreter_fallbacks;
+  cache_hits += other.cache_hits;
+  cache_misses += other.cache_misses;
+  spill_partitions += other.spill_partitions;
+  spill_passes += other.spill_passes;
+  spill_bytes_written += other.spill_bytes_written;
+  spill_bytes_read += other.spill_bytes_read;
+}
+
 std::string ExecStats::ToString() const {
   std::string out;
   out += "table_scans=" + std::to_string(table_scans);

@@ -60,6 +60,10 @@ struct ExecStats {
   uint64_t spill_bytes_read = 0;     // Encoded bytes read back.
 
   void Reset() { *this = ExecStats{}; }
+  /// Folds another run's work counters into this one. The cache_evictions,
+  /// cache_invalidations and cache_bytes fields are point-in-time copies
+  /// of the shared cache, not per-run work, and are left as they are.
+  void Add(const ExecStats& other);
   std::string ToString() const;
 };
 

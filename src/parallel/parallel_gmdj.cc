@@ -17,9 +17,136 @@
 
 namespace gmdj {
 
+void GmdjScan::Init(const GmdjEvalInput& in) {
+  in_ = &in;
+  compiled_ = in.compiled;
+  runtimes_ = in.runtimes->data();
+  base_rows_ = in.base->rows().data();
+  detail_rows_ = in.detail->rows().data();
+  ectx_.PushFrame(in.base_schema, nullptr);
+  ectx_.PushFrame(in.detail_schema, nullptr);
+  if (in.compiled) {
+    batch_.Configure(*in.detail_schema, in.batch_columns);
+    scratch_.batch_frame = 1;
+    pass_.resize(in.runtimes->size());
+    masks_.assign(in.runtimes->size(), nullptr);
+  }
+  size_t num_groups = 0;
+  for (const GmdjCondRuntime& rt : *in.runtimes) {
+    num_groups = std::max(num_groups, static_cast<size_t>(rt.group + 1));
+  }
+  memo_row_.assign(num_groups, nullptr);
+  memo_.assign(num_groups, nullptr);
+  stabs_.resize(num_groups);
+}
+
+void GmdjScan::BeginChunk(size_t begin, size_t rows) {
+  chunk_begin_ = begin;
+  if (!compiled_) return;
+  // Decode the chunk once into typed columns, then run each condition's
+  // detail-only conjuncts as per-column loops. Conjunct j only visits rows
+  // that passed conjuncts < j, so predicate_evals matches the
+  // interpreter's short-circuit count exactly.
+  const Table& detail = *in_->detail;
+  batch_.Stage(detail, begin, rows);
+  scratch_.batch_cols = batch_.column_ptrs();
+  scratch_.batch_num_cols = batch_.num_columns();
+  for (size_t ci = 0; ci < in_->runtimes->size(); ++ci) {
+    const GmdjCondRuntime& rt = (*in_->runtimes)[ci];
+    if (rt.skip || rt.progs->detail_only.empty()) continue;
+    std::vector<uint8_t>& mask = pass_[ci];
+    mask.assign(rows, 1);
+    masks_[ci] = mask.data();
+    for (const ExprProgram& prog : rt.progs->detail_only) {
+      // Short-circuit bookkeeping first: the interpreter evaluates
+      // conjunct j only on survivors of conjuncts < j, so that's what
+      // predicate_evals must count — even though the batch kernels
+      // evaluate every lane (dead-lane results are discarded by the mask
+      // AND, and ops are total, so this is invisible).
+      size_t survivors = 0;
+      for (size_t i = 0; i < rows; ++i) survivors += mask[i];
+      if (survivors == 0) break;
+      if (prog.EvalPredMask(ectx_, scratch_, &vec_scratch_, rows,
+                            mask.data())) {
+        predicate_evals += survivors;
+        continue;
+      }
+      for (size_t i = 0; i < rows; ++i) {
+        if (!mask[i]) continue;
+        scratch_.batch_row = i;
+        ectx_.SetRow(1, &detail.row(begin + i));
+        predicate_evals += 1;
+        if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) mask[i] = 0;
+      }
+    }
+  }
+}
+
+const std::vector<uint32_t>* GmdjScan::Stab(const GmdjCondRuntime& rt,
+                                            std::vector<uint32_t>* out) {
+  const uint32_t col =
+      static_cast<uint32_t>(rt.analysis->interval->detail_col);
+  const ColumnVector* cv = compiled_ ? batch_.column(col) : nullptr;
+  double key;
+  if (cv != nullptr && cv->type != ValueType::kString) {
+    const size_t i = scratch_.batch_row;
+    if (cv->null[i]) return nullptr;
+    key = cv->type == ValueType::kInt64 ? static_cast<double>(cv->i64[i])
+                                        : cv->dbl[i];
+  } else {
+    const Value& v = (*detail_row_)[col];
+    if (v.is_null()) return nullptr;
+    key = v.AsDouble();
+  }
+  out->clear();
+  rt.interval->Stab(key, out);
+  return out;
+}
+
+const std::vector<uint32_t>* GmdjScan::ProbeBoxed(
+    std::span<const EqBinding> keys, const HashIndex& hash) {
+  // Key extraction reads the staged typed columns when available.
+  const size_t i = scratch_.batch_row;
+  probe_key_.clear();
+  for (const EqBinding& eq : keys) {
+    const ColumnVector* cv =
+        compiled_ ? batch_.column(static_cast<uint32_t>(eq.detail_col))
+                      : nullptr;
+    if (cv == nullptr) {
+      const Value& v = (*detail_row_)[eq.detail_col];
+      if (v.is_null()) return nullptr;
+      probe_key_.push_back(v);
+      continue;
+    }
+    if (cv->null[i]) return nullptr;
+    switch (cv->type) {
+      case ValueType::kInt64:
+        probe_key_.push_back(Value(cv->i64[i]));
+        break;
+      case ValueType::kDouble:
+        probe_key_.push_back(Value(cv->dbl[i]));
+        break;
+      default:
+        probe_key_.push_back(Value(*cv->str[i]));
+        break;
+    }
+  }
+  hash_probes += 1;
+  return &hash.Probe(probe_key_);
+}
+
+bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
+  predicate_evals += 1;
+  const GmdjCondPrograms* p = progs(rt);
+  return IsTrue(p != nullptr && p->pair_cmp != nullptr
+                    ? p->pair_cmp->EvalPred(ectx_, &scratch_)
+                    : rt.pair_cmp->EvalPred(ectx_));
+}
+
 bool ParallelGmdjSupported(const std::vector<GmdjCondRuntime>& runtimes) {
   for (const GmdjCondRuntime& rt : runtimes) {
     if (rt.skip) continue;
+    if (rt.anti_key.has_value()) return false;
     if (rt.freeze_bit != 0) {
       // Satisfy-on-match emits the aggregates of the first match in scan
       // order; only count(*) makes that order-independent (always 1).
@@ -40,24 +167,10 @@ namespace {
 /// Thread-local evaluation state of one ParallelFor slot. A slot is
 /// pinned to one thread for the whole loop, so nothing here needs locks.
 struct SlotState {
-  bool initialized = false;
   std::vector<AggState> states;  // |B| x total_aggs partial aggregates.
   std::vector<uint32_t> active;  // Non-discarded bases for kScan dispatch.
   size_t active_rebuild_mark = 0;  // num_discarded at last rebuild.
-  EvalContext ectx;
-  Row probe_key;
-  std::vector<uint32_t> stab_scratch;
-  // Compiled mode: the slot's columnar staging buffer, register files
-  // (row-wise and batch), and per-condition detail-only pass masks (all
-  // reused across chunks).
-  DetailBatch batch;
-  ExprScratch scratch;
-  ExprVecScratch vec_scratch;
-  std::vector<std::vector<uint8_t>> pass;
-  // Morsel-local counters: plain adds on the hot path, flushed into the
-  // loop's sharded obs counters at each morsel boundary and then zeroed.
-  uint64_t predicate_evals = 0;
-  uint64_t hash_probes = 0;
+  GmdjScan scan;  // Staging, probe memo, and morsel-local work counters.
   std::vector<uint32_t> rng;  // |B| x |runtimes| when in.rng_counts set.
   std::vector<MorselTiming> timings;
 };
@@ -90,37 +203,13 @@ struct SharedState {
 };
 
 void InitSlot(SlotState* slot, const GmdjEvalInput& in) {
-  slot->initialized = true;
   const size_t n = in.base->num_rows();
   slot->states.resize(n * in.total_aggs);
   slot->active.resize(n);
   std::iota(slot->active.begin(), slot->active.end(), 0);
-  slot->ectx.PushFrame(in.base_schema, nullptr);
-  slot->ectx.PushFrame(in.detail_schema, nullptr);
-  if (in.compiled) {
-    slot->batch.Configure(*in.detail_schema, in.batch_columns);
-    slot->scratch.batch_frame = 1;
-    slot->pass.resize(in.runtimes->size());
-  }
+  slot->scan.Init(in);
   if (in.rng_counts != nullptr) {
     slot->rng.assign(n * in.runtimes->size(), 0);
-  }
-}
-
-void UpdateAggs(const GmdjCondition& cond, const GmdjCondPrograms* progs,
-                size_t offset, size_t b, const GmdjEvalInput& in,
-                SlotState* slot) {
-  AggState* entry_states = &slot->states[b * in.total_aggs + offset];
-  for (size_t a = 0; a < cond.aggs.size(); ++a) {
-    const AggSpec& agg = cond.aggs[a];
-    if (agg.kind == AggKind::kCountStar) {
-      ++entry_states[a].count;  // Avoids a Value temporary per pair.
-    } else if (progs != nullptr && progs->agg_args[a] != nullptr) {
-      entry_states[a].Update(
-          agg.kind, progs->agg_args[a]->Eval(slot->ectx, &slot->scratch));
-    } else {
-      entry_states[a].Update(agg.kind, agg.arg->Eval(slot->ectx));
-    }
   }
 }
 
@@ -140,8 +229,8 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("parallel/morsel"));
   if (in.query != nullptr) GMDJ_RETURN_IF_ERROR(in.query->CheckAlive());
   const size_t n = in.base->num_rows();
-  const Table& base = *in.base;
-  const Table& detail = *in.detail;
+  const std::vector<GmdjCondRuntime>& runtimes = *in.runtimes;
+  GmdjScan& scan = slot->scan;
 
   // Rebuild the slot's active list when completion has retired a large
   // fraction of base tuples since the last rebuild (kScan dispatch cost
@@ -166,7 +255,6 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
   // existed): a sibling's failure or this query's cancellation stops the
   // scan within a chunk, not a whole morsel.
   constexpr size_t kChunkRows = 1024;
-  const bool compiled = in.compiled;
   for (size_t chunk = begin; chunk < end; chunk += kChunkRows) {
     if (shared->num_discarded.load(std::memory_order_relaxed) == n) {
       return Status::OK();  // Every base tuple is decided.
@@ -178,157 +266,21 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
       if (in.query != nullptr) GMDJ_RETURN_IF_ERROR(in.query->CheckAlive());
     }
     const size_t chunk_rows = std::min(kChunkRows, end - chunk);
-
-    if (compiled) {
-      // Decode the chunk once into typed columns, then run each
-      // condition's detail-only conjuncts as per-column loops with
-      // progressive filtering (conjunct j only visits survivors of
-      // conjuncts < j, preserving short-circuit eval counts).
-      slot->batch.Stage(detail, chunk, chunk_rows);
-      slot->scratch.batch_cols = slot->batch.column_ptrs();
-      slot->scratch.batch_num_cols = slot->batch.num_columns();
-      for (size_t ci = 0; ci < in.runtimes->size(); ++ci) {
-        const GmdjCondRuntime& rt = (*in.runtimes)[ci];
-        if (rt.skip || rt.progs->detail_only.empty()) continue;
-        std::vector<uint8_t>& mask = slot->pass[ci];
-        mask.assign(chunk_rows, 1);
-        for (const ExprProgram& prog : rt.progs->detail_only) {
-          // predicate_evals counts survivors of conjuncts < j (the
-          // interpreter's short-circuit count), even though the batch
-          // kernels evaluate every lane — dead-lane results are discarded
-          // by the mask AND and ops are total, so this is invisible.
-          size_t survivors = 0;
-          for (size_t i = 0; i < chunk_rows; ++i) survivors += mask[i];
-          if (survivors == 0) break;
-          if (prog.EvalPredMask(slot->ectx, slot->scratch,
-                                &slot->vec_scratch, chunk_rows,
-                                mask.data())) {
-            slot->predicate_evals += survivors;
-            continue;
-          }
-          for (size_t i = 0; i < chunk_rows; ++i) {
-            if (!mask[i]) continue;
-            slot->scratch.batch_row = i;
-            slot->ectx.SetRow(1, &detail.row(chunk + i));
-            slot->predicate_evals += 1;
-            if (!IsTrue(prog.EvalPred(slot->ectx, &slot->scratch))) {
-              mask[i] = 0;
-            }
-          }
-        }
-      }
-    }
+    scan.BeginChunk(chunk, chunk_rows);
 
     for (size_t i = 0; i < chunk_rows; ++i) {
       if (shared->num_discarded.load(std::memory_order_relaxed) == n) {
         return Status::OK();
       }
-      const size_t r = chunk + i;
-      const Row& drow = detail.row(r);
-      slot->ectx.SetRow(1, &drow);
-      slot->scratch.batch_row = i;
-
-      for (size_t ci = 0; ci < in.runtimes->size(); ++ci) {
-        const GmdjCondRuntime& rt = (*in.runtimes)[ci];
-        if (rt.skip) continue;
+      scan.SetRow(i);
+      for (uint32_t ci = 0; ci < runtimes.size(); ++ci) {
+        const GmdjCondRuntime& rt = runtimes[ci];
         // Per-detail filters first (e.g. F.Protocol = "HTTP").
-        if (compiled) {
-          if (!rt.progs->detail_only.empty() && !slot->pass[ci][i]) continue;
-        } else {
-          bool detail_ok = true;
-          for (const Expr* e : rt.analysis->detail_only) {
-            slot->predicate_evals += 1;
-            if (!IsTrue(e->EvalPred(slot->ectx))) {
-              detail_ok = false;
-              break;
-            }
-          }
-          if (!detail_ok) continue;
-        }
-
-        // Locate candidate base tuples; key extraction reads the staged
-        // typed columns when available.
-        const std::vector<uint32_t>* candidates = nullptr;
-        switch (rt.analysis->strategy) {
-          case CondStrategy::kHash: {
-            // Unboxed int64 probe when the condition's single key column
-            // was staged clean for this chunk (CompileRuntimes only built
-            // `typed_hash` for drift-free int64 = int64 bindings).
-            if (rt.typed_hash != nullptr) {
-              const ColumnVector* cv =
-                  slot->batch.column(static_cast<uint32_t>(
-                      rt.analysis->eq_bindings[0].detail_col));
-              if (cv != nullptr && cv->type == ValueType::kInt64) {
-                if (cv->null[i]) continue;  // NULL key: no equality match.
-                slot->hash_probes += 1;
-                candidates = &rt.typed_hash->Probe(cv->i64[i]);
-                break;
-              }
-            }
-            slot->probe_key.clear();
-            bool null_key = false;
-            for (const EqBinding& eq : rt.analysis->eq_bindings) {
-              const ColumnVector* cv =
-                  compiled ? slot->batch.column(
-                                 static_cast<uint32_t>(eq.detail_col))
-                           : nullptr;
-              if (cv != nullptr) {
-                if (cv->null[i]) {
-                  null_key = true;
-                  break;
-                }
-                switch (cv->type) {
-                  case ValueType::kInt64:
-                    slot->probe_key.push_back(Value(cv->i64[i]));
-                    break;
-                  case ValueType::kDouble:
-                    slot->probe_key.push_back(Value(cv->dbl[i]));
-                    break;
-                  default:
-                    slot->probe_key.push_back(Value(*cv->str[i]));
-                    break;
-                }
-                continue;
-              }
-              const Value& v = drow[eq.detail_col];
-              if (v.is_null()) {
-                null_key = true;
-                break;
-              }
-              slot->probe_key.push_back(v);
-            }
-            if (null_key) continue;
-            slot->hash_probes += 1;
-            candidates = &rt.hash->Probe(slot->probe_key);
-            break;
-          }
-          case CondStrategy::kInterval: {
-            const uint32_t col = static_cast<uint32_t>(
-                rt.analysis->interval->detail_col);
-            const ColumnVector* cv =
-                compiled ? slot->batch.column(col) : nullptr;
-            double stab_key;
-            if (cv != nullptr && cv->type != ValueType::kString) {
-              if (cv->null[i]) continue;
-              stab_key = cv->type == ValueType::kInt64
-                             ? static_cast<double>(cv->i64[i])
-                             : cv->dbl[i];
-            } else {
-              const Value& v = drow[col];
-              if (v.is_null()) continue;
-              stab_key = v.AsDouble();
-            }
-            slot->stab_scratch.clear();
-            rt.interval->Stab(stab_key, &slot->stab_scratch);
-            candidates = &slot->stab_scratch;
-            break;
-          }
-          case CondStrategy::kScan:
-            candidates = &slot->active;
-            break;
-        }
-
-        const GmdjCondPrograms* progs = compiled ? rt.progs : nullptr;
+        if (rt.skip || !scan.PassesDetailOnly(ci)) continue;
+        const std::vector<uint32_t>* candidates =
+            scan.Candidates(rt, slot->active);
+        if (candidates == nullptr) continue;
+        const GmdjCondPrograms* progs = scan.progs(rt);
         for (const uint32_t b : *candidates) {
           if (shared->discarded[b].load(std::memory_order_relaxed)) continue;
           if (rt.freeze_bit != 0 &&
@@ -336,27 +288,9 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
                rt.freeze_bit)) {
             continue;
           }
-          slot->ectx.SetRow(0, &base.row(b));
-          bool match = true;
-          if (progs != nullptr) {
-            for (const ExprProgram& prog : progs->residual) {
-              slot->predicate_evals += 1;
-              if (!IsTrue(prog.EvalPred(slot->ectx, &slot->scratch))) {
-                match = false;
-                break;
-              }
-            }
-          } else {
-            for (const Expr* e : rt.analysis->residual) {
-              slot->predicate_evals += 1;
-              if (!IsTrue(e->EvalPred(slot->ectx))) {
-                match = false;
-                break;
-              }
-            }
-          }
-          if (!match) continue;
-          const size_t rng_slot = b * in.runtimes->size() + ci;
+          if (!scan.ResidualMatches(rt, progs, b)) continue;
+          const size_t rng_slot = b * runtimes.size() + ci;
+          AggState* states = &slot->states[b * in.total_aggs];
 
           if (rt.action == CompletionAction::kDiscardOnMatch) {
             if (!slot->rng.empty()) ++slot->rng[rng_slot];
@@ -371,22 +305,16 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
                 rt.freeze_bit, std::memory_order_relaxed);
             if ((prev & rt.freeze_bit) == 0) {
               if (!slot->rng.empty()) ++slot->rng[rng_slot];
-              UpdateAggs(*rt.cond, progs, rt.agg_offset, b, in, slot);
+              scan.UpdateAggs(*rt.cond, progs, states + rt.agg_offset);
             }
             continue;
           }
           if (!slot->rng.empty()) ++slot->rng[rng_slot];
-          UpdateAggs(*rt.cond, progs, rt.agg_offset, b, in, slot);
+          scan.UpdateAggs(*rt.cond, progs, states + rt.agg_offset);
           if (rt.pair_cmp != nullptr) {
-            slot->predicate_evals += 1;
-            const TriBool pair_match =
-                progs != nullptr && progs->pair_cmp != nullptr
-                    ? progs->pair_cmp->EvalPred(slot->ectx, &slot->scratch)
-                    : rt.pair_cmp->EvalPred(slot->ectx);
-            if (IsTrue(pair_match)) {
-              UpdateAggs(*rt.pair_cond,
-                         progs != nullptr ? rt.pair_progs : nullptr,
-                         rt.pair_agg_offset, b, in, slot);
+            if (scan.PairMatches(rt)) {
+              scan.UpdateAggs(*rt.pair_cond, scan.pair_progs(rt),
+                              states + rt.pair_agg_offset);
             } else {
               // The ALL quantifier is violated; counts diverge forever.
               Discard(b, shared);
@@ -461,7 +389,7 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
           return;  // First error won; drain the remaining morsels.
         }
         SlotState& slot = slots[slot_idx];
-        if (!slot.initialized) InitSlot(&slot, in);
+        if (!slot.scan.initialized()) InitSlot(&slot, in);
         const size_t morsel = order[task];
         const size_t begin = morsel * morsel_rows;
         const size_t end = std::min(begin + morsel_rows, num_detail);
@@ -469,10 +397,10 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
         const Status morsel_status =
             ProcessMorsel(in, begin, end, &slot, &shared);
         if (!morsel_status.ok()) shared.RecordError(morsel_status);
-        predicate_evals_counter.Add(slot.predicate_evals);
-        hash_probes_counter.Add(slot.hash_probes);
-        slot.predicate_evals = 0;
-        slot.hash_probes = 0;
+        predicate_evals_counter.Add(slot.scan.predicate_evals);
+        hash_probes_counter.Add(slot.scan.hash_probes);
+        slot.scan.predicate_evals = 0;
+        slot.scan.hash_probes = 0;
         slot.timings.push_back(MorselTiming{
             static_cast<uint32_t>(slot_idx), static_cast<uint64_t>(begin),
             static_cast<uint64_t>(end - begin), watch.ElapsedMillis()});
@@ -488,7 +416,7 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
   // affects double-sum rounding, exactly as morsel order does). ----
   out->states.assign(n * in.total_aggs, AggState{});
   for (const SlotState& slot : slots) {
-    if (!slot.initialized) continue;
+    if (!slot.scan.initialized()) continue;
     for (size_t b = 0; b < n; ++b) {
       if (shared.discarded[b].load(std::memory_order_relaxed)) continue;
       AggState* dst = &out->states[b * in.total_aggs];

@@ -125,6 +125,11 @@ StrategyCostEstimate Estimate(Strategy strategy, const QueryShape& shape) {
             sub.eq_correlated ? 0.0 : 1.0;  // Hash probe vs active scan.
         double sub_cost =
             per_pair_work * b * sub.inner_rows * (optimized ? 0.6 : 1.0);
+        if (optimized && sub.anti_probe) {
+          // Completion turns `<> ALL` into an anti-probe: one probe per
+          // detail row plus the base key index, no per-pair work.
+          sub_cost = sub.inner_rows + b;
+        }
         if (sub.eq_correlated) {
           // Aggregate updates across the expected RNG total (stats only).
           // Completion pruning drops satisfied base tuples out of later
@@ -146,6 +151,7 @@ StrategyCostEstimate Estimate(Strategy strategy, const QueryShape& shape) {
       for (const auto& [table, rows] : scanned_tables) cost += rows;
       why = optimized ? "single-scan GMDJ + coalescing/completion"
                       : "single-scan GMDJ";
+      if (optimized && shape.has_anti_probe) why += " + <> ALL anti-probe";
       break;
     }
   }

@@ -167,7 +167,10 @@ Result<PlanDecision> Planner::Decide(const NestedSelect& query,
   if (decision.strategy == Strategy::kGmdjOptimized && !shape.subs.empty()) {
     const double selectivity =
         decision.est_result_rows / std::max(1.0, shape.base_rows);
-    if (selectivity >= config_.completion_selectivity_cutoff) {
+    // Anti-probes exist only under completion: keep it for them however
+    // little it is expected to prune.
+    if (selectivity >= config_.completion_selectivity_cutoff &&
+        !shape.has_anti_probe) {
       decision.use_completion = false;
       decision.rationale += "; completion off (little pruning expected)";
     }

@@ -90,6 +90,11 @@ std::string BareName(const std::string& ref) {
   return dot == std::string::npos ? ref : ref.substr(dot + 1);
 }
 
+bool IsFrameColumn(const Expr& e, size_t frame) {
+  return e.kind() == ExprKind::kColumnRef &&
+         static_cast<const ColumnRefExpr&>(e).bound_frame() == frame;
+}
+
 void AddTable(const std::string& name, QueryShape* shape) {
   if (std::find(shape->tables.begin(), shape->tables.end(), name) ==
       shape->tables.end()) {
@@ -172,9 +177,16 @@ Status ShapeCollector::Walk(const Pred& pred, size_t frame, bool conjunctive,
     case PredKind::kExists:
       return AddSub(static_cast<const ExistsPred&>(pred).sub(), frame,
                     conjunctive, /*exists_like=*/true, shape);
-    case PredKind::kQuantSub:
-      return AddSub(static_cast<const QuantSubPred&>(pred).sub(), frame,
-                    conjunctive, /*exists_like=*/true, shape);
+    case PredKind::kQuantSub: {
+      const auto& p = static_cast<const QuantSubPred&>(pred);
+      const bool all_ne =
+          p.quant() == QuantKind::kAll && p.op() == CompareOp::kNe &&
+          IsFrameColumn(p.lhs(), frame) &&
+          p.sub().select_expr != nullptr &&
+          IsFrameColumn(*p.sub().select_expr, frame + 1);
+      return AddSub(p.sub(), frame, conjunctive, /*exists_like=*/true, shape,
+                    all_ne);
+    }
     case PredKind::kCompareSub:
       return AddSub(static_cast<const CompareSubPred&>(pred).sub(), frame,
                     conjunctive, /*exists_like=*/false, shape);
@@ -184,7 +196,7 @@ Status ShapeCollector::Walk(const Pred& pred, size_t frame, bool conjunctive,
 
 Status ShapeCollector::AddSub(const NestedSelect& sub, size_t frame,
                               bool conjunctive, bool exists_like,
-                              QueryShape* shape) {
+                              QueryShape* shape, bool all_ne) {
   SubInfo info;
   info.inner_rows = TableRows(sub.source);
   AddTable(sub.source.table, shape);
@@ -195,6 +207,7 @@ Status ShapeCollector::AddSub(const NestedSelect& sub, size_t frame,
   if (!conjunctive) shape->has_disjunctive_sub = true;
 
   const size_t sub_frame = frame + 1;
+  bool uncorrelated = true;
   if (sub.where != nullptr) {
     // Equality correlation: a conjunctive compare between the sub frame
     // and the enclosing frame.
@@ -231,6 +244,7 @@ Status ShapeCollector::AddSub(const NestedSelect& sub, size_t frame,
     // frame, anywhere in the block.
     size_t min_frame = sub_frame;
     CollectMinFrame(*sub.where, &min_frame);
+    uncorrelated = min_frame == sub_frame;
     if (sub_frame >= 2 && min_frame < sub_frame - 1) {
       info.non_neighboring = true;
       shape->has_non_neighboring = true;
@@ -240,6 +254,8 @@ Status ShapeCollector::AddSub(const NestedSelect& sub, size_t frame,
     GMDJ_RETURN_IF_ERROR(Walk(*sub.where, sub_frame, conjunctive, shape));
     info.leaf = shape->subs.size() == before;
   }
+  info.anti_probe = all_ne && conjunctive && uncorrelated && info.leaf;
+  shape->has_anti_probe |= info.anti_probe;
   shape->subs.push_back(std::move(info));
   return Status::OK();
 }

@@ -28,6 +28,10 @@ struct SubInfo {
   bool leaf = true;            // No nested subqueries inside.
   double detail_corr_ndv = 0;  // NDV of the detail-side correlation column.
   double base_corr_ndv = 0;    // NDV of the base-side correlation column.
+  /// Uncorrelated conjunctive `outer.col <> ALL (SELECT sub.col ...)`
+  /// (NOT IN): with completion, the GMDJ answers it with one hash probe
+  /// per detail tuple instead of a pass over the live base tuples.
+  bool anti_probe = false;
 };
 
 /// Aggregated query features.
@@ -37,6 +41,7 @@ struct QueryShape {
   std::vector<SubInfo> subs;   // Flattened over all nesting levels.
   bool has_disjunctive_sub = false;
   bool has_non_neighboring = false;
+  bool has_anti_probe = false;  // Some sub has `anti_probe` set.
   /// Every catalog table the query references (base + all sub sources,
   /// deduplicated). The planner snapshots these tables' versions to
   /// validate its plan-decision cache.
@@ -66,8 +71,10 @@ class ShapeCollector {
 
   Status Walk(const Pred& pred, size_t frame, bool conjunctive,
               QueryShape* shape);
+  /// `all_ne` marks a `col <> ALL (SELECT col ...)` block over bare
+  /// columns of the enclosing and the sub frame (anti-probe candidate).
   Status AddSub(const NestedSelect& sub, size_t frame, bool conjunctive,
-                bool exists_like, QueryShape* shape);
+                bool exists_like, QueryShape* shape, bool all_ne = false);
 
   const Catalog* catalog_;
   stats::StatsCatalog* stats_;  // Nullable.

@@ -64,6 +64,43 @@ TEST_F(EngineTest, StatsAndTimingPopulated) {
   EXPECT_GT(engine_.last_stats().hash_probes, 0u);
 }
 
+// A statement with select-list subqueries runs in two halves: the base
+// query, then one coalesced GMDJ over its rows. QueryRun must report the
+// work of both — exactly what the engine registry recorded.
+TEST_F(EngineTest, QueryRunCountsSelectListBackHalf) {
+  const char* counters[] = {"exec.rows_scanned", "exec.predicate_evals",
+                            "exec.hash_probes", "exec.gmdj_ops",
+                            "exec.morsels"};
+  auto totals = [&] {
+    std::vector<uint64_t> out;
+    for (const char* name : counters) {
+      out.push_back(engine_.metrics()->GetCounter(name)->Total());
+    }
+    return out;
+  };
+  const std::vector<uint64_t> before = totals();
+  QueryRun run;
+  const Result<Table> result = engine_.ExecuteSql(
+      "SELECT b.k, (SELECT COUNT(*) FROM R r1 WHERE r1.k = b.k) AS n, "
+      "(SELECT SUM(r2.k) FROM R r2 WHERE r2.k = b.k AND r2.k > 1) AS s "
+      "FROM B b",
+      Strategy::kGmdjOptimized, SessionLimits(), &run);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 3u);
+  const std::vector<uint64_t> after = totals();
+  const uint64_t reported[] = {run.stats.rows_scanned,
+                               run.stats.predicate_evals,
+                               run.stats.hash_probes, run.stats.gmdj_ops,
+                               run.stats.morsels};
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(reported[i], after[i] - before[i]) << counters[i];
+  }
+  // The back half scanned R (4 rows) and probed it once per non-NULL key.
+  EXPECT_GE(run.stats.rows_scanned, 3u + 4u);
+  EXPECT_EQ(run.stats.hash_probes, 4u);
+  EXPECT_EQ(run.stats.gmdj_ops, 1u);
+}
+
 TEST_F(EngineTest, PlanOnlyForPlanBasedStrategies) {
   const NestedSelect q = ExistsQuery();
   EXPECT_TRUE(engine_.Plan(q, Strategy::kGmdj).ok());

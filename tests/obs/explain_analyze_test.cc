@@ -97,7 +97,8 @@ TEST_F(ExplainAnalyzeTest, RejectsNativeStrategies) {
 // The golden tree: stable fields only (include_timings = false masks the
 // wall-clock lines). Every number is derivable by hand from Figure 1:
 // 3 hours, 6 flows, two coalesced EXISTS conditions evaluated in one
-// detail scan, and satisfy-on-match completion retiring each of the
+// detail scan (sharing one interval stab per flow: same binding), and
+// satisfy-on-match completion retiring each of the
 // 3 × 2 (hour, condition) slots after its first match — which is also
 // why every recorded RNG(b, R, θ) range size is exactly 1.
 TEST_F(ExplainAnalyzeTest, GoldenAnnotatedPlanOnPaperTables) {
@@ -114,7 +115,7 @@ TEST_F(ExplainAnalyzeTest, GoldenAnnotatedPlanOnPaperTables) {
     stats: rows_in=3 rows_out=3 batches=1 predicate_evals=0 hash_probes=0
   Filter[((__cnt1 > 0) AND (__cnt2 > 0))]
       stats: rows_in=3 rows_out=3 batches=1 predicate_evals=3 hash_probes=0
-    GMDJ[l1: (count(*) -> __cnt1) theta1: (((F1.StartTime >= H.StartInterval) AND (F1.StartTime < H.EndInterval)) AND (F1.Protocol = "HTTP")) {interval}; l2: (count(*) -> __cnt2) theta2: (((F1.StartTime >= H.StartInterval) AND (F1.StartTime < H.EndInterval)) AND (F1.DestIP = "167.167.167.0")) {interval}] +completion
+    GMDJ[l1: (count(*) -> __cnt1) theta1: (((F1.StartTime >= H.StartInterval) AND (F1.StartTime < H.EndInterval)) AND (F1.Protocol = "HTTP")) {interval, shared probe ×2}; l2: (count(*) -> __cnt2) theta2: (((F1.StartTime >= H.StartInterval) AND (F1.StartTime < H.EndInterval)) AND (F1.DestIP = "167.167.167.0")) {interval, shared probe ×2}] +completion
         stats: rows_in=9 rows_out=3 batches=1 predicate_evals=12 hash_probes=0
         gmdj: conditions=2 compiled=2 fallbacks=0 discards=0 freezes=6 cache=not-probed
         rng: count=6 sum=6 min=1 p50=1 p90=1 max=1

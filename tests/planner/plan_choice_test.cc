@@ -98,6 +98,49 @@ TEST_F(PlanChoiceTest, Fig5TwoExistsCoalesceIntoGmdj) {
   ExpectAutoMatchesReference(Fig5TreeExistsQuery(), "fig5");
 }
 
+TEST_F(PlanChoiceTest, UncorrelatedAllNePicksAntiProbeGmdj) {
+  // `c_custkey <> ALL (SELECT o_custkey FROM orders)` is linear under
+  // completion (one hash probe per order), while every tuple-iteration
+  // plan pays |customer| x |orders|.
+  const planner::PlanDecision d = DecideOrDie(Fig4AllQuery());
+  EXPECT_EQ(d.strategy, Strategy::kGmdjOptimized)
+      << StrategyToString(d.strategy);
+  EXPECT_TRUE(d.use_completion);
+  const Result<std::string> plan =
+      engine_.Explain(Fig4AllQuery(), Strategy::kAuto);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("{anti-probe}"), std::string::npos) << *plan;
+  ExpectAutoMatchesReference(Fig4AllQuery(), "fig4");
+}
+
+TEST_F(PlanChoiceTest, AntiProbeKeepsCompletionOn) {
+  // A cutoff of 0 turns completion off wherever it is optional; the
+  // anti-probe needs it, so the `<> ALL` plan keeps it.
+  planner::PlannerConfig config;
+  config.completion_selectivity_cutoff = 0.0;
+  engine_.set_planner_config(config);
+  const planner::PlanDecision all = DecideOrDie(Fig4AllQuery());
+  EXPECT_EQ(all.strategy, Strategy::kGmdjOptimized);
+  EXPECT_TRUE(all.use_completion);
+  const planner::PlanDecision exists = DecideOrDie(Fig2ExistsQuery());
+  ASSERT_EQ(exists.strategy, Strategy::kGmdjOptimized);
+  EXPECT_FALSE(exists.use_completion);
+  ExpectAutoMatchesReference(Fig4AllQuery(), "fig4 cutoff 0");
+}
+
+TEST_F(PlanChoiceTest, Fig2Fig3Fig5ChoicesUnchangedByAntiProbeCosting) {
+  // The anti-probe term applies only to `<> ALL` blocks: the other paper
+  // queries keep the plans they had before it existed.
+  for (const NestedSelect& q :
+       {Fig2ExistsQuery(), Fig3AggCompareQuery(), Fig5TreeExistsQuery()}) {
+    const planner::PlanDecision d = DecideOrDie(q);
+    EXPECT_EQ(d.strategy, Strategy::kGmdjOptimized) << q.ToString();
+    EXPECT_TRUE(d.use_completion) << q.ToString();
+    EXPECT_EQ(d.num_threads, 1) << q.ToString();
+    EXPECT_FALSE(d.force_scan_bindings) << q.ToString();
+  }
+}
+
 TEST_F(PlanChoiceTest, ChoicesAreDeterministic) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_EQ(DecideOrDie(Fig2ExistsQuery()).strategy,
