@@ -38,6 +38,25 @@ void ApplyEvalOrder(std::vector<GmdjCondRuntime>* runtimes,
   *runtimes = std::move(ordered);
 }
 
+/// The fold the chunk kernel gives a compiled aggregate argument: typed
+/// when the argument is numeric and reads only detail columns — straight
+/// from the staged column when it is one, else as one batch evaluation
+/// per chunk — and the per-pair Value fold otherwise.
+AggFold ChooseAggFold(const ExprProgram& arg) {
+  const ValueType type = arg.result_type();
+  if (!arg.fully_compiled() ||
+      (type != ValueType::kInt64 && type != ValueType::kDouble)) {
+    return AggFold::kValue;
+  }
+  for (size_t i = 0; i < arg.num_ops(); ++i) {
+    const ExprOp& op = arg.op(i);
+    if (op.code == OpCode::kLoadCol && op.frame != 1) return AggFold::kValue;
+  }
+  return arg.num_ops() == 1 && arg.op(0).code == OpCode::kLoadCol
+             ? AggFold::kColumn
+             : AggFold::kBatch;
+}
+
 bool OnlyCountStar(const GmdjCondition& cond) {
   for (const AggSpec& agg : cond.aggs) {
     if (agg.kind != AggKind::kCountStar) return false;
@@ -298,6 +317,7 @@ Result<Table> GmdjNode::ExecuteNaive(ExecContext* ctx, const Table& base,
   std::vector<uint64_t> match_counts;  // Per condition, reset per base row.
   if (os != nullptr) {
     os->coalesced_conditions += conditions_.size();
+    os->aggs += total_aggs_;  // All folded per pair (typed_aggs stays 0).
     os->batches += 1;
   }
 
@@ -408,8 +428,8 @@ std::vector<GmdjNode::CondRoute> GmdjNode::RouteConditions() const {
 
 /// Compiles conditions into runtime dispatch form (strategy, completion
 /// wiring, indexes, expression programs). The result is read-only during
-/// evaluation and shared by the sequential loop below and the
-/// morsel-parallel evaluator.
+/// evaluation and shared by the sequential and morsel-parallel
+/// evaluators (parallel/parallel_gmdj.h).
 Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     ExecContext* ctx, const Table& base,
     std::vector<GmdjCondPrograms>* programs,
@@ -540,10 +560,12 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     for (const AggSpec& agg : conditions_[c].aggs) {
       if (agg.arg == nullptr) {
         p.agg_args.push_back(nullptr);
+        p.agg_folds.push_back(AggFold::kCountStar);
         continue;
       }
       p.agg_args.push_back(
           std::make_unique<ExprProgram>(Compile(*agg.arg, frames)));
+      p.agg_folds.push_back(ChooseAggFold(*p.agg_args.back()));
       fully &= p.agg_args.back()->fully_compiled();
     }
     if (rt.pair_cmp != nullptr) {
@@ -644,161 +666,6 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
   return runtimes;
 }
 
-/// Sequential single-scan evaluation — the paper's algorithm, and the
-/// reference the morsel-parallel evaluator must reproduce exactly.
-Status GmdjNode::ExecuteSequential(ExecContext* ctx, const GmdjEvalInput& in,
-                                   GmdjEvalResult* out) const {
-  GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/scan"));
-  const std::vector<GmdjCondRuntime>& runtimes = *in.runtimes;
-  const size_t n = in.base->num_rows();
-
-  // ---- Base-result structure: one entry per base tuple. ----
-  std::vector<AggState>& states = out->states;
-  states.assign(n * total_aggs_, AggState{});
-  std::vector<uint8_t>& discarded = out->discarded;
-  discarded.assign(n, 0);
-  std::vector<uint64_t> frozen(n, 0);
-  size_t num_discarded = 0;
-
-  // Active list for kScan conditions; compacted when completion retires a
-  // majority of entries.
-  std::vector<uint32_t> active(n);
-  for (size_t i = 0; i < n; ++i) active[i] = static_cast<uint32_t>(i);
-  size_t active_dead = 0;
-  auto retire = [&](uint32_t b) {
-    if (discarded[b]) return false;
-    discarded[b] = 1;
-    ++num_discarded;
-    ++active_dead;
-    return true;
-  };
-  // Anti-probes: θ-passing detail tuples seen so far, per runtime.
-  std::vector<uint32_t> anti_seen(runtimes.size(), 0);
-
-  GmdjScan scan;
-  scan.Init(in);
-  auto flush_counters = [&] {
-    ctx->stats().predicate_evals += scan.predicate_evals;
-    ctx->stats().hash_probes += scan.hash_probes;
-    scan.predicate_evals = 0;
-    scan.hash_probes = 0;
-  };
-
-  // The detail relation is consumed in staging chunks; the chunk size
-  // doubles as the liveness-poll stride (same ~1k cadence as before the
-  // columnar path existed, and as the morsel workers).
-  constexpr size_t kChunkRows = 1024;
-  const size_t num_detail = in.detail->num_rows();
-  for (size_t chunk = 0; chunk < num_detail; chunk += kChunkRows) {
-    if (num_discarded == n) break;  // Every base tuple is decided.
-    if (chunk != 0) {
-      flush_counters();
-      GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    }
-    out->batches += 1;
-    const size_t chunk_rows = std::min(kChunkRows, num_detail - chunk);
-    scan.BeginChunk(chunk, chunk_rows);
-
-    for (size_t i = 0; i < chunk_rows; ++i) {
-      if (num_discarded == n) break;
-      scan.SetRow(i);
-      for (uint32_t ci = 0; ci < runtimes.size(); ++ci) {
-        const GmdjCondRuntime& rt = runtimes[ci];
-        // Per-detail filters first (e.g. F.Protocol = "HTTP").
-        if (rt.skip || !scan.PassesDetailOnly(ci)) continue;
-
-        if (rt.anti_key.has_value()) {
-          // θ holds and reads no base column, so every live base tuple
-          // matches it; ψ fails exactly for the key's violators (all of
-          // them on a NULL detail key, NULL base keys on the first row).
-          const uint32_t seen = ++anti_seen[ci];
-          auto violate = [&](uint32_t b) {
-            if (retire(b) && in.rng_counts != nullptr) {
-              (*in.rng_counts)[b * runtimes.size() + ci] = seen;
-            }
-          };
-          if (seen == 1) {
-            for (const uint32_t b : rt.anti_null_bases) violate(b);
-          }
-          const std::vector<uint32_t>* violators = scan.AntiViolators(rt);
-          for (const uint32_t b : violators != nullptr ? *violators : active) {
-            violate(b);
-          }
-          continue;
-        }
-
-        const std::vector<uint32_t>* candidates = scan.Candidates(rt, active);
-        if (candidates == nullptr) continue;
-        const GmdjCondPrograms* progs = scan.progs(rt);
-        for (const uint32_t b : *candidates) {
-          if (discarded[b]) continue;
-          if (frozen[b] & rt.freeze_bit) continue;
-          if (!scan.ResidualMatches(rt, progs, b)) continue;
-          if (in.rng_counts != nullptr) {
-            ++(*in.rng_counts)[b * runtimes.size() + ci];
-          }
-          if (rt.action == CompletionAction::kDiscardOnMatch) {
-            retire(b);
-            continue;
-          }
-          AggState* entry = &states[b * total_aggs_];
-          scan.UpdateAggs(*rt.cond, progs, entry + rt.agg_offset);
-          if (rt.pair_cmp != nullptr) {
-            if (!scan.PairMatches(rt)) {
-              // The ALL quantifier is violated; counts diverge forever.
-              retire(b);
-              continue;
-            }
-            scan.UpdateAggs(*rt.pair_cond, scan.pair_progs(rt),
-                            entry + rt.pair_agg_offset);
-          }
-          if (rt.action == CompletionAction::kSatisfyOnMatch) {
-            frozen[b] |= rt.freeze_bit;
-          }
-        }
-      }
-
-      // Compact the scan list when most of it is dead.
-      if (active_dead > 0 && active_dead * 2 > active.size()) {
-        std::vector<uint32_t> next;
-        next.reserve(active.size() - active_dead);
-        for (const uint32_t b : active) {
-          if (!discarded[b]) next.push_back(b);
-        }
-        active = std::move(next);
-        active_dead = 0;
-      }
-    }
-  }
-  flush_counters();
-
-  // Anti-probe survivors matched θ on every θ-passing detail tuple and ψ
-  // never failed: both halves of the pair count all of those tuples.
-  for (size_t ci = 0; ci < runtimes.size(); ++ci) {
-    const GmdjCondRuntime& rt = runtimes[ci];
-    if (!rt.anti_key.has_value()) continue;
-    for (size_t b = 0; b < n; ++b) {
-      if (discarded[b]) continue;
-      AggState* entry = &states[b * total_aggs_];
-      for (size_t a = 0; a < rt.cond->aggs.size(); ++a) {
-        entry[rt.agg_offset + a].count = anti_seen[ci];
-      }
-      for (size_t a = 0; a < rt.pair_cond->aggs.size(); ++a) {
-        entry[rt.pair_agg_offset + a].count = anti_seen[ci];
-      }
-      if (in.rng_counts != nullptr) {
-        (*in.rng_counts)[b * runtimes.size() + ci] = anti_seen[ci];
-      }
-    }
-  }
-  out->num_discarded = num_discarded;
-  for (size_t b = 0; b < n; ++b) {
-    out->num_freezes +=
-        static_cast<size_t>(__builtin_popcountll(frozen[b]));
-  }
-  return Status::OK();
-}
-
 Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
                                     const Table& detail) const {
   const size_t n = base.num_rows();
@@ -833,6 +700,15 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
         ctx->stats().compiled_conditions - compiled_before;
     os->interpreter_fallbacks +=
         ctx->stats().interpreter_fallbacks - fallbacks_before;
+    for (size_t c = 0; c < conditions_.size(); ++c) {
+      for (size_t a = 0; a < conditions_[c].aggs.size(); ++a) {
+        const AggFold fold = programs.empty() ? AggFold::kValue
+                                              : programs[c].agg_folds[a];
+        os->typed_aggs += conditions_[c].aggs[a].kind == AggKind::kCountStar ||
+                          fold != AggFold::kValue;
+      }
+    }
+    os->aggs += total_aggs_;
   }
 
   GmdjEvalInput in;
@@ -878,7 +754,7 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
     GMDJ_RETURN_IF_ERROR(
         ExecuteGmdjMorselParallel(in, config, &ctx->stats(), &result));
   } else {
-    GMDJ_RETURN_IF_ERROR(ExecuteSequential(ctx, in, &result));
+    GMDJ_RETURN_IF_ERROR(ExecuteGmdjSequential(ctx, in, &result));
   }
   GMDJ_METRIC_ADD(ctx->hot_metrics().predicate_evals,
                   ctx->stats().predicate_evals - predicate_evals_before);

@@ -231,14 +231,6 @@ class GmdjNode final : public PlanNode {
       std::vector<GmdjCondPrograms>* programs,
       std::vector<uint32_t>* batch_columns) const;
 
-  /// The paper's sequential single-scan algorithm. ExecuteAuto dispatches
-  /// here, or to ExecuteGmdjMorselParallel (parallel/parallel_gmdj.h)
-  /// when the config and completion spec allow morsel parallelism.
-  /// Non-OK only on governance abort or an injected fault; `out` is then
-  /// incomplete and must be discarded.
-  Status ExecuteSequential(ExecContext* ctx, const GmdjEvalInput& in,
-                           GmdjEvalResult* out) const;
-
   /// Assembles the output table from the base rows and per-condition
   /// cached aggregate columns (cache-hit fast path: no detail scan).
   Result<Table> BuildCachedOutput(

@@ -24,9 +24,7 @@ void DetailBatch::Configure(const Schema& schema,
 
 void DetailBatch::Stage(const Table& table, size_t begin, size_t count) {
   num_rows_ = count;
-  for (size_t i = 0; i < col_ids_.size(); ++i) {
-    ColumnVector& cv = cols_[i];
-    const uint32_t c = col_ids_[i];
+  for (ColumnVector& cv : cols_) {
     cv.clean = true;
     cv.null.resize(count);
     switch (cv.type) {
@@ -40,8 +38,22 @@ void DetailBatch::Stage(const Table& table, size_t begin, size_t count) {
         cv.str.resize(count);
         break;
     }
-    for (size_t r = 0; r < count && cv.clean; ++r) {
-      const Value& v = table.row(begin + r)[c];
+  }
+  // Row-major: each detail row (a separate allocation) is visited once
+  // for all staged columns, and the cells a few rows ahead are prefetched:
+  // the loop is bound by the latency of those scattered loads.
+  constexpr size_t kPrefetchRows = 8;
+  const Row* rows = table.rows().data() + begin;
+  for (size_t r = 0; r < count; ++r) {
+    if (r + kPrefetchRows < count) {
+      const Value* ahead = rows[r + kPrefetchRows].data();
+      for (const uint32_t c : col_ids_) __builtin_prefetch(ahead + c);
+    }
+    const Value* row = rows[r].data();
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      ColumnVector& cv = cols_[i];
+      if (!cv.clean) continue;
+      const Value& v = row[col_ids_[i]];
       if (v.is_null()) {
         cv.null[r] = 1;
         continue;
@@ -51,7 +63,7 @@ void DetailBatch::Stage(const Table& table, size_t begin, size_t count) {
         // Runtime type drift: this column cannot be trusted with typed
         // loads. Unpublish it; consumers use the row-wise path instead.
         cv.clean = false;
-        break;
+        continue;
       }
       switch (cv.type) {
         case ValueType::kInt64:
@@ -65,7 +77,9 @@ void DetailBatch::Stage(const Table& table, size_t begin, size_t count) {
           break;
       }
     }
-    ptrs_[c] = cv.clean ? &cv : nullptr;
+  }
+  for (size_t i = 0; i < cols_.size(); ++i) {
+    ptrs_[col_ids_[i]] = cols_[i].clean ? &cols_[i] : nullptr;
   }
 }
 

@@ -155,6 +155,8 @@ void RenderAnalyzed(const PlanNode& node, const obs::PlanProfile& profile,
       out->append(" compiled=" + std::to_string(stats->compiled_conditions));
       out->append(" fallbacks=" +
                   std::to_string(stats->interpreter_fallbacks));
+      out->append(" typed_aggs=" + std::to_string(stats->typed_aggs) + "/" +
+                  std::to_string(stats->aggs));
       out->append(" discards=" + std::to_string(stats->completion_discards));
       out->append(" freezes=" + std::to_string(stats->completion_freezes));
       out->append(std::string(" cache=") +

@@ -106,12 +106,9 @@ void AggState::Update(AggKind kind, const Value& v) {
       }
       break;
     case AggKind::kMin:
-      ++count;
-      if (extreme.is_null() || v.Compare(extreme) < 0) extreme = v;
-      break;
     case AggKind::kMax:
       ++count;
-      if (extreme.is_null() || v.Compare(extreme) > 0) extreme = v;
+      UpdateExtreme(kind, v);
       break;
     case AggKind::kCountStar:
       break;  // Unreachable.

@@ -76,6 +76,66 @@ struct AggState {
   /// Folds `v` into the state for aggregate kind `kind`.
   void Update(AggKind kind, const Value& v);
 
+  /// Typed forms of Update for a non-NULL int64 / double input (callers
+  /// skip NULLs, as Update does): the resulting state is bit-identical to
+  /// Update(kind, Value(v)), including the int-to-double sum migration
+  /// and MIN/MAX against an extreme of another type. Not for kCountStar.
+  void UpdateInt64(AggKind kind, int64_t v) {
+    switch (kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        ++count;
+        if (sum_is_int) {
+          sum_i += v;
+        } else {
+          sum_d += static_cast<double>(v);
+        }
+        return;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        ++count;
+        if (extreme.type() == ValueType::kInt64) {
+          if (kind == AggKind::kMin ? v < extreme.int64()
+                                    : v > extreme.int64()) {
+            extreme = Value(v);
+          }
+          return;
+        }
+        UpdateExtreme(kind, Value(v));
+        return;
+      default:
+        ++count;
+        return;
+    }
+  }
+  void UpdateDouble(AggKind kind, double v) {
+    switch (kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        ++count;
+        if (sum_is_int) {
+          sum_d = static_cast<double>(sum_i);
+          sum_is_int = false;
+        }
+        sum_d += v;
+        return;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        ++count;
+        if (extreme.type() == ValueType::kDouble) {
+          if (kind == AggKind::kMin ? v < extreme.dbl() : v > extreme.dbl()) {
+            extreme = Value(v);
+          }
+          return;
+        }
+        UpdateExtreme(kind, Value(v));
+        return;
+      default:
+        ++count;
+        return;
+    }
+  }
+
   /// Folds another partial state into this one. All supported aggregates
   /// are commutative and associative over partials (counts and integer
   /// sums exactly; double sums up to reassociation rounding), which is
@@ -85,6 +145,16 @@ struct AggState {
 
   /// Final value. `arg_type` disambiguates the SUM output type.
   Value Finalize(AggKind kind, ValueType arg_type) const;
+
+ private:
+  /// MIN/MAX step for a non-NULL `v` (count already taken).
+  void UpdateExtreme(AggKind kind, const Value& v) {
+    if (extreme.is_null() ||
+        (kind == AggKind::kMin ? v.Compare(extreme) < 0
+                               : v.Compare(extreme) > 0)) {
+      extreme = v;
+    }
+  }
 };
 
 }  // namespace gmdj

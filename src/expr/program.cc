@@ -286,13 +286,52 @@ void Fit(std::vector<T>* v, size_t n) {
   if (v->size() < n) v->resize(n);
 }
 
+/// out[k] = x[k] op y[k] (UNKNOWN where either is NULL), with one loop per
+/// operator. Each operator is spelled through `<` and `>` only, exactly as
+/// CompareOrdered sees the pair, so NaN operands compare the same way.
+template <typename T, typename Pred>
+void CompareLoop(const T* x, const T* y, const uint8_t* xn, const uint8_t* yn,
+                 TriBool* out, size_t n, Pred pred) {
+  for (size_t k = 0; k < n; ++k) {
+    out[k] = (xn[k] | yn[k]) ? TriBool::kUnknown
+                             : MakeTriBool(pred(x[k], y[k]));
+  }
+}
+
+template <typename T>
+void CompareColumns(CompareOp op, const T* x, const T* y, const uint8_t* xn,
+                    const uint8_t* yn, TriBool* out, size_t n) {
+  switch (op) {
+    case CompareOp::kEq:
+      CompareLoop(x, y, xn, yn, out, n,
+                  [](T a, T b) { return !(a < b) && !(a > b); });
+      break;
+    case CompareOp::kNe:
+      CompareLoop(x, y, xn, yn, out, n,
+                  [](T a, T b) { return a < b || a > b; });
+      break;
+    case CompareOp::kLt:
+      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return a < b; });
+      break;
+    case CompareOp::kLe:
+      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return !(a > b); });
+      break;
+    case CompareOp::kGt:
+      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return a > b; });
+      break;
+    case CompareOp::kGe:
+      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return !(a < b); });
+      break;
+  }
+}
+
 }  // namespace
 
-bool ExprProgram::EvalPredMask(const EvalContext& ctx,
-                               const ExprScratch& scratch,
-                               ExprVecScratch* vec, size_t num_rows,
-                               uint8_t* mask) const {
-  if (interpret_ops_ != 0) return false;
+const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
+                                         const ExprScratch& scratch,
+                                         ExprVecScratch* vec,
+                                         size_t num_rows) const {
+  if (interpret_ops_ != 0) return nullptr;
   if (vec->regs.size() < num_regs_) vec->regs.resize(num_regs_);
   ExprVecReg* regs = vec->regs.data();
   const size_t n = num_rows;
@@ -316,7 +355,7 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
           // register. Unstaged/unclean columns disqualify the chunk.
           if (op.col >= scratch.batch_num_cols ||
               scratch.batch_cols[op.col] == nullptr) {
-            return false;
+            return nullptr;
           }
           const ColumnVector& cv = *scratch.batch_cols[op.col];
           r.null.assign(cv.null.begin(), cv.null.begin() + n);
@@ -346,7 +385,7 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
           r.s.assign(n, nullptr);
           break;
         }
-        if (v.type() != op.expect) return false;  // Bail: type surprise.
+        if (v.type() != op.expect) return nullptr;  // Bail: type surprise.
         r.null.assign(n, 0);
         switch (op.expect) {
           case ValueType::kInt64:
@@ -366,14 +405,8 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
         const ExprVecReg& b = regs[op.b];
         ExprVecReg& r = regs[op.dst];
         Fit(&r.t, n);
-        for (size_t k = 0; k < n; ++k) {
-          if (a.null[k] | b.null[k]) {
-            r.t[k] = TriBool::kUnknown;
-            continue;
-          }
-          const int64_t x = a.i[k], y = b.i[k];
-          r.t[k] = CompareOrdered(x < y ? -1 : (x > y ? 1 : 0), op.cmp);
-        }
+        CompareColumns(op.cmp, a.i.data(), b.i.data(), a.null.data(),
+                       b.null.data(), r.t.data(), n);
         break;
       }
       case OpCode::kCmpDbl: {
@@ -381,14 +414,8 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
         const ExprVecReg& b = regs[op.b];
         ExprVecReg& r = regs[op.dst];
         Fit(&r.t, n);
-        for (size_t k = 0; k < n; ++k) {
-          if (a.null[k] | b.null[k]) {
-            r.t[k] = TriBool::kUnknown;
-            continue;
-          }
-          const double x = a.d[k], y = b.d[k];
-          r.t[k] = CompareOrdered(x < y ? -1 : (x > y ? 1 : 0), op.cmp);
-        }
+        CompareColumns(op.cmp, a.d.data(), b.d.data(), a.null.data(),
+                       b.null.data(), r.t.data(), n);
         break;
       }
       case OpCode::kCmpStr: {
@@ -558,11 +585,21 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
         break;
       }
       case OpCode::kInterpret:
-        return false;  // Unreachable (guarded above); defensive.
+        return nullptr;  // Unreachable (guarded above); defensive.
     }
   }
 
-  const ExprVecReg& root = regs[root_];
+  return &regs[root_];
+}
+
+bool ExprProgram::EvalPredMask(const EvalContext& ctx,
+                               const ExprScratch& scratch,
+                               ExprVecScratch* vec, size_t num_rows,
+                               uint8_t* mask) const {
+  const ExprVecReg* reg = EvalBatch(ctx, scratch, vec, num_rows);
+  if (reg == nullptr) return false;
+  const size_t n = num_rows;
+  const ExprVecReg& root = *reg;
   if (root_is_pred_) {
     for (size_t k = 0; k < n; ++k) {
       mask[k] &= static_cast<uint8_t>(IsTrue(root.t[k]));

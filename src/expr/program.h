@@ -153,8 +153,24 @@ class ExprProgram {
                     ExprVecScratch* vec, size_t num_rows,
                     uint8_t* mask) const;
 
+  /// Batch scalar evaluation over rows [0, num_rows) of the staged chunk:
+  /// the register VM of EvalPredMask, returning the root register (valid
+  /// until the next batch call on `vec`). Row k holds Eval's value for
+  /// chunk row k: NULL when `null[k]`, else `i[k]` or `d[k]` by
+  /// result_type(). Null under the conditions EvalPredMask returns false;
+  /// callers then evaluate per row with Eval, which is exact.
+  const ExprVecReg* EvalBatch(const EvalContext& ctx,
+                              const ExprScratch& scratch, ExprVecScratch* vec,
+                              size_t num_rows) const;
+
   /// Scalar evaluation (the compiled Expr::Eval).
   Value Eval(const EvalContext& ctx, ExprScratch* scratch) const;
+
+  /// Static type of Eval's non-NULL results; kNull for a predicate root
+  /// (Eval then yields TriToValue of the predicate).
+  ValueType result_type() const {
+    return root_is_pred_ ? ValueType::kNull : root_type_;
+  }
 
   /// True when no opcode falls back to the tree interpreter. (Per-row
   /// type-mismatch bails can still interpret, but never fire on tables

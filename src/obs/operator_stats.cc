@@ -16,6 +16,8 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   completion_freezes += other.completion_freezes;
   compiled_conditions += other.compiled_conditions;
   interpreter_fallbacks += other.interpreter_fallbacks;
+  typed_aggs += other.typed_aggs;
+  aggs += other.aggs;
   if (other.cache_outcome != CacheOutcome::kNotProbed) {
     cache_outcome = other.cache_outcome;
   }

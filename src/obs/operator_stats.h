@@ -52,6 +52,8 @@ struct OperatorStats {
   uint64_t completion_freezes = 0;     // Base tuples frozen by satisfy.
   uint64_t compiled_conditions = 0;
   uint64_t interpreter_fallbacks = 0;
+  uint64_t typed_aggs = 0;  // Aggregates folded by typed loops...
+  uint64_t aggs = 0;        // ...out of all aggregates evaluated.
   CacheOutcome cache_outcome = CacheOutcome::kNotProbed;
   HistogramData rng_sizes;  // |RNG(b, R, theta)| per (base row, condition).
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
@@ -16,168 +18,78 @@
 #include "types/tribool.h"
 
 namespace gmdj {
-
-void GmdjScan::Init(const GmdjEvalInput& in) {
-  in_ = &in;
-  compiled_ = in.compiled;
-  runtimes_ = in.runtimes->data();
-  base_rows_ = in.base->rows().data();
-  detail_rows_ = in.detail->rows().data();
-  ectx_.PushFrame(in.base_schema, nullptr);
-  ectx_.PushFrame(in.detail_schema, nullptr);
-  if (in.compiled) {
-    batch_.Configure(*in.detail_schema, in.batch_columns);
-    scratch_.batch_frame = 1;
-    pass_.resize(in.runtimes->size());
-    masks_.assign(in.runtimes->size(), nullptr);
-  }
-  size_t num_groups = 0;
-  for (const GmdjCondRuntime& rt : *in.runtimes) {
-    num_groups = std::max(num_groups, static_cast<size_t>(rt.group + 1));
-  }
-  memo_row_.assign(num_groups, nullptr);
-  memo_.assign(num_groups, nullptr);
-  stabs_.resize(num_groups);
-}
-
-void GmdjScan::BeginChunk(size_t begin, size_t rows) {
-  chunk_begin_ = begin;
-  if (!compiled_) return;
-  // Decode the chunk once into typed columns, then run each condition's
-  // detail-only conjuncts as per-column loops. Conjunct j only visits rows
-  // that passed conjuncts < j, so predicate_evals matches the
-  // interpreter's short-circuit count exactly.
-  const Table& detail = *in_->detail;
-  batch_.Stage(detail, begin, rows);
-  scratch_.batch_cols = batch_.column_ptrs();
-  scratch_.batch_num_cols = batch_.num_columns();
-  for (size_t ci = 0; ci < in_->runtimes->size(); ++ci) {
-    const GmdjCondRuntime& rt = (*in_->runtimes)[ci];
-    if (rt.skip || rt.progs->detail_only.empty()) continue;
-    std::vector<uint8_t>& mask = pass_[ci];
-    mask.assign(rows, 1);
-    masks_[ci] = mask.data();
-    for (const ExprProgram& prog : rt.progs->detail_only) {
-      // Short-circuit bookkeeping first: the interpreter evaluates
-      // conjunct j only on survivors of conjuncts < j, so that's what
-      // predicate_evals must count — even though the batch kernels
-      // evaluate every lane (dead-lane results are discarded by the mask
-      // AND, and ops are total, so this is invisible).
-      size_t survivors = 0;
-      for (size_t i = 0; i < rows; ++i) survivors += mask[i];
-      if (survivors == 0) break;
-      if (prog.EvalPredMask(ectx_, scratch_, &vec_scratch_, rows,
-                            mask.data())) {
-        predicate_evals += survivors;
-        continue;
-      }
-      for (size_t i = 0; i < rows; ++i) {
-        if (!mask[i]) continue;
-        scratch_.batch_row = i;
-        ectx_.SetRow(1, &detail.row(begin + i));
-        predicate_evals += 1;
-        if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) mask[i] = 0;
-      }
-    }
-  }
-}
-
-const std::vector<uint32_t>* GmdjScan::Stab(const GmdjCondRuntime& rt,
-                                            std::vector<uint32_t>* out) {
-  const uint32_t col =
-      static_cast<uint32_t>(rt.analysis->interval->detail_col);
-  const ColumnVector* cv = compiled_ ? batch_.column(col) : nullptr;
-  double key;
-  if (cv != nullptr && cv->type != ValueType::kString) {
-    const size_t i = scratch_.batch_row;
-    if (cv->null[i]) return nullptr;
-    key = cv->type == ValueType::kInt64 ? static_cast<double>(cv->i64[i])
-                                        : cv->dbl[i];
-  } else {
-    const Value& v = (*detail_row_)[col];
-    if (v.is_null()) return nullptr;
-    key = v.AsDouble();
-  }
-  out->clear();
-  rt.interval->Stab(key, out);
-  return out;
-}
-
-const std::vector<uint32_t>* GmdjScan::ProbeBoxed(
-    std::span<const EqBinding> keys, const HashIndex& hash) {
-  // Key extraction reads the staged typed columns when available.
-  const size_t i = scratch_.batch_row;
-  probe_key_.clear();
-  for (const EqBinding& eq : keys) {
-    const ColumnVector* cv =
-        compiled_ ? batch_.column(static_cast<uint32_t>(eq.detail_col))
-                      : nullptr;
-    if (cv == nullptr) {
-      const Value& v = (*detail_row_)[eq.detail_col];
-      if (v.is_null()) return nullptr;
-      probe_key_.push_back(v);
-      continue;
-    }
-    if (cv->null[i]) return nullptr;
-    switch (cv->type) {
-      case ValueType::kInt64:
-        probe_key_.push_back(Value(cv->i64[i]));
-        break;
-      case ValueType::kDouble:
-        probe_key_.push_back(Value(cv->dbl[i]));
-        break;
-      default:
-        probe_key_.push_back(Value(*cv->str[i]));
-        break;
-    }
-  }
-  hash_probes += 1;
-  return &hash.Probe(probe_key_);
-}
-
-bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
-  predicate_evals += 1;
-  const GmdjCondPrograms* p = progs(rt);
-  return IsTrue(p != nullptr && p->pair_cmp != nullptr
-                    ? p->pair_cmp->EvalPred(ectx_, &scratch_)
-                    : rt.pair_cmp->EvalPred(ectx_));
-}
-
-bool ParallelGmdjSupported(const std::vector<GmdjCondRuntime>& runtimes) {
-  for (const GmdjCondRuntime& rt : runtimes) {
-    if (rt.skip) continue;
-    if (rt.anti_key.has_value()) return false;
-    if (rt.freeze_bit != 0) {
-      // Satisfy-on-match emits the aggregates of the first match in scan
-      // order; only count(*) makes that order-independent (always 1).
-      for (const AggSpec& agg : rt.cond->aggs) {
-        if (agg.kind != AggKind::kCountStar) return false;
-      }
-      if (rt.pair_cmp != nullptr) return false;
-    }
-    if (rt.pair_cmp != nullptr && rt.action != CompletionAction::kNone) {
-      return false;  // Pair check against a scan-order-dependent match.
-    }
-  }
-  return true;
-}
-
 namespace {
 
-/// Thread-local evaluation state of one ParallelFor slot. A slot is
-/// pinned to one thread for the whole loop, so nothing here needs locks.
-struct SlotState {
-  std::vector<AggState> states;  // |B| x total_aggs partial aggregates.
-  std::vector<uint32_t> active;  // Non-discarded bases for kScan dispatch.
-  size_t active_rebuild_mark = 0;  // num_discarded at last rebuild.
-  GmdjScan scan;  // Staging, probe memo, and morsel-local work counters.
-  std::vector<uint32_t> rng;  // |B| x |runtimes| when in.rng_counts set.
-  std::vector<MorselTiming> timings;
+/// Detail rows staged per chunk: the kernel's unit of work, and the
+/// liveness-poll stride of both evaluators.
+constexpr size_t kChunkRows = 1024;
+/// Interval stab output buffered per chunk; past it, the binding group's
+/// members fold the rows stabbed so far before the next rows are stabbed,
+/// so the buffer stays bounded whatever the key skew.
+constexpr size_t kStabCap = 16 * 1024;
+/// Matched base tuples buffered per condition before its aggregates fold
+/// them (checked at row boundaries).
+constexpr size_t kPairCap = 4 * 1024;
+
+using Candidates = std::span<const uint32_t>;
+
+/// Completion decisions of the sequential pass: plain flags.
+class LocalCompletion {
+ public:
+  LocalCompletion(size_t n, std::vector<uint8_t>* discarded)
+      : discarded_(*discarded), frozen_(n, 0), active_(n) {
+    discarded_.assign(n, 0);
+    std::iota(active_.begin(), active_.end(), 0);
+  }
+
+  bool Discarded(uint32_t b) const { return discarded_[b] != 0; }
+  bool Frozen(uint32_t b, uint64_t bit) const {
+    return (frozen_[b] & bit) != 0;
+  }
+  /// Retires `b`; false when it already was.
+  bool Discard(uint32_t b) {
+    if (discarded_[b]) return false;
+    discarded_[b] = 1;
+    ++num_discarded_;
+    ++active_dead_;
+    return true;
+  }
+  /// Sets `b`'s freeze bit; false when it already was set.
+  bool Freeze(uint32_t b, uint64_t bit) {
+    const bool fresh = (frozen_[b] & bit) == 0;
+    frozen_[b] |= bit;
+    return fresh;
+  }
+  bool AllDecided() const { return num_discarded_ == discarded_.size(); }
+  /// Base tuples for scan dispatch, compacted when most are retired.
+  Candidates Active() {
+    if (active_dead_ > 0 && active_dead_ * 2 > active_.size()) {
+      std::erase_if(active_, [this](uint32_t b) { return discarded_[b]; });
+      active_dead_ = 0;
+    }
+    return active_;
+  }
+
+  size_t num_discarded() const { return num_discarded_; }
+  size_t num_freezes() const {
+    size_t total = 0;
+    for (const uint64_t bits : frozen_) {
+      total += static_cast<size_t>(__builtin_popcountll(bits));
+    }
+    return total;
+  }
+
+ private:
+  std::vector<uint8_t>& discarded_;
+  std::vector<uint64_t> frozen_;
+  std::vector<uint32_t> active_;
+  size_t num_discarded_ = 0;
+  size_t active_dead_ = 0;
 };
 
-/// Shared, atomically updated completion state. Decision flags use
-/// relaxed ordering: correctness needs only the atomicity of the RMW
-/// (exactly-once discard/freeze); a slot observing a flag late merely
+/// Shared, atomically updated state of a morsel-parallel pass. Decision
+/// flags use relaxed ordering: correctness needs only the atomicity of the
+/// RMW (exactly-once discard/freeze); a slot observing a flag late merely
 /// does wasted work on a base tuple whose output is already decided or
 /// whose extra updates land in partials that are never read.
 struct SharedState {
@@ -202,6 +114,688 @@ struct SharedState {
   }
 };
 
+/// Completion decisions of one morsel slot: the shared atomic flags, plus
+/// the slot's own scan-dispatch list. A freeze is claimed with fetch_or,
+/// so exactly one slot counts a satisfy-on-match base tuple's match.
+class SharedCompletion {
+ public:
+  SharedCompletion(SharedState* shared, const std::vector<uint32_t>* active)
+      : shared_(*shared), active_(*active) {}
+
+  bool Discarded(uint32_t b) const {
+    return shared_.discarded[b].load(std::memory_order_relaxed) != 0;
+  }
+  bool Frozen(uint32_t b, uint64_t bit) const {
+    return (shared_.frozen[b].load(std::memory_order_relaxed) & bit) != 0;
+  }
+  bool Discard(uint32_t b) {
+    if (shared_.discarded[b].exchange(1, std::memory_order_relaxed) != 0) {
+      return false;
+    }
+    shared_.num_discarded.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  bool Freeze(uint32_t b, uint64_t bit) {
+    return (shared_.frozen[b].fetch_or(bit, std::memory_order_relaxed) &
+            bit) == 0;
+  }
+  bool AllDecided() const {
+    return shared_.num_discarded.load(std::memory_order_relaxed) ==
+           shared_.discarded.size();
+  }
+  Candidates Active() { return active_; }
+
+ private:
+  SharedState& shared_;
+  const std::vector<uint32_t>& active_;
+};
+
+/// The matches of one condition over a row range, grouped by detail row
+/// in row order: row `rows[k]` matched base tuples `bases[k]`. The spans
+/// point into the candidate lists themselves when every candidate
+/// matches, else into a buffer of the survivors.
+struct Matches {
+  std::vector<uint32_t> rows;  // Chunk-relative detail rows.
+  std::vector<Candidates> bases;
+  std::vector<uint32_t> buf;   // Survivors, when filtered.
+  std::vector<uint32_t> ends;  // End of row k's survivors in `buf`.
+
+  void Clear() {
+    rows.clear();
+    bases.clear();
+    buf.clear();
+    ends.clear();
+  }
+  /// Closes row `i`'s survivors in `buf` (if any).
+  void EndRow(uint32_t i) {
+    const uint32_t begin = ends.empty() ? 0 : ends.back();
+    if (buf.size() == begin) return;
+    rows.push_back(i);
+    ends.push_back(static_cast<uint32_t>(buf.size()));
+  }
+  /// Points `bases` at the buffered survivors.
+  void Seal() {
+    if (ends.empty()) return;
+    bases.clear();
+    uint32_t begin = 0;
+    for (const uint32_t end : ends) {
+      bases.emplace_back(buf.data() + begin, end - begin);
+      begin = end;
+    }
+  }
+};
+
+/// Folds `matches` into one aggregate whose argument is the typed array
+/// `vals` (NULL where `null`): `col[b * stride]` is base b's state.
+template <typename T>
+void FoldTyped(AggKind kind, const T* vals, const uint8_t* null,
+               const Matches& matches, AggState* col, size_t stride) {
+  for (size_t k = 0; k < matches.rows.size(); ++k) {
+    const uint32_t i = matches.rows[k];
+    if (null[i]) continue;
+    const T v = vals[i];
+    for (const uint32_t b : matches.bases[k]) {
+      if constexpr (std::is_same_v<T, int64_t>) {
+        col[static_cast<size_t>(b) * stride].UpdateInt64(kind, v);
+      } else {
+        col[static_cast<size_t>(b) * stride].UpdateDouble(kind, v);
+      }
+    }
+  }
+}
+
+/// Working state of one pass over detail rows — the sequential pass, or
+/// one morsel slot — and the chunk kernel both evaluators run. Per staged
+/// chunk the kernel stages the touched detail columns and runs every
+/// condition's detail-only conjuncts as masks, then takes the conditions
+/// in runtime order:
+///  - a binding group runs one probe or stab per row that passes at least
+///    one member's mask (hash candidates are spans into the index; stab
+///    output fills a capped buffer, flushed by row sub-range), then each
+///    member walks those candidates in row order;
+///  - a scan condition walks the live base tuples per passing row;
+///  - an anti-probe discards each passing row's violators.
+/// Walking a condition's candidates applies its completion checks and
+/// residual and records the matches per row, which its aggregates then
+/// fold one aggregate at a time with typed loops; a condition with nothing
+/// of its own to check takes its candidate lists as its matches. Completion decisions go
+/// through the policy (LocalCompletion or SharedCompletion). Per (base,
+/// aggregate) the fold order is detail-row order, so sequential double
+/// sums match a row-at-a-time fold bit for bit.
+class GmdjScan {
+ public:
+  /// Sizes the state for `in`, which must outlive the scan.
+  void Init(const GmdjEvalInput& in);
+  bool initialized() const { return in_ != nullptr; }
+
+  /// Evaluates detail rows [begin, begin+rows) into `states` (|B| x
+  /// total_aggs) and, when non-null, the |B| x |runtimes| match counters
+  /// `rng`.
+  template <typename Completion>
+  void RunChunk(size_t begin, size_t rows, Completion* done,
+                AggState* states, uint32_t* rng);
+
+  /// Anti-probe runtime `ci`: θ-passing detail rows seen so far.
+  uint32_t anti_seen(size_t ci) const { return anti_seen_[ci]; }
+
+  /// Work counters since the last flush; the owner folds and zeroes them.
+  uint64_t predicate_evals = 0;
+  uint64_t hash_probes = 0;
+
+ private:
+  /// An aggregate argument resolved to typed arrays for the current chunk.
+  struct TypedArg {
+    const uint8_t* null = nullptr;
+    const int64_t* i64 = nullptr;  // Exactly one of i64 / dbl is set.
+    const double* dbl = nullptr;
+  };
+  /// Per-chunk result of a kBatch argument (one per flat aggregate slot).
+  struct BatchArg {
+    uint64_t chunk = 0;  // chunk_seq_ it was evaluated for; 0 = never.
+    const ExprVecReg* reg = nullptr;
+    ExprVecScratch vec;
+  };
+
+  /// Stages chunk [begin, begin+rows) and computes the detail-only masks.
+  void BeginChunk(size_t begin, size_t rows);
+  /// Makes chunk row `i` the current detail row.
+  void SetRow(size_t i) {
+    detail_row_ = &detail_rows_[chunk_begin_ + i];
+    ectx_.SetRow(1, detail_row_);
+    scratch_.batch_row = i;
+  }
+  /// Runs binding group `g`'s lookups for rows [r0, rows) into `cands_`,
+  /// stopping early when the stab buffer fills; returns the end row.
+  size_t CollectCandidates(size_t g, size_t r0, size_t rows);
+  /// Walks runtime `ci`'s candidates over rows [r0, r1) and folds its
+  /// matches (`cands(i)` = candidates of row i).
+  template <typename Completion, typename CandFn>
+  void FoldCondition(size_t ci, size_t r0, size_t r1, Completion* done,
+                     const CandFn& cands);
+  /// Anti-probe runtime `ci` over the chunk's rows.
+  template <typename Completion>
+  void AntiProbe(size_t ci, size_t rows, Completion* done);
+  /// Folds `matches` into `cond`'s aggregates at flat offset `agg_offset`
+  /// (`progs` null = tree interpreter).
+  void FoldMatches(const GmdjCondition& cond, const GmdjCondPrograms* progs,
+                   size_t agg_offset, const Matches& matches);
+  /// Resolves aggregate `a` of `progs` (flat slot `flat`) to typed arrays
+  /// for the current chunk; false = fold it per pair.
+  bool ResolveArg(const GmdjCondPrograms& progs, size_t a, size_t flat,
+                  TypedArg* arg);
+
+  /// Makes base row `b` current and checks `rt`'s residual conjuncts.
+  bool ResidualMatches(const GmdjCondRuntime& rt, uint32_t b);
+  /// Evaluates a fused ALL pair's comparison ψ on the current pair.
+  bool PairMatches(const GmdjCondRuntime& rt);
+
+  /// Programs of `rt` (or its fused pair) in compiled mode, else null.
+  const GmdjCondPrograms* progs(const GmdjCondRuntime& rt) const {
+    return compiled_ ? rt.progs : nullptr;
+  }
+  const GmdjCondPrograms* pair_progs(const GmdjCondRuntime& rt) const {
+    return compiled_ ? rt.pair_progs : nullptr;
+  }
+
+  /// Probes `rt`'s index with the current row's values of `keys`; null
+  /// when a key is NULL.
+  const std::vector<uint32_t>* ProbeHash(std::span<const EqBinding> keys,
+                                         const GmdjCondRuntime& rt);
+  const std::vector<uint32_t>* ProbeBoxed(std::span<const EqBinding> keys,
+                                          const HashIndex& hash);
+  /// `rt`'s single int64 probe column staged clean for this chunk, when
+  /// it has an unboxed index; else null.
+  const ColumnVector* TypedProbeColumn(const GmdjCondRuntime& rt,
+                                       std::span<const EqBinding> keys) const;
+  /// Appends the current row's stab of `rt`'s interval index to `out`.
+  void Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out);
+
+  const GmdjEvalInput* in_ = nullptr;
+  // Hot-path copies of `in_` fields.
+  bool compiled_ = false;
+  const GmdjCondRuntime* runtimes_ = nullptr;
+  size_t num_runtimes_ = 0;
+  size_t total_aggs_ = 0;
+  const Row* base_rows_ = nullptr;
+  const Row* detail_rows_ = nullptr;
+  EvalContext ectx_;
+  DetailBatch batch_;
+  ExprScratch scratch_;
+  ExprVecScratch vec_scratch_;
+  // Per runtime: the chunk's detail-only pass mask, and a pointer to it
+  // (null when the runtime has no detail-only conjunct).
+  std::vector<std::vector<uint8_t>> pass_;
+  std::vector<const uint8_t*> masks_;
+  size_t chunk_begin_ = 0;
+  size_t chunk_rows_ = 0;
+  uint64_t chunk_seq_ = 0;
+  const Row* detail_row_ = nullptr;  // The current detail row.
+  Row probe_key_;
+  // Binding groups: member runtimes in runtime order.
+  std::vector<std::vector<uint32_t>> groups_;
+  // The current group's candidates per chunk row, the rows any member
+  // wants looked up, and the stab buffer (row i's stab is
+  // stab_buf_[stab_off_[i], stab_off_[i + 1])).
+  std::vector<Candidates> cands_;
+  std::vector<uint8_t> want_;
+  std::vector<uint32_t> stab_buf_;
+  std::vector<uint32_t> stab_off_;
+  Matches matches_;       // Of the condition being walked.
+  Matches pair_matches_;  // Of those, the fused pair's ψ-passing ones.
+  std::vector<BatchArg> batch_args_;
+  std::vector<uint32_t> anti_seen_;
+  // Destination of the chunk being run.
+  AggState* states_ = nullptr;
+  uint32_t* rng_ = nullptr;
+};
+
+void GmdjScan::Init(const GmdjEvalInput& in) {
+  in_ = &in;
+  compiled_ = in.compiled;
+  runtimes_ = in.runtimes->data();
+  num_runtimes_ = in.runtimes->size();
+  total_aggs_ = in.total_aggs;
+  base_rows_ = in.base->rows().data();
+  detail_rows_ = in.detail->rows().data();
+  ectx_.PushFrame(in.base_schema, nullptr);
+  ectx_.PushFrame(in.detail_schema, nullptr);
+  if (in.compiled) {
+    batch_.Configure(*in.detail_schema, in.batch_columns);
+    scratch_.batch_frame = 1;
+  }
+  pass_.resize(num_runtimes_);
+  masks_.assign(num_runtimes_, nullptr);
+  for (size_t ci = 0; ci < num_runtimes_; ++ci) {
+    const int g = runtimes_[ci].group;
+    if (g < 0) continue;
+    if (groups_.size() <= static_cast<size_t>(g)) groups_.resize(g + 1);
+    groups_[g].push_back(static_cast<uint32_t>(ci));
+  }
+  cands_.resize(kChunkRows);
+  stab_off_.resize(kChunkRows + 1);
+  batch_args_.resize(total_aggs_);
+  anti_seen_.assign(num_runtimes_, 0);
+}
+
+void GmdjScan::BeginChunk(size_t begin, size_t rows) {
+  chunk_begin_ = begin;
+  chunk_rows_ = rows;
+  ++chunk_seq_;
+  if (compiled_) {
+    // Decode the chunk once into typed columns for the batch masks, the
+    // probe keys, and the typed aggregate folds.
+    batch_.Stage(*in_->detail, begin, rows);
+    scratch_.batch_cols = batch_.column_ptrs();
+    scratch_.batch_num_cols = batch_.num_columns();
+  }
+  // Each condition's detail-only conjuncts, as a pass mask over the chunk.
+  // Conjunct j only counts rows that passed conjuncts < j, so
+  // predicate_evals matches a short-circuiting row-at-a-time evaluation.
+  for (size_t ci = 0; ci < num_runtimes_; ++ci) {
+    const GmdjCondRuntime& rt = runtimes_[ci];
+    masks_[ci] = nullptr;
+    if (rt.skip || rt.analysis->detail_only.empty()) continue;
+    std::vector<uint8_t>& mask = pass_[ci];
+    mask.assign(rows, 1);
+    masks_[ci] = mask.data();
+    if (!compiled_) {
+      for (size_t i = 0; i < rows; ++i) {
+        SetRow(i);
+        for (const Expr* e : rt.analysis->detail_only) {
+          predicate_evals += 1;
+          if (!IsTrue(e->EvalPred(ectx_))) {
+            mask[i] = 0;
+            break;
+          }
+        }
+      }
+      continue;
+    }
+    for (const ExprProgram& prog : rt.progs->detail_only) {
+      // Short-circuit bookkeeping first; the batch kernels evaluate every
+      // lane (dead-lane results are discarded by the mask AND, and ops are
+      // total, so this is invisible).
+      size_t survivors = 0;
+      for (size_t i = 0; i < rows; ++i) survivors += mask[i];
+      if (survivors == 0) break;
+      if (prog.EvalPredMask(ectx_, scratch_, &vec_scratch_, rows,
+                            mask.data())) {
+        predicate_evals += survivors;
+        continue;
+      }
+      for (size_t i = 0; i < rows; ++i) {
+        if (!mask[i]) continue;
+        SetRow(i);
+        predicate_evals += 1;
+        if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) mask[i] = 0;
+      }
+    }
+  }
+}
+
+template <typename Completion>
+void GmdjScan::RunChunk(size_t begin, size_t rows, Completion* done,
+                        AggState* states, uint32_t* rng) {
+  states_ = states;
+  rng_ = rng;
+  BeginChunk(begin, rows);
+  for (size_t ci = 0; ci < num_runtimes_; ++ci) {
+    const GmdjCondRuntime& rt = runtimes_[ci];
+    if (rt.skip) continue;
+    if (done->AllDecided()) return;
+    if (rt.anti_key.has_value()) {
+      AntiProbe(ci, rows, done);
+      continue;
+    }
+    if (rt.group < 0) {
+      const Candidates active = done->Active();
+      FoldCondition(ci, 0, rows, done, [active](size_t) { return active; });
+      continue;
+    }
+    const size_t g = static_cast<size_t>(rt.group);
+    if (groups_[g].front() != ci) continue;  // Ran with its first member.
+    for (size_t r0 = 0; r0 < rows;) {
+      const size_t r1 = CollectCandidates(g, r0, rows);
+      for (const uint32_t m : groups_[g]) {
+        FoldCondition(m, r0, r1, done,
+                      [this](size_t i) { return cands_[i]; });
+      }
+      r0 = r1;
+    }
+  }
+}
+
+size_t GmdjScan::CollectCandidates(size_t g, size_t r0, size_t rows) {
+  const std::vector<uint32_t>& members = groups_[g];
+  const GmdjCondRuntime& rt = runtimes_[members.front()];
+  // A row needs a lookup when at least one member passes its mask.
+  want_.assign(rows, 0);
+  for (const uint32_t m : members) {
+    const uint8_t* mask = masks_[m];
+    if (mask == nullptr) {
+      std::fill(want_.begin(), want_.end(), 1);
+      break;
+    }
+    for (size_t i = r0; i < rows; ++i) want_[i] |= mask[i];
+  }
+
+  if (rt.analysis->strategy == CondStrategy::kHash) {
+    const std::span<const EqBinding> keys = rt.analysis->eq_bindings;
+    const ColumnVector* typed = TypedProbeColumn(rt, keys);
+    for (size_t i = r0; i < rows; ++i) {
+      cands_[i] = {};
+      if (!want_[i]) continue;
+      if (typed != nullptr) {
+        if (typed->null[i]) continue;  // NULL key: no equality match.
+        hash_probes += 1;
+        cands_[i] = rt.typed_hash->Probe(typed->i64[i]);
+        continue;
+      }
+      SetRow(i);
+      const std::vector<uint32_t>* found = ProbeBoxed(keys, *rt.hash);
+      if (found != nullptr) cands_[i] = *found;
+    }
+    return rows;
+  }
+
+  stab_buf_.clear();
+  size_t end = r0;
+  for (; end < rows; ++end) {
+    stab_off_[end] = static_cast<uint32_t>(stab_buf_.size());
+    if (end > r0 && stab_buf_.size() >= kStabCap) break;
+    if (!want_[end]) continue;
+    SetRow(end);
+    Stab(rt, &stab_buf_);
+  }
+  stab_off_[end] = static_cast<uint32_t>(stab_buf_.size());
+  for (size_t i = r0; i < end; ++i) {
+    cands_[i] = Candidates(stab_buf_.data() + stab_off_[i],
+                           stab_off_[i + 1] - stab_off_[i]);
+  }
+  return end;
+}
+
+template <typename Completion, typename CandFn>
+void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
+                             Completion* done, const CandFn& cands) {
+  const GmdjCondRuntime& rt = runtimes_[ci];
+  const uint8_t* mask = masks_[ci];
+  // Residuals and the pair comparison read the current (base, detail) pair.
+  const bool per_pair =
+      !rt.analysis->residual.empty() || rt.pair_cmp != nullptr;
+  const uint64_t freeze = rt.freeze_bit;
+  // With nothing to check, every candidate matches: its aggregates fold
+  // the candidate lists themselves. (A base tuple another condition has
+  // discarded still gets folded; discarded tuples are never emitted.)
+  const bool unfiltered =
+      !per_pair && freeze == 0 && rt.action == CompletionAction::kNone;
+  auto flush = [&] {
+    matches_.Seal();
+    FoldMatches(*rt.cond, progs(rt), rt.agg_offset, matches_);
+    if (rt.pair_cmp != nullptr) {
+      pair_matches_.Seal();
+      FoldMatches(*rt.pair_cond, pair_progs(rt), rt.pair_agg_offset,
+                  pair_matches_);
+    }
+    matches_.Clear();
+    pair_matches_.Clear();
+  };
+  for (size_t i = r0; i < r1; ++i) {
+    if (mask != nullptr && !mask[i]) continue;
+    const Candidates candidates = cands(i);
+    if (candidates.empty()) continue;
+    const uint32_t row = static_cast<uint32_t>(i);
+    if (unfiltered) {
+      matches_.rows.push_back(row);
+      matches_.bases.push_back(candidates);
+      if (rng_ != nullptr) {
+        for (const uint32_t b : candidates) ++rng_[b * num_runtimes_ + ci];
+      }
+      continue;
+    }
+    if (per_pair) SetRow(i);
+    for (const uint32_t b : candidates) {
+      if (done->Discarded(b)) continue;
+      if (freeze != 0 && done->Frozen(b, freeze)) continue;
+      if (per_pair && !ResidualMatches(rt, b)) continue;
+      uint32_t* rng = rng_ != nullptr ? &rng_[b * num_runtimes_ + ci] : nullptr;
+      if (rt.action == CompletionAction::kDiscardOnMatch) {
+        if (rng != nullptr) ++*rng;
+        done->Discard(b);
+        continue;
+      }
+      if (rt.pair_cmp != nullptr && !PairMatches(rt)) {
+        // The ALL quantifier is violated; counts diverge forever.
+        if (rng != nullptr) ++*rng;
+        done->Discard(b);
+        continue;
+      }
+      // Satisfy-on-match: whoever sets the bit counts the one match.
+      if (freeze != 0 && !done->Freeze(b, freeze)) continue;
+      if (rng != nullptr) ++*rng;
+      matches_.buf.push_back(b);
+      if (rt.pair_cmp != nullptr) pair_matches_.buf.push_back(b);
+    }
+    matches_.EndRow(row);
+    if (rt.pair_cmp != nullptr) pair_matches_.EndRow(row);
+    if (matches_.buf.size() >= kPairCap) flush();
+  }
+  flush();
+}
+
+template <typename Completion>
+void GmdjScan::AntiProbe(size_t ci, size_t rows, Completion* done) {
+  const GmdjCondRuntime& rt = runtimes_[ci];
+  const uint8_t* mask = masks_[ci];
+  for (size_t i = 0; i < rows; ++i) {
+    if (done->AllDecided()) return;
+    if (mask != nullptr && !mask[i]) continue;
+    // θ holds and reads no base column, so every live base tuple matches
+    // it; ψ fails exactly for the key's violators (all of them on a NULL
+    // detail key, NULL base keys on the first row).
+    const uint32_t seen = ++anti_seen_[ci];
+    auto violate = [&](uint32_t b) {
+      if (done->Discard(b) && rng_ != nullptr) {
+        rng_[b * num_runtimes_ + ci] = seen;
+      }
+    };
+    if (seen == 1) {
+      for (const uint32_t b : rt.anti_null_bases) violate(b);
+    }
+    SetRow(i);
+    const std::vector<uint32_t>* violators =
+        ProbeHash(std::span<const EqBinding>(&*rt.anti_key, 1), rt);
+    if (violators != nullptr) {
+      for (const uint32_t b : *violators) violate(b);
+    } else {
+      for (const uint32_t b : done->Active()) violate(b);
+    }
+  }
+}
+
+void GmdjScan::FoldMatches(const GmdjCondition& cond,
+                           const GmdjCondPrograms* progs, size_t agg_offset,
+                           const Matches& matches) {
+  if (matches.rows.empty()) return;
+  for (size_t a = 0; a < cond.aggs.size(); ++a) {
+    const AggSpec& agg = cond.aggs[a];
+    AggState* col = states_ + agg_offset + a;
+    if (agg.kind == AggKind::kCountStar) {
+      for (const Candidates bases : matches.bases) {
+        for (const uint32_t b : bases) {
+          ++col[static_cast<size_t>(b) * total_aggs_].count;
+        }
+      }
+      continue;
+    }
+    TypedArg arg;
+    if (progs != nullptr && ResolveArg(*progs, a, agg_offset + a, &arg)) {
+      if (arg.i64 != nullptr) {
+        FoldTyped(agg.kind, arg.i64, arg.null, matches, col, total_aggs_);
+      } else {
+        FoldTyped(agg.kind, arg.dbl, arg.null, matches, col, total_aggs_);
+      }
+      continue;
+    }
+    // Per-pair Value fold: strings, base-reading arguments, interpret mode.
+    const ExprProgram* prog =
+        progs != nullptr ? progs->agg_args[a].get() : nullptr;
+    for (size_t k = 0; k < matches.rows.size(); ++k) {
+      SetRow(matches.rows[k]);
+      for (const uint32_t b : matches.bases[k]) {
+        ectx_.SetRow(0, &base_rows_[b]);
+        col[static_cast<size_t>(b) * total_aggs_].Update(
+            agg.kind, prog != nullptr ? prog->Eval(ectx_, &scratch_)
+                                      : agg.arg->Eval(ectx_));
+      }
+    }
+  }
+}
+
+bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,
+                          size_t flat, TypedArg* arg) {
+  const ExprProgram& prog = *progs.agg_args[a];
+  const ExprVecReg* reg = nullptr;
+  switch (progs.agg_folds[a]) {
+    case AggFold::kColumn: {
+      const ColumnVector* cv = batch_.column(prog.op(0).col);
+      if (cv == nullptr) return false;  // Unclean this chunk.
+      arg->null = cv->null.data();
+      if (cv->type == ValueType::kInt64) {
+        arg->i64 = cv->i64.data();
+      } else {
+        arg->dbl = cv->dbl.data();
+      }
+      return true;
+    }
+    case AggFold::kBatch: {
+      BatchArg& batch = batch_args_[flat];
+      if (batch.chunk != chunk_seq_) {
+        batch.chunk = chunk_seq_;
+        batch.reg = prog.EvalBatch(ectx_, scratch_, &batch.vec, chunk_rows_);
+      }
+      reg = batch.reg;
+      break;
+    }
+    default:
+      return false;
+  }
+  if (reg == nullptr) return false;
+  arg->null = reg->null.data();
+  if (prog.result_type() == ValueType::kInt64) {
+    arg->i64 = reg->i.data();
+  } else {
+    arg->dbl = reg->d.data();
+  }
+  return true;
+}
+
+bool GmdjScan::ResidualMatches(const GmdjCondRuntime& rt, uint32_t b) {
+  ectx_.SetRow(0, &base_rows_[b]);
+  if (const GmdjCondPrograms* p = progs(rt); p != nullptr) {
+    for (const ExprProgram& prog : p->residual) {
+      predicate_evals += 1;
+      if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) return false;
+    }
+    return true;
+  }
+  for (const Expr* e : rt.analysis->residual) {
+    predicate_evals += 1;
+    if (!IsTrue(e->EvalPred(ectx_))) return false;
+  }
+  return true;
+}
+
+bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
+  predicate_evals += 1;
+  const GmdjCondPrograms* p = progs(rt);
+  return IsTrue(p != nullptr && p->pair_cmp != nullptr
+                    ? p->pair_cmp->EvalPred(ectx_, &scratch_)
+                    : rt.pair_cmp->EvalPred(ectx_));
+}
+
+const ColumnVector* GmdjScan::TypedProbeColumn(
+    const GmdjCondRuntime& rt, std::span<const EqBinding> keys) const {
+  // CompileRuntimes only builds `typed_hash` for drift-free int64 = int64
+  // single-key bindings; the chunk must also have staged the key clean.
+  if (rt.typed_hash == nullptr) return nullptr;
+  const ColumnVector* cv =
+      batch_.column(static_cast<uint32_t>(keys[0].detail_col));
+  return cv != nullptr && cv->type == ValueType::kInt64 ? cv : nullptr;
+}
+
+const std::vector<uint32_t>* GmdjScan::ProbeHash(
+    std::span<const EqBinding> keys, const GmdjCondRuntime& rt) {
+  if (const ColumnVector* cv = TypedProbeColumn(rt, keys); cv != nullptr) {
+    const size_t i = scratch_.batch_row;
+    if (cv->null[i]) return nullptr;  // NULL key: no equality match.
+    hash_probes += 1;
+    return &rt.typed_hash->Probe(cv->i64[i]);
+  }
+  return ProbeBoxed(keys, *rt.hash);
+}
+
+void GmdjScan::Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out) {
+  const uint32_t col =
+      static_cast<uint32_t>(rt.analysis->interval->detail_col);
+  const ColumnVector* cv = compiled_ ? batch_.column(col) : nullptr;
+  double key;
+  if (cv != nullptr && cv->type != ValueType::kString) {
+    const size_t i = scratch_.batch_row;
+    if (cv->null[i]) return;
+    key = cv->type == ValueType::kInt64 ? static_cast<double>(cv->i64[i])
+                                        : cv->dbl[i];
+  } else {
+    const Value& v = (*detail_row_)[col];
+    if (v.is_null()) return;
+    key = v.AsDouble();
+  }
+  rt.interval->Stab(key, out);
+}
+
+const std::vector<uint32_t>* GmdjScan::ProbeBoxed(
+    std::span<const EqBinding> keys, const HashIndex& hash) {
+  // Key extraction reads the staged typed columns when available.
+  const size_t i = scratch_.batch_row;
+  probe_key_.clear();
+  for (const EqBinding& eq : keys) {
+    const ColumnVector* cv =
+        compiled_ ? batch_.column(static_cast<uint32_t>(eq.detail_col))
+                  : nullptr;
+    if (cv == nullptr) {
+      const Value& v = (*detail_row_)[eq.detail_col];
+      if (v.is_null()) return nullptr;
+      probe_key_.push_back(v);
+      continue;
+    }
+    if (cv->null[i]) return nullptr;
+    switch (cv->type) {
+      case ValueType::kInt64:
+        probe_key_.push_back(Value(cv->i64[i]));
+        break;
+      case ValueType::kDouble:
+        probe_key_.push_back(Value(cv->dbl[i]));
+        break;
+      default:
+        probe_key_.push_back(Value(*cv->str[i]));
+        break;
+    }
+  }
+  hash_probes += 1;
+  return &hash.Probe(probe_key_);
+}
+
+/// Thread-local evaluation state of one ParallelFor slot. A slot is
+/// pinned to one thread for the whole loop, so nothing here needs locks.
+struct SlotState {
+  std::vector<AggState> states;  // |B| x total_aggs partial aggregates.
+  std::vector<uint32_t> active;  // Non-discarded bases for kScan dispatch.
+  size_t active_rebuild_mark = 0;  // num_discarded at last rebuild.
+  GmdjScan scan;  // The kernel's buffers and morsel-local work counters.
+  std::vector<uint32_t> rng;  // |B| x |runtimes| when in.rng_counts set.
+  std::vector<MorselTiming> timings;
+};
+
 void InitSlot(SlotState* slot, const GmdjEvalInput& in) {
   const size_t n = in.base->num_rows();
   slot->states.resize(n * in.total_aggs);
@@ -213,24 +807,15 @@ void InitSlot(SlotState* slot, const GmdjEvalInput& in) {
   }
 }
 
-void Discard(size_t b, SharedState* shared) {
-  if (shared->discarded[b].exchange(1, std::memory_order_relaxed) == 0) {
-    shared->num_discarded.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-/// Processes detail rows [begin, end) — the same candidate loop as the
-/// sequential evaluator, with completion decisions routed through the
-/// shared atomic flags and aggregates into the slot-local table. Non-OK
-/// only on governance abort (cancellation/deadline) or an injected fault;
-/// partial slot-local updates are then simply never merged.
+/// Processes detail rows [begin, end) through the chunk kernel, with
+/// completion decisions routed through the shared atomic flags and
+/// aggregates into the slot-local table. Non-OK only on governance abort
+/// (cancellation/deadline) or an injected fault; partial slot-local
+/// updates are then simply never merged.
 Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
                      SlotState* slot, SharedState* shared) {
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("parallel/morsel"));
   if (in.query != nullptr) GMDJ_RETURN_IF_ERROR(in.query->CheckAlive());
-  const size_t n = in.base->num_rows();
-  const std::vector<GmdjCondRuntime>& runtimes = *in.runtimes;
-  GmdjScan& scan = slot->scan;
 
   // Rebuild the slot's active list when completion has retired a large
   // fraction of base tuples since the last rebuild (kScan dispatch cost
@@ -239,95 +824,105 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
       shared->num_discarded.load(std::memory_order_relaxed);
   if (retired > slot->active_rebuild_mark &&
       (retired - slot->active_rebuild_mark) * 2 > slot->active.size()) {
-    std::vector<uint32_t> next;
-    next.reserve(slot->active.size());
-    for (const uint32_t b : slot->active) {
-      if (shared->discarded[b].load(std::memory_order_relaxed) == 0) {
-        next.push_back(b);
-      }
-    }
-    slot->active = std::move(next);
+    std::erase_if(slot->active, [shared](uint32_t b) {
+      return shared->discarded[b].load(std::memory_order_relaxed) != 0;
+    });
     slot->active_rebuild_mark = retired;
   }
 
-  // The morsel is consumed in staging chunks; the chunk size doubles as
-  // the mid-morsel liveness stride (~1k rows, as before the columnar path
-  // existed): a sibling's failure or this query's cancellation stops the
-  // scan within a chunk, not a whole morsel.
-  constexpr size_t kChunkRows = 1024;
+  // The chunk size doubles as the mid-morsel liveness stride: a sibling's
+  // failure or this query's cancellation stops the scan within a chunk,
+  // not a whole morsel.
+  SharedCompletion done(shared, &slot->active);
+  uint32_t* rng = slot->rng.empty() ? nullptr : slot->rng.data();
   for (size_t chunk = begin; chunk < end; chunk += kChunkRows) {
-    if (shared->num_discarded.load(std::memory_order_relaxed) == n) {
-      return Status::OK();  // Every base tuple is decided.
-    }
+    if (done.AllDecided()) return Status::OK();
     if (chunk != begin) {
       if (shared->failed.load(std::memory_order_acquire)) {
         return Status::OK();  // The recorded first error wins.
       }
       if (in.query != nullptr) GMDJ_RETURN_IF_ERROR(in.query->CheckAlive());
     }
-    const size_t chunk_rows = std::min(kChunkRows, end - chunk);
-    scan.BeginChunk(chunk, chunk_rows);
-
-    for (size_t i = 0; i < chunk_rows; ++i) {
-      if (shared->num_discarded.load(std::memory_order_relaxed) == n) {
-        return Status::OK();
-      }
-      scan.SetRow(i);
-      for (uint32_t ci = 0; ci < runtimes.size(); ++ci) {
-        const GmdjCondRuntime& rt = runtimes[ci];
-        // Per-detail filters first (e.g. F.Protocol = "HTTP").
-        if (rt.skip || !scan.PassesDetailOnly(ci)) continue;
-        const std::vector<uint32_t>* candidates =
-            scan.Candidates(rt, slot->active);
-        if (candidates == nullptr) continue;
-        const GmdjCondPrograms* progs = scan.progs(rt);
-        for (const uint32_t b : *candidates) {
-          if (shared->discarded[b].load(std::memory_order_relaxed)) continue;
-          if (rt.freeze_bit != 0 &&
-              (shared->frozen[b].load(std::memory_order_relaxed) &
-               rt.freeze_bit)) {
-            continue;
-          }
-          if (!scan.ResidualMatches(rt, progs, b)) continue;
-          const size_t rng_slot = b * runtimes.size() + ci;
-          AggState* states = &slot->states[b * in.total_aggs];
-
-          if (rt.action == CompletionAction::kDiscardOnMatch) {
-            if (!slot->rng.empty()) ++slot->rng[rng_slot];
-            Discard(b, shared);
-            continue;
-          }
-          if (rt.freeze_bit != 0) {
-            // Satisfy-on-match: the slot that wins the fetch_or races is
-            // the one (and only one) that counts the match, so the merged
-            // count is exactly 1 — the sequential frozen value.
-            const uint64_t prev = shared->frozen[b].fetch_or(
-                rt.freeze_bit, std::memory_order_relaxed);
-            if ((prev & rt.freeze_bit) == 0) {
-              if (!slot->rng.empty()) ++slot->rng[rng_slot];
-              scan.UpdateAggs(*rt.cond, progs, states + rt.agg_offset);
-            }
-            continue;
-          }
-          if (!slot->rng.empty()) ++slot->rng[rng_slot];
-          scan.UpdateAggs(*rt.cond, progs, states + rt.agg_offset);
-          if (rt.pair_cmp != nullptr) {
-            if (scan.PairMatches(rt)) {
-              scan.UpdateAggs(*rt.pair_cond, scan.pair_progs(rt),
-                              states + rt.pair_agg_offset);
-            } else {
-              // The ALL quantifier is violated; counts diverge forever.
-              Discard(b, shared);
-            }
-          }
-        }
-      }
-    }
+    slot->scan.RunChunk(chunk, std::min(kChunkRows, end - chunk), &done,
+                        slot->states.data(), rng);
   }
   return Status::OK();
 }
 
 }  // namespace
+
+Status ExecuteGmdjSequential(ExecContext* ctx, const GmdjEvalInput& in,
+                             GmdjEvalResult* out) {
+  GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/scan"));
+  const std::vector<GmdjCondRuntime>& runtimes = *in.runtimes;
+  const size_t n = in.base->num_rows();
+  out->states.assign(n * in.total_aggs, AggState{});
+  LocalCompletion done(n, &out->discarded);
+  GmdjScan scan;
+  scan.Init(in);
+  auto flush_counters = [&] {
+    ctx->stats().predicate_evals += scan.predicate_evals;
+    ctx->stats().hash_probes += scan.hash_probes;
+    scan.predicate_evals = 0;
+    scan.hash_probes = 0;
+  };
+
+  uint32_t* rng = in.rng_counts != nullptr ? in.rng_counts->data() : nullptr;
+  const size_t num_detail = in.detail->num_rows();
+  for (size_t chunk = 0; chunk < num_detail; chunk += kChunkRows) {
+    if (done.AllDecided()) break;  // Every base tuple is decided.
+    if (chunk != 0) {
+      flush_counters();
+      GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
+    }
+    out->batches += 1;
+    scan.RunChunk(chunk, std::min(kChunkRows, num_detail - chunk), &done,
+                  out->states.data(), rng);
+  }
+  flush_counters();
+
+  // Anti-probe survivors matched θ on every θ-passing detail tuple and ψ
+  // never failed: both halves of the pair count all of those tuples.
+  for (size_t ci = 0; ci < runtimes.size(); ++ci) {
+    const GmdjCondRuntime& rt = runtimes[ci];
+    if (!rt.anti_key.has_value()) continue;
+    const uint32_t seen = scan.anti_seen(ci);
+    for (uint32_t b = 0; b < n; ++b) {
+      if (done.Discarded(b)) continue;
+      AggState* entry = &out->states[b * in.total_aggs];
+      for (size_t a = 0; a < rt.cond->aggs.size(); ++a) {
+        entry[rt.agg_offset + a].count = seen;
+      }
+      for (size_t a = 0; a < rt.pair_cond->aggs.size(); ++a) {
+        entry[rt.pair_agg_offset + a].count = seen;
+      }
+      if (rng != nullptr) rng[b * runtimes.size() + ci] = seen;
+    }
+  }
+  out->num_discarded = done.num_discarded();
+  out->num_freezes = done.num_freezes();
+  return Status::OK();
+}
+
+bool ParallelGmdjSupported(const std::vector<GmdjCondRuntime>& runtimes) {
+  for (const GmdjCondRuntime& rt : runtimes) {
+    if (rt.skip) continue;
+    if (rt.anti_key.has_value()) return false;
+    if (rt.freeze_bit != 0) {
+      // Satisfy-on-match emits the aggregates of the first match in scan
+      // order; only count(*) makes that order-independent (always 1).
+      for (const AggSpec& agg : rt.cond->aggs) {
+        if (agg.kind != AggKind::kCountStar) return false;
+      }
+      if (rt.pair_cmp != nullptr) return false;
+    }
+    if (rt.pair_cmp != nullptr && rt.action != CompletionAction::kNone) {
+      return false;  // Pair check against a scan-order-dependent match.
+    }
+  }
+  return true;
+}
+
 
 Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
                                  const ExecConfig& config, ExecStats* stats,
@@ -383,6 +978,8 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
   obs::ShardedCounter predicate_evals_counter;
   obs::ShardedCounter hash_probes_counter;
 
+  // The configured thread count may exceed the machine's cores.
+  ThreadPool::Shared()->EnsureWorkers(parallelism - 1);
   ThreadPool::Shared()->ParallelFor(
       num_morsels, parallelism, [&](size_t task, size_t slot_idx) {
         if (shared.failed.load(std::memory_order_acquire)) {

@@ -3,11 +3,9 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/gmdj_node.h"
-#include "exec/detail_batch.h"
 #include "exec/plan.h"
 #include "expr/aggregate.h"
 #include "expr/program.h"
@@ -15,9 +13,16 @@
 #include "storage/hash_index.h"
 #include "storage/interval_index.h"
 #include "storage/table.h"
-#include "types/tribool.h"
 
 namespace gmdj {
+
+/// How the chunk kernel folds one aggregate into its AggState.
+enum class AggFold : unsigned char {
+  kCountStar,  // Increments the count; no argument.
+  kColumn,     // Reads the int64/double argument from the staged column.
+  kBatch,      // Detail-only argument, evaluated once per chunk (EvalBatch).
+  kValue,      // Per-pair Value: strings, base-reading arguments, interpret.
+};
 
 /// Compiled expression programs of one GMDJ condition (expr/program.h).
 /// Built by GmdjNode::CompileRuntimes unless the evaluation mode or the
@@ -29,6 +34,10 @@ struct GmdjCondPrograms {
   std::unique_ptr<ExprProgram> pair_cmp; // ψ of a fused ALL pair, if any.
   /// Aligned with cond->aggs; null for count(*) (no argument to evaluate).
   std::vector<std::unique_ptr<ExprProgram>> agg_args;
+  /// Aligned with cond->aggs: the fold each aggregate takes. A typed fold
+  /// whose column or batch program cannot run on a chunk (type drift)
+  /// takes the per-pair Value fold for that chunk.
+  std::vector<AggFold> agg_folds;
   /// Every program above lowered without a kInterpret fallback op.
   bool fully_compiled = false;
 };
@@ -106,7 +115,9 @@ struct GmdjEvalInput {
   /// — the observed RNG(b, R, θ) range sizes EXPLAIN ANALYZE reports as a
   /// histogram. Null (the default) skips collection entirely. Sized and
   /// zeroed by the caller. Counts are "observed" sizes: completion may
-  /// retire a base tuple before all its matches are seen.
+  /// retire a base tuple before all its matches are seen (a condition with
+  /// no residual, completion action or fused pair of its own keeps
+  /// counting a retired tuple's matches).
   std::vector<uint32_t>* rng_counts = nullptr;
 };
 
@@ -119,166 +130,6 @@ struct GmdjEvalResult {
   size_t num_discarded = 0;
   size_t num_freezes = 0;   // Satisfy-on-match freeze bits set.
   uint64_t batches = 0;     // Staging chunks (sequential) / morsels run.
-};
-
-/// Working state of one pass over detail rows — the sequential pass, or
-/// one morsel slot — and the per-row steps both evaluators share: chunk
-/// staging with detail-only masks, candidate lookup through binding
-/// groups, residual checks, and aggregate updates. The evaluators differ
-/// only in how their candidate loops record completion decisions (plain
-/// flags vs. shared atomics).
-class GmdjScan {
- public:
-  /// Sizes the state for `in`, which must outlive the scan.
-  void Init(const GmdjEvalInput& in);
-  bool initialized() const { return in_ != nullptr; }
-
-  /// Starts staging chunk [begin, begin+rows) of the detail relation. In
-  /// compiled mode this stages the typed columns and runs every
-  /// condition's detail-only conjuncts as batch masks.
-  void BeginChunk(size_t begin, size_t rows);
-  /// Makes detail row `begin + i` of the current chunk the current row.
-  void SetRow(size_t i) {
-    detail_row_ = &detail_rows_[chunk_begin_ + i];
-    ectx_.SetRow(1, detail_row_);
-    scratch_.batch_row = i;
-  }
-
-  /// Whether the current detail row passes runtime `ci`'s detail-only
-  /// conjuncts.
-  bool PassesDetailOnly(size_t ci) {
-    if (compiled_) {
-      const uint8_t* mask = masks_[ci];
-      return mask == nullptr || mask[scratch_.batch_row];
-    }
-    for (const Expr* e : runtimes_[ci].analysis->detail_only) {
-      predicate_evals += 1;
-      if (!IsTrue(e->EvalPred(ectx_))) return false;
-    }
-    return true;
-  }
-
-  /// Candidate base tuples of `rt`'s binding for the current detail row:
-  /// its hash probe or interval stab — run once per row and binding
-  /// group, then shared by the group's other members — or `active` for
-  /// scan dispatch. Null when the key is NULL (no match).
-  const std::vector<uint32_t>* Candidates(
-      const GmdjCondRuntime& rt, const std::vector<uint32_t>& active) {
-    if (rt.group < 0) return &active;
-    const size_t g = static_cast<size_t>(rt.group);
-    if (memo_row_[g] != detail_row_) {
-      memo_row_[g] = detail_row_;
-      memo_[g] = rt.analysis->strategy == CondStrategy::kHash
-                     ? ProbeHash(rt.analysis->eq_bindings, rt)
-                     : Stab(rt, &stabs_[g]);
-    }
-    return memo_[g];
-  }
-
-  /// Anti-probe of `rt`: the base tuples whose key equals the current
-  /// detail row's; null when that key is NULL.
-  const std::vector<uint32_t>* AntiViolators(const GmdjCondRuntime& rt) {
-    return ProbeHash(std::span<const EqBinding>(&*rt.anti_key, 1), rt);
-  }
-
-  /// Makes base row `b` current and checks `rt`'s residual conjuncts
-  /// (`progs` = progs(rt)).
-  bool ResidualMatches(const GmdjCondRuntime& rt, const GmdjCondPrograms* progs,
-                       uint32_t b) {
-    ectx_.SetRow(0, &base_rows_[b]);
-    if (progs != nullptr) {
-      for (const ExprProgram& prog : progs->residual) {
-        predicate_evals += 1;
-        if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) return false;
-      }
-      return true;
-    }
-    for (const Expr* e : rt.analysis->residual) {
-      predicate_evals += 1;
-      if (!IsTrue(e->EvalPred(ectx_))) return false;
-    }
-    return true;
-  }
-
-  /// Evaluates a fused ALL pair's comparison ψ on the current pair.
-  bool PairMatches(const GmdjCondRuntime& rt);
-
-  /// Folds the current pair into `cond`'s aggregate states `states`
-  /// (`progs` null = tree interpreter).
-  void UpdateAggs(const GmdjCondition& cond, const GmdjCondPrograms* progs,
-                  AggState* states) {
-    for (size_t a = 0; a < cond.aggs.size(); ++a) {
-      const AggSpec& agg = cond.aggs[a];
-      if (agg.kind == AggKind::kCountStar) {
-        ++states[a].count;  // Avoids a Value temporary per pair.
-      } else if (progs != nullptr && progs->agg_args[a] != nullptr) {
-        states[a].Update(agg.kind,
-                         progs->agg_args[a]->Eval(ectx_, &scratch_));
-      } else {
-        states[a].Update(agg.kind, agg.arg->Eval(ectx_));
-      }
-    }
-  }
-
-  /// Programs of `rt` (or its fused pair) in compiled mode, else null.
-  const GmdjCondPrograms* progs(const GmdjCondRuntime& rt) const {
-    return compiled_ ? rt.progs : nullptr;
-  }
-  const GmdjCondPrograms* pair_progs(const GmdjCondRuntime& rt) const {
-    return compiled_ ? rt.pair_progs : nullptr;
-  }
-
-  /// Work counters since the last flush; the owner folds and zeroes them.
-  uint64_t predicate_evals = 0;
-  uint64_t hash_probes = 0;
-
- private:
-  /// Probes `rt`'s index with the current row's values of `keys`.
-  const std::vector<uint32_t>* ProbeHash(std::span<const EqBinding> keys,
-                                         const GmdjCondRuntime& rt) {
-    // Unboxed int64 probe when the single key column was staged clean for
-    // this chunk (CompileRuntimes only built `typed_hash` for drift-free
-    // int64 = int64 bindings).
-    if (rt.typed_hash != nullptr) {
-      const ColumnVector* cv =
-          batch_.column(static_cast<uint32_t>(keys[0].detail_col));
-      if (cv != nullptr && cv->type == ValueType::kInt64) {
-        const size_t i = scratch_.batch_row;
-        if (cv->null[i]) return nullptr;  // NULL key: no equality match.
-        hash_probes += 1;
-        return &rt.typed_hash->Probe(cv->i64[i]);
-      }
-    }
-    return ProbeBoxed(keys, *rt.hash);
-  }
-  const std::vector<uint32_t>* ProbeBoxed(std::span<const EqBinding> keys,
-                                          const HashIndex& hash);
-  /// Stabs `rt`'s interval index with the current row's key into `out`.
-  const std::vector<uint32_t>* Stab(const GmdjCondRuntime& rt,
-                                    std::vector<uint32_t>* out);
-
-  const GmdjEvalInput* in_ = nullptr;
-  // Hot-path copies of `in_` fields (one load each per row or pair).
-  bool compiled_ = false;
-  const GmdjCondRuntime* runtimes_ = nullptr;
-  const Row* base_rows_ = nullptr;
-  const Row* detail_rows_ = nullptr;
-  EvalContext ectx_;
-  DetailBatch batch_;
-  ExprScratch scratch_;
-  ExprVecScratch vec_scratch_;
-  // Compiled mode, per runtime: the chunk's detail-only pass mask, and a
-  // pointer to it (null when the runtime has no detail-only conjunct).
-  std::vector<std::vector<uint8_t>> pass_;
-  std::vector<const uint8_t*> masks_;
-  size_t chunk_begin_ = 0;
-  const Row* detail_row_ = nullptr;  // The current detail row.
-  Row probe_key_;
-  // Per binding group: the detail row whose candidates `memo_` holds
-  // (null = NULL key), and the stab output they may point into.
-  std::vector<const Row*> memo_row_;
-  std::vector<const std::vector<uint32_t>*> memo_;
-  std::vector<std::vector<uint32_t>> stabs_;
 };
 
 /// Whether the morsel-parallel evaluator reproduces the sequential
@@ -294,6 +145,15 @@ class GmdjScan {
 /// It also declines anti-probe pairs: their work is linear, so they have
 /// one (sequential) implementation rather than two.
 bool ParallelGmdjSupported(const std::vector<GmdjCondRuntime>& runtimes);
+
+/// The paper's sequential single-scan evaluation, and the reference the
+/// morsel-parallel evaluator must reproduce. Runs the chunk kernel over
+/// the whole detail relation with plain completion flags, polling `ctx`
+/// and folding the work counters into its stats at every chunk. Non-OK
+/// only on governance abort or an injected fault; `out` is then
+/// incomplete and must be discarded.
+Status ExecuteGmdjSequential(ExecContext* ctx, const GmdjEvalInput& in,
+                             GmdjEvalResult* out);
 
 /// Morsel-driven parallel GMDJ evaluation (the tentpole of the parallel
 /// subsystem). Splits the detail relation into ExecConfig::morsel_rows

@@ -99,9 +99,10 @@ void ThreadPool::ParallelFor(
     size_t num_tasks, size_t parallelism,
     const std::function<void(size_t task, size_t slot)>& fn) {
   if (num_tasks == 0) return;
-  size_t slots = std::min(parallelism, num_tasks);
-  if (slots > 1 && !t_inside_pool_worker) EnsureWorkers(slots - 1);
-  slots = std::min(slots, num_workers() + 1);
+  // Capped by the workers that exist: growing the pool is the caller's
+  // decision (EnsureWorkers), never a side effect of one loop.
+  const size_t slots =
+      std::min({parallelism, num_tasks, num_workers() + 1});
   if (slots <= 1 || t_inside_pool_worker) {
     for (size_t task = 0; task < num_tasks; ++task) fn(task, 0);
     return;

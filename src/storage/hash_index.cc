@@ -56,6 +56,8 @@ HashIndex::HashIndex(const Table& table, std::vector<size_t> key_columns,
       std::min(build_threads, num_rows / (kParallelBuildMinRows / 8));
   const size_t chunk = (num_rows + partitions - 1) / partitions;
   std::vector<KeyMap> parts(partitions);
+  // The configured thread count may exceed the machine's cores.
+  ThreadPool::Shared()->EnsureWorkers(partitions - 1);
   ThreadPool::Shared()->ParallelFor(
       partitions, partitions, [&](size_t p, size_t /*slot*/) {
         const size_t begin = p * chunk;

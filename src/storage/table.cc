@@ -18,7 +18,12 @@ void Table::AppendRow(std::initializer_list<Value> values) {
 
 void Table::AppendRows(std::vector<Row> rows) {
   auto* dst = mutable_rows();
-  dst->reserve(dst->size() + rows.size());
+  // Grow geometrically: reserving the exact size would reallocate (and
+  // move every row) on each small append.
+  const size_t needed = dst->size() + rows.size();
+  if (needed > dst->capacity()) {
+    dst->reserve(std::max(needed, 2 * dst->capacity()));
+  }
   for (Row& row : rows) {
     GMDJ_DCHECK(row.size() == schema_.num_fields());
     dst->push_back(std::move(row));

@@ -93,8 +93,9 @@ TEST(ThreadPoolTest, ParallelForOversubscribesPastHardwareConcurrency) {
   ThreadPool pool(0);
   std::mutex mu;
   std::set<size_t> slots;
-  // Requesting 8-way parallelism spawns the needed workers on demand,
-  // regardless of the machine's core count.
+  // A caller that honours a configured thread count grows the pool first;
+  // the workers then exist regardless of the machine's core count.
+  pool.EnsureWorkers(7);
   pool.ParallelFor(256, 8, [&](size_t /*task*/, size_t slot) {
     std::lock_guard<std::mutex> lock(mu);
     slots.insert(slot);
