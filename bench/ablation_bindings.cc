@@ -29,16 +29,13 @@ void BM_Bindings(benchmark::State& state, Variant variant) {
     // Flow extended with a precomputed hour column, so the hash/scan
     // variants have a bare-column equality to (not) extract.
     const Table& flow = **engine->catalog()->GetTable("Flow");
-    Table derived(flow.schema().WithQualifier("FH"));
-    Schema* schema = derived.mutable_schema();
-    schema->AddField(Field{"hour", ValueType::kInt64, "FH"});
-    const size_t start_col = *flow.schema().Resolve("StartTime");
-    derived.Reserve(flow.num_rows());
-    for (const Row& row : flow.rows()) {
-      Row extended = row;
-      extended.push_back(Value(row[start_col].int64() / 60 + 1));
-      derived.AppendRow(std::move(extended));
+    Table derived = flow.WithQualifier("FH");
+    const Column& start = flow.column(*flow.schema().Resolve("StartTime"));
+    auto hour = std::make_shared<Column>(ValueType::kInt64);
+    for (size_t r = 0; r < flow.num_rows(); ++r) {
+      hour->Append(Value(start.i64(r) / 60 + 1));
     }
+    derived.AddColumn(Field{"hour", ValueType::kInt64, "FH"}, std::move(hour));
     engine->catalog()->PutTable("FlowHour", derived);
   }
 

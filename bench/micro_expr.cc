@@ -7,10 +7,10 @@
 // GMDJ inner loop. Three variants per shape:
 //
 //   /interpret       Expr::EvalPred on the bound tree.
-//   /compiled        ExprProgram::EvalPred, rows decoded via Row.
-//   /compiled_batch  ExprProgram::EvalPredMask over 1024-row chunks staged
-//                    into typed columns (exec/detail_batch.h) — the batch
-//                    kernels the GMDJ detail-only pass runs.
+//   /compiled        ExprProgram::EvalPred, cells read in place.
+//   /compiled_batch  ExprProgram::EvalPredMask over 1024-row chunks of the
+//                    table's typed columns — the batch kernels the GMDJ
+//                    detail-only pass runs.
 //
 // The mode lives in the benchmark name (all variants run in one process),
 // unlike the figure sweeps where GMDJ_EXPR_EVAL selects the engine-wide
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "exec/detail_batch.h"
 #include "expr/expr_builder.h"
 #include "expr/program.h"
 #include "storage/table.h"
@@ -64,44 +63,35 @@ void RunExprLoop(benchmark::State& state, ExprPtr expr, EvalVariant variant) {
 
   ExprScratch scratch;
   program.PrepareScratch(&scratch);
-  DetailBatch batch;
+  scratch.batch_frame = 1;
   ExprVecScratch vec_scratch;
   std::vector<uint8_t> mask;
-  if (variant == EvalVariant::kCompiledBatch) {
-    std::vector<uint32_t> cols;
-    program.CollectColumns(1, &cols);
-    batch.Configure(detail.schema(), cols);
-    scratch.batch_frame = 1;
-  }
 
-  const Row& base_row = base.row(0);
   const size_t n = detail.num_rows();
   constexpr size_t kChunkRows = 1024;
   size_t matches = 0;
   for (auto _ : state) {
     EvalContext ectx;
-    ectx.PushFrame(&base.schema(), &base_row);
-    ectx.PushFrame(&detail.schema(), nullptr);
+    ectx.PushFrame(&base, 0);
+    ectx.PushFrame(&detail);
     matches = 0;
     switch (variant) {
       case EvalVariant::kInterpret:
         for (size_t r = 0; r < n; ++r) {
-          ectx.SetRow(1, &detail.row(r));
+          ectx.SetRow(1, r);
           matches += IsTrue(expr->EvalPred(ectx)) ? 1 : 0;
         }
         break;
       case EvalVariant::kCompiled:
         for (size_t r = 0; r < n; ++r) {
-          ectx.SetRow(1, &detail.row(r));
+          ectx.SetRow(1, r);
           matches += IsTrue(program.EvalPred(ectx, &scratch)) ? 1 : 0;
         }
         break;
       case EvalVariant::kCompiledBatch:
         for (size_t chunk = 0; chunk < n; chunk += kChunkRows) {
           const size_t rows = std::min(kChunkRows, n - chunk);
-          batch.Stage(detail, chunk, rows);
-          scratch.batch_cols = batch.column_ptrs();
-          scratch.batch_num_cols = batch.num_columns();
+          scratch.batch_begin = chunk;
           mask.assign(rows, 1);
           if (!program.EvalPredMask(ectx, scratch, &vec_scratch, rows,
                                     mask.data())) {

@@ -14,14 +14,27 @@
 namespace gmdj {
 namespace {
 
-/// Extends `row` with the base tuple at exactly the final capacity, so the
-/// append loop below never reallocates (satellite of the compiled-
-/// expression PR: output assembly was reallocating twice per row).
-inline Row PresizedBaseRow(const Row& brow, size_t extra) {
-  Row row;
-  row.reserve(brow.size() + extra);
-  row.insert(row.end(), brow.begin(), brow.end());
-  return row;
+/// The GMDJ output: `base` (its rows already selected) under the base half
+/// of `schema`, its columns shared, extended by one column per aggregate;
+/// `agg(k, a)` is flat aggregate a's value for output row k.
+template <typename AggFn>
+Result<Table> ExtendWithAggs(Table base, const Schema& schema,
+                             size_t total_aggs, const AggFn& agg) {
+  const size_t width = schema.num_fields() - total_aggs;
+  base.SetSchema(Schema(std::vector<Field>(
+      schema.fields().begin(), schema.fields().begin() + width)));
+  const size_t n = base.num_rows();
+  for (size_t a = 0; a < total_aggs; ++a) {
+    const Field& field = schema.field(width + a);
+    auto col = std::make_shared<Column>(field.type);
+    col->Reserve(n);
+    for (size_t k = 0; k < n; ++k) {
+      GMDJ_RETURN_IF_ERROR(
+          AppendCell(field.QualifiedName(), agg(k, a), col.get()));
+    }
+    base.AddColumn(field, std::move(col));
+  }
+  return base;
 }
 
 /// Reorders compiled runtimes by the planner's eval-order hint. Each
@@ -40,7 +53,7 @@ void ApplyEvalOrder(std::vector<GmdjCondRuntime>* runtimes,
 
 /// The fold the chunk kernel gives a compiled aggregate argument: typed
 /// when the argument is numeric and reads only detail columns — straight
-/// from the staged column when it is one, else as one batch evaluation
+/// from the detail column when it is one, else as one batch evaluation
 /// per chunk — and the per-pair Value fold otherwise.
 AggFold ChooseAggFold(const ExprProgram& arg) {
   const ValueType type = arg.result_type();
@@ -263,18 +276,14 @@ Result<Table> GmdjNode::Execute(ExecContext* ctx) const {
 Result<Table> GmdjNode::BuildCachedOutput(
     ExecContext* ctx, const Table& base,
     const std::vector<std::vector<CachedAggColumn>>& columns) const {
-  const size_t n = base.num_rows();
-  Table out(output_schema_);
-  out.Reserve(n);
-  for (size_t b = 0; b < n; ++b) {
-    Row row = PresizedBaseRow(base.row(b), total_aggs_);
-    for (const std::vector<CachedAggColumn>& cond_cols : columns) {
-      for (const CachedAggColumn& col : cond_cols) {
-        row.push_back((*col)[b]);
-      }
-    }
-    out.AppendRow(std::move(row));
+  std::vector<const std::vector<Value>*> flat;
+  for (const std::vector<CachedAggColumn>& cond_cols : columns) {
+    for (const CachedAggColumn& col : cond_cols) flat.push_back(col.get());
   }
+  GMDJ_ASSIGN_OR_RETURN(
+      Table out,
+      ExtendWithAggs(base, output_schema_, total_aggs_,
+                     [&](size_t k, size_t a) { return (*flat[a])[k]; }));
   ctx->stats().rows_output += out.num_rows();
   return out;
 }
@@ -294,8 +303,8 @@ void GmdjNode::StoreInCache(GmdjCacheHook* cache,
     for (size_t a = 0; a < cs.agg_keys.size(); ++a) {
       auto col = std::make_shared<std::vector<Value>>();
       col->reserve(n);
-      const size_t idx = base_width + agg_offsets_[c] + a;
-      for (size_t b = 0; b < n; ++b) col->push_back(out.row(b)[idx]);
+      const Column& agg_col = out.column(base_width + agg_offsets_[c] + a);
+      for (size_t b = 0; b < n; ++b) col->push_back(agg_col.Get(b));
       cols.push_back(std::move(col));
     }
     cache->Store(keys[c], cs.agg_keys, std::move(cols));
@@ -305,13 +314,10 @@ void GmdjNode::StoreInCache(GmdjCacheHook* cache,
 // Reference implementation: literal transcription of Definition 2.1.
 Result<Table> GmdjNode::ExecuteNaive(ExecContext* ctx, const Table& base,
                                      const Table& detail) const {
-  const Schema& bs = base_->output_schema();
-  const Schema& ds = detail_->output_schema();
-  Table out(output_schema_);
-  out.Reserve(base.num_rows());
   EvalContext ectx;
-  ectx.PushFrame(&bs, nullptr);
-  ectx.PushFrame(&ds, nullptr);
+  ectx.PushFrame(&base);
+  ectx.PushFrame(&detail);
+  std::vector<AggState> all_states(base.num_rows() * total_aggs_);
 
   obs::OperatorStats* os = ctx->op_stats(this);
   std::vector<uint64_t> match_counts;  // Per condition, reset per base row.
@@ -323,11 +329,11 @@ Result<Table> GmdjNode::ExecuteNaive(ExecContext* ctx, const Table& base,
 
   for (size_t b = 0; b < base.num_rows(); ++b) {
     GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    ectx.SetRow(0, &base.row(b));
-    std::vector<AggState> states(total_aggs_);
+    ectx.SetRow(0, b);
+    AggState* states = &all_states[b * total_aggs_];
     if (os != nullptr) match_counts.assign(conditions_.size(), 0);
     for (size_t r = 0; r < detail.num_rows(); ++r) {
-      ectx.SetRow(1, &detail.row(r));
+      ectx.SetRow(1, r);
       for (size_t c = 0; c < conditions_.size(); ++c) {
         const GmdjCondition& cond = conditions_[c];
         if (cond.theta != nullptr) {
@@ -348,19 +354,26 @@ Result<Table> GmdjNode::ExecuteNaive(ExecContext* ctx, const Table& base,
         os->rng_sizes.Record(count);
       }
     }
-    Row row = PresizedBaseRow(base.row(b), total_aggs_);
-    size_t flat = 0;
-    for (size_t c = 0; c < conditions_.size(); ++c) {
-      for (size_t a = 0; a < conditions_[c].aggs.size(); ++a, ++flat) {
-        row.push_back(
-            states[flat].Finalize(conditions_[c].aggs[a].kind,
-                                  agg_arg_types_[flat]));
-      }
-    }
-    out.AppendRow(std::move(row));
   }
+  const std::vector<AggKind> kinds = FlatAggKinds();
+  GMDJ_ASSIGN_OR_RETURN(
+      Table out,
+      ExtendWithAggs(base, output_schema_, total_aggs_,
+                     [&](size_t b, size_t a) {
+                       return all_states[b * total_aggs_ + a].Finalize(
+                           kinds[a], agg_arg_types_[a]);
+                     }));
   ctx->stats().rows_output += out.num_rows();
   return out;
+}
+
+std::vector<AggKind> GmdjNode::FlatAggKinds() const {
+  std::vector<AggKind> kinds;
+  kinds.reserve(total_aggs_);
+  for (const GmdjCondition& cond : conditions_) {
+    for (const AggSpec& agg : cond.aggs) kinds.push_back(agg.kind);
+  }
+  return kinds;
 }
 
 std::vector<GmdjNode::CondRoute> GmdjNode::RouteConditions() const {
@@ -432,8 +445,7 @@ std::vector<GmdjNode::CondRoute> GmdjNode::RouteConditions() const {
 /// evaluators (parallel/parallel_gmdj.h).
 Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     ExecContext* ctx, const Table& base,
-    std::vector<GmdjCondPrograms>* programs,
-    std::vector<uint32_t>* batch_columns) const {
+    std::vector<GmdjCondPrograms>* programs) const {
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/index-build"));
   const size_t n = base.num_rows();
   const bool completing = completion_.enabled();
@@ -476,8 +488,9 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
       std::vector<size_t> key_cols;
       if (rt.anti_key.has_value()) {
         key_cols.push_back(rt.anti_key->base_col);
+        const Column& key = base.column(rt.anti_key->base_col);
         for (size_t b = 0; b < n; ++b) {
-          if (base.row(b)[rt.anti_key->base_col].is_null()) {
+          if (key.is_null(b)) {
             rt.anti_null_bases.push_back(static_cast<uint32_t>(b));
           }
         }
@@ -503,11 +516,12 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
       const IntervalBinding& iv = *rt.analysis->interval;
       std::vector<IndexedInterval> intervals;
       intervals.reserve(n);
+      const Column& lo = base.column(iv.base_lo_col);
+      const Column& hi = base.column(iv.base_hi_col);
       for (size_t b = 0; b < n; ++b) {
-        const Value& lo = base.row(b)[iv.base_lo_col];
-        const Value& hi = base.row(b)[iv.base_hi_col];
-        if (lo.is_null() || hi.is_null()) continue;  // Can never match.
-        intervals.push_back(IndexedInterval{lo.AsDouble(), hi.AsDouble(),
+        if (lo.is_null(b) || hi.is_null(b)) continue;  // Can never match.
+        intervals.push_back(IndexedInterval{lo.Get(b).AsDouble(),
+                                            hi.Get(b).AsDouble(),
                                             static_cast<uint32_t>(b)});
       }
       cached = std::make_shared<IntervalIndex>(std::move(intervals),
@@ -597,8 +611,8 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
   // Typed probe fast path: a condition whose single equality binding joins
   // two int64 columns probes an unboxed int64 index instead of the
   // composite-Row map (one integer hash vs. a Row build + per-Value
-  // hashing). Strictly optional: a drift-y base column (Build returns
-  // null) or a failed reservation leaves the generic index authoritative.
+  // hashing). Strictly optional: a failed reservation leaves the generic
+  // index authoritative.
   {
     const Schema& base_schema = base_->output_schema();
     const Schema& detail_schema = detail_->output_schema();
@@ -627,41 +641,6 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     }
   }
 
-  // Detail columns touched by typed loads or probe/stab key extraction;
-  // the evaluators stage exactly these per chunk.
-  if (batch_columns != nullptr) {
-    batch_columns->clear();
-    for (size_t c = 0; c < conditions_.size(); ++c) {
-      const GmdjCondPrograms& p = (*programs)[c];
-      for (const ExprProgram& prog : p.detail_only) {
-        prog.CollectColumns(1, batch_columns);
-      }
-      for (const ExprProgram& prog : p.residual) {
-        prog.CollectColumns(1, batch_columns);
-      }
-      for (const auto& prog : p.agg_args) {
-        if (prog != nullptr) prog->CollectColumns(1, batch_columns);
-      }
-      if (p.pair_cmp != nullptr) p.pair_cmp->CollectColumns(1, batch_columns);
-      const GmdjCondRuntime& rt = runtimes[c];
-      if (rt.skip) continue;
-      for (const EqBinding& eq : rt.analysis->eq_bindings) {
-        batch_columns->push_back(static_cast<uint32_t>(eq.detail_col));
-      }
-      if (rt.anti_key.has_value()) {
-        batch_columns->push_back(
-            static_cast<uint32_t>(rt.anti_key->detail_col));
-      }
-      if (rt.analysis->interval.has_value()) {
-        batch_columns->push_back(
-            static_cast<uint32_t>(rt.analysis->interval->detail_col));
-      }
-    }
-    std::sort(batch_columns->begin(), batch_columns->end());
-    batch_columns->erase(
-        std::unique(batch_columns->begin(), batch_columns->end()),
-        batch_columns->end());
-  }
   ApplyEvalOrder(&runtimes, eval_order_);
   return runtimes;
 }
@@ -686,14 +665,12 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
   const bool want_compiled =
       ctx->config().ResolvedExprEvalMode() != ExprEvalMode::kInterpret;
   std::vector<GmdjCondPrograms> programs;
-  std::vector<uint32_t> batch_columns;
   obs::OperatorStats* os = ctx->op_stats(this);
   const uint64_t compiled_before = ctx->stats().compiled_conditions;
   const uint64_t fallbacks_before = ctx->stats().interpreter_fallbacks;
   GMDJ_ASSIGN_OR_RETURN(
       std::vector<GmdjCondRuntime> runtimes,
-      CompileRuntimes(ctx, base, want_compiled ? &programs : nullptr,
-                      want_compiled ? &batch_columns : nullptr));
+      CompileRuntimes(ctx, base, want_compiled ? &programs : nullptr));
   if (os != nullptr) {
     os->coalesced_conditions += conditions_.size();
     os->compiled_conditions +=
@@ -714,17 +691,11 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
   GmdjEvalInput in;
   in.base = &base;
   in.detail = &detail;
-  in.base_schema = &base_->output_schema();
-  in.detail_schema = &detail_->output_schema();
   in.runtimes = &runtimes;
   in.total_aggs = total_aggs_;
   in.query = ctx->query_ctx();
   in.compiled = !programs.empty();
-  in.batch_columns = std::move(batch_columns);
-  in.agg_kinds.reserve(total_aggs_);
-  for (const GmdjCondition& cond : conditions_) {
-    for (const AggSpec& agg : cond.aggs) in.agg_kinds.push_back(agg.kind);
-  }
+  in.agg_kinds = FlatAggKinds();
 
   // RNG(b, R, θ) range-size collection: per-(base row, condition) match
   // counters, recorded into the profile histogram and the registry metric
@@ -761,6 +732,11 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
 
   if (os != nullptr) {
     os->batches += result.batches;
+    if (parallel) os->morsels += result.batches;
+    os->threads = std::max<uint64_t>(
+        os->threads,
+        parallel ? std::min<uint64_t>(config.ResolvedThreads(), result.batches)
+                 : 1);
     os->completion_discards += result.num_discarded;
     os->completion_freezes += result.num_freezes;
   }
@@ -775,21 +751,23 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
     }
   }
 
-  // ---- Emit surviving base tuples extended with their aggregates. ----
-  Table out(output_schema_);
-  out.Reserve(n - result.num_discarded);
-  for (size_t b = 0; b < n; ++b) {
-    if (result.discarded[b]) continue;
-    Row row = PresizedBaseRow(base.row(b), total_aggs_);
-    size_t flat = 0;
-    for (size_t c = 0; c < conditions_.size(); ++c) {
-      for (size_t a = 0; a < conditions_[c].aggs.size(); ++a, ++flat) {
-        row.push_back(result.states[b * total_aggs_ + flat].Finalize(
-            conditions_[c].aggs[a].kind, agg_arg_types_[flat]));
-      }
-    }
-    out.AppendRow(std::move(row));
+  // ---- Emit surviving base tuples extended with their aggregates: the
+  // base columns are shared (gathered when completion discarded some),
+  // the aggregate columns appended. ----
+  std::vector<uint32_t> survivors;
+  survivors.reserve(n - result.num_discarded);
+  for (uint32_t b = 0; b < n; ++b) {
+    if (!result.discarded[b]) survivors.push_back(b);
   }
+  const std::vector<AggKind>& kinds = in.agg_kinds;
+  GMDJ_ASSIGN_OR_RETURN(
+      Table out,
+      ExtendWithAggs(
+          result.num_discarded == 0 ? base : base.Gather(survivors),
+          output_schema_, total_aggs_, [&](size_t k, size_t a) {
+            return result.states[survivors[k] * total_aggs_ + a].Finalize(
+                kinds[a], agg_arg_types_[a]);
+          }));
   ctx->stats().rows_output += out.num_rows();
   return out;
 }
@@ -837,10 +815,7 @@ Result<Table> GmdjNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
   uint64_t passes = 0;
   auto run_range = [&](auto&& self, size_t lo, size_t hi) -> Status {
     const size_t before = ctx->reserved_memory();
-    Table slice(base.schema(),
-                std::vector<Row>(base.rows().begin() + lo,
-                                 base.rows().begin() + hi));
-    Result<Table> part = ExecuteAuto(ctx, slice, detail);
+    Result<Table> part = ExecuteAuto(ctx, base.Slice(lo, hi), detail);
     const size_t after = ctx->reserved_memory();
     if (after > before) ctx->ReleaseMemory(after - before);
     if (part.ok()) {
@@ -853,10 +828,7 @@ Result<Table> GmdjNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
         ctx->stats().rows_scanned += detail.num_rows();
         GMDJ_METRIC_ADD(ctx->hot_metrics().rows_scanned, detail.num_rows());
       }
-      for (Row& row : *part->mutable_rows()) {
-        GMDJ_RETURN_IF_ERROR(writer->Append(std::move(row)));
-      }
-      return Status::OK();
+      return writer->AppendTable(*part);
     }
     if (part.status().code() != StatusCode::kResourceExhausted) {
       return part.status();
@@ -886,11 +858,10 @@ Result<Table> GmdjNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
 
   GMDJ_ASSIGN_OR_RETURN(std::unique_ptr<spill::SpillReader> reader,
                         sp->OpenReader(writer->path()));
-  std::vector<Row> rows;
-  rows.reserve(writer->rows_written());
-  GMDJ_RETURN_IF_ERROR(reader->ReadAll(&rows));
   // rows_output was already counted by the per-range ExecuteAuto calls.
-  Table out(output_schema_, std::move(rows));
+  Table out(output_schema_);
+  out.Reserve(writer->rows_written());
+  GMDJ_RETURN_IF_ERROR(reader->ReadInto(&out));
 
   ctx->stats().spill_partitions += passes;
   ctx->stats().spill_passes += passes;

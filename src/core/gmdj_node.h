@@ -221,15 +221,16 @@ class GmdjNode final : public PlanNode {
   ///
   /// When `programs` is non-null, θ conjuncts, pair comparisons, and
   /// aggregate arguments are additionally lowered into typed register
-  /// programs (expr/program.h) wired into the runtimes, and
-  /// `batch_columns` receives the detail columns evaluation should stage
-  /// columnar. An armed "gmdj/expr-compile" fault forces the interpreter
+  /// programs (expr/program.h) wired into the runtimes. An armed
+  /// "gmdj/expr-compile" fault forces the interpreter
   /// (programs left empty) without failing the query. Per-condition
   /// compiled/fallback outcomes are counted into ctx->stats().
   Result<std::vector<GmdjCondRuntime>> CompileRuntimes(
       ExecContext* ctx, const Table& base,
-      std::vector<GmdjCondPrograms>* programs,
-      std::vector<uint32_t>* batch_columns) const;
+      std::vector<GmdjCondPrograms>* programs) const;
+
+  /// Aggregate kinds in flat (condition-major) order.
+  std::vector<AggKind> FlatAggKinds() const;
 
   /// Assembles the output table from the base rows and per-condition
   /// cached aggregate columns (cache-hit fast path: no detail scan).

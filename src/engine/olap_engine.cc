@@ -426,6 +426,7 @@ void OlapEngine::EnableSpill(spill::SpillConfig config) {
 void OlapEngine::DisableSpill() { spill_manager_.reset(); }
 
 Status OlapEngine::SaveSnapshot(const std::string& dir) {
+  std::lock_guard<std::mutex> writer(writer_mu_);
   std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   return SaveSnapshotLocked(dir);
 }
@@ -450,6 +451,7 @@ Status OlapEngine::SaveSnapshotLocked(const std::string& dir) {
 }
 
 Status OlapEngine::RestoreSnapshot(const std::string& dir) {
+  std::lock_guard<std::mutex> writer(writer_mu_);
   std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   uint64_t snapshot_id = 0;
   GMDJ_RETURN_IF_ERROR(spill::RestoreSnapshot(&catalog_, dir, &snapshot_id));
@@ -458,44 +460,50 @@ Status OlapEngine::RestoreSnapshot(const std::string& dir) {
 }
 
 Status OlapEngine::AppendRows(const std::string& name, std::vector<Row> rows) {
-  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-  return AppendRowsLocked(name, std::move(rows));
-}
-
-Status OlapEngine::AppendRowsLocked(const std::string& name,
-                                    std::vector<Row> rows) {
-  GMDJ_ASSIGN_OR_RETURN(Table * table, catalog_.GetMutableTable(name));
-  const size_t width = table->schema().num_fields();
-  for (const Row& row : rows) {
-    if (row.size() != width) {
-      return Status::InvalidArgument(
-          "INSERT row has " + std::to_string(row.size()) +
-          " values, table '" + name + "' has " + std::to_string(width) +
-          " columns");
-    }
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (row[c].is_null()) continue;
-      if (row[c].type() != table->schema().field(c).type) {
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  {
+    // Check and journal with the catalog lock shared: reads go on during
+    // the fsync, and no other writer can change the table meanwhile.
+    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    GMDJ_ASSIGN_OR_RETURN(const Table* table, catalog_.GetTable(name));
+    const size_t width = table->schema().num_fields();
+    for (const Row& row : rows) {
+      if (row.size() != width) {
         return Status::InvalidArgument(
-            "INSERT value for column '" +
-            table->schema().field(c).QualifiedName() + "' has type " +
-            ValueTypeToString(row[c].type()) + ", expected " +
-            ValueTypeToString(table->schema().field(c).type));
+            "INSERT row has " + std::to_string(row.size()) +
+            " values, table '" + name + "' has " + std::to_string(width) +
+            " columns");
+      }
+      for (size_t c = 0; c < row.size(); ++c) {
+        if (!table->column(c).Accepts(row[c])) {
+          return Status::InvalidArgument(
+              "INSERT value for column '" +
+              table->schema().field(c).QualifiedName() + "' has type " +
+              ValueTypeToString(row[c].type()) + ", expected " +
+              ValueTypeToString(table->schema().field(c).type));
+        }
       }
     }
+    // Write-ahead: journal + fsync before the in-memory apply, so a crash
+    // after the caller's ack replays to exactly the acknowledged state. A
+    // journal failure leaves the catalog untouched (and at worst a torn
+    // tail on disk, which recovery drops).
+    if (journal_ != nullptr && !rows.empty()) {
+      GMDJ_RETURN_IF_ERROR(
+          journal_->AppendRows(name, rows.data(), rows.size(), width));
+    }
   }
-  // Write-ahead: journal + fsync before the in-memory apply, so a crash
-  // after the caller's ack replays to exactly the acknowledged state. A
-  // journal failure leaves the catalog untouched (and at worst a torn
-  // tail on disk, which recovery drops).
-  if (journal_ != nullptr && !rows.empty()) {
-    GMDJ_RETURN_IF_ERROR(
-        journal_->AppendRows(name, rows.data(), rows.size(), width));
-  }
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  GMDJ_ASSIGN_OR_RETURN(Table * table, catalog_.GetMutableTable(name));
   metrics_.GetCounter("engine.inserted_rows")
       ->Add(static_cast<int64_t>(rows.size()));
-  table->AppendRows(std::move(rows));
-  return Status::OK();
+  return table->AppendRows(std::move(rows));
+}
+
+void OlapEngine::PutTable(const std::string& name, Table table) {
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  catalog_.PutTable(name, std::move(table));
 }
 
 namespace {
@@ -564,15 +572,16 @@ Table PlanTextTable(const std::string& text) {
 /// error factor is symmetric (max/min, both clamped to >= 1 row) so a 10x
 /// under- and a 10x over-estimate read the same.
 std::string EstimateVsActualLine(const planner::PlanDecision& decision,
-                                 size_t actual_rows) {
+                                 size_t actual_rows,
+                                 std::string_view label = "planner") {
   const double est = std::max(decision.est_result_rows, 1.0);
   const double act = std::max(static_cast<double>(actual_rows), 1.0);
   const double error = std::max(est, act) / std::min(est, act);
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "planner: estimated_rows=%.0f actual_rows=%zu error=%.1fx",
+                ": estimated_rows=%.0f actual_rows=%zu error=%.1fx",
                 decision.est_result_rows, actual_rows, error);
-  return std::string(buf);
+  return std::string(label) + buf;
 }
 
 }  // namespace
@@ -649,15 +658,32 @@ Result<Table> OlapEngine::ExecuteSql(std::string_view sql, Strategy strategy,
     } else {
       GMDJ_ASSIGN_OR_RETURN(plan, Plan(*statement.select, strategy));
     }
+    const PlanNode* outer_block = plan.get();
+    const bool select_list = !statement.select_subqueries.empty();
     GMDJ_ASSIGN_OR_RETURN(plan, ApplySqlOutput(std::move(plan), &statement));
     if (statement.explain == SqlStatement::ExplainMode::kAnalyze) {
       size_t result_rows = 0;
+      BackHalfRun back_half;
       GMDJ_ASSIGN_OR_RETURN(
           std::string text,
-          ExplainAnalyzePlan(std::move(plan), {}, run, &result_rows));
+          ExplainAnalyzePlan(std::move(plan), {}, run, &result_rows,
+                             select_list ? outer_block : nullptr,
+                             &back_half));
       if (decision.has_value()) {
-        text = decision->Summary() + "\n" + text + "\n" +
-               EstimateVsActualLine(*decision, result_rows);
+        // With select-list subqueries the planner decided the FROM/WHERE
+        // block only; the GMDJs above it report their own threads.
+        const std::string_view label =
+            select_list ? "planner (outer block)" : "planner";
+        std::string summary = decision->Summary(label);
+        if (select_list) {
+          summary += "\nselect-list gmdj: threads=" +
+                     std::to_string(back_half.threads) +
+                     (back_half.morsels == 0
+                          ? std::string(" sequential")
+                          : " morsels=" + std::to_string(back_half.morsels));
+        }
+        text = summary + "\n" + text + "\n" +
+               EstimateVsActualLine(*decision, result_rows, label);
         planner_->RecordActuals(*decision, static_cast<double>(result_rows));
       }
       return PlanTextTable(text);
@@ -761,7 +787,7 @@ Result<std::string> OlapEngine::ExplainAnalyze(
 
 Result<std::string> OlapEngine::ExplainAnalyzePlan(
     PlanPtr plan, const AnalyzeRenderOptions& options, QueryRun* run,
-    size_t* result_rows) {
+    size_t* result_rows, const PlanNode* outer_block, BackHalfRun* back_half) {
   Stopwatch watch;
   m_queries_->Add(1);
   const obs::Clock& clock = tracer_.clock();
@@ -792,6 +818,21 @@ Result<std::string> OlapEngine::ExplainAnalyzePlan(
   // excluded) lands on the root operator; per-operator Execute phases are
   // timed exclusively by their OpScopes.
   profile.Stats(plan.get())->prepare_nanos += prepare_nanos;
+  if (outer_block != nullptr && back_half != nullptr) {
+    // Walk the back half: every node above the outer block.
+    std::vector<const PlanNode*> stack = {plan.get()};
+    while (!stack.empty()) {
+      const PlanNode* node = stack.back();
+      stack.pop_back();
+      if (node == outer_block) continue;
+      if (dynamic_cast<const GmdjNode*>(node) != nullptr) {
+        const obs::OperatorStats* os = profile.Stats(node);
+        back_half->threads = std::max(back_half->threads, os->threads);
+        back_half->morsels += os->morsels;
+      }
+      for (const PlanNode* child : node->children()) stack.push_back(child);
+    }
+  }
   return RenderAnalyzedPlan(*plan, profile, options);
 }
 

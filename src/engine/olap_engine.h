@@ -2,6 +2,7 @@
 #define GMDJ_ENGINE_OLAP_ENGINE_H_
 
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -190,8 +191,10 @@ class OlapEngine {
   /// MANIFEST, staged and renamed crash-atomically); RestoreSnapshot
   /// replaces same-named tables from `dir`. Also reachable as SQL `SAVE
   /// SNAPSHOT '<dir>'` / `RESTORE SNAPSHOT '<dir>'` through ExecuteSql.
-  /// Both take the catalog lock exclusively, so they are safe alongside
-  /// concurrent governed queries (which wait). A successful save
+  /// Both take the writer mutex and the catalog lock exclusively, so they
+  /// are safe alongside concurrent governed queries (which wait) and never
+  /// fall between an INSERT's journal record and its apply. A successful
+  /// save
   /// truncates the attached journal — its mutations are in the snapshot.
   /// Save and journal are crash-consistent via the marker protocol
   /// (spill/journal.h): replay after RestoreSnapshot skips journal
@@ -205,14 +208,22 @@ class OlapEngine {
   /// already contains.
   uint64_t restored_snapshot_id() const { return restored_snapshot_id_; }
 
-  /// Appends literal `rows` to catalog table `name` under the exclusive
-  /// catalog lock — the engine's one online mutation path (SQL `INSERT
-  /// INTO ... VALUES ...` lands here). Rows are width- and type-checked
-  /// against the schema, journaled (when a journal is attached) and
+  /// Appends literal `rows` to catalog table `name` — the engine's one
+  /// online mutation path (SQL `INSERT INTO ... VALUES ...` lands here).
+  /// Rows are width- and type-checked against the table (an int64 widens
+  /// into a double column), journaled (when a journal is attached) and
   /// fsynced *before* being applied in memory, so an OK return means the
-  /// mutation survives a crash. The table version bump invalidates
-  /// dependent MQO cache entries.
+  /// mutation survives a crash. Writers serialize on the writer mutex;
+  /// the check and the journal fsync hold the catalog lock shared, so
+  /// reads run on during the disk flush, and only the in-memory append
+  /// takes it exclusively. The table version bump invalidates dependent
+  /// MQO cache entries.
   Status AppendRows(const std::string& name, std::vector<Row> rows);
+
+  /// Registers (or replaces) catalog table `name` while the engine is
+  /// serving: takes the writer mutex and the catalog lock exclusively.
+  /// (Set-up code that runs before any query may use catalog() directly.)
+  void PutTable(const std::string& name, Table table);
 
   /// Attaches (or detaches, with nullptr) the mutation journal AppendRows
   /// writes through. Not owned; the caller keeps it alive across use.
@@ -270,10 +281,19 @@ class OlapEngine {
   /// Caller holds the catalog lock (shared).
   /// When `result_rows` is non-null it receives the executed result's row
   /// count (for the planner's estimate-vs-actual feedback).
+  /// When `outer_block` is non-null it is the FROM/WHERE block's plan
+  /// inside `plan`; `back_half` then receives the threads and morsels of
+  /// the GMDJs stacked above it (the select-list subqueries).
+  struct BackHalfRun {
+    uint64_t threads = 0;
+    uint64_t morsels = 0;
+  };
   Result<std::string> ExplainAnalyzePlan(PlanPtr plan,
                                          const AnalyzeRenderOptions& options,
                                          QueryRun* run,
-                                         size_t* result_rows = nullptr);
+                                         size_t* result_rows = nullptr,
+                                         const PlanNode* outer_block = nullptr,
+                                         BackHalfRun* back_half = nullptr);
 
   // Lock-free bodies of the public entry points. Each public method
   // takes `catalog_mu_` exactly once and delegates here, so internal
@@ -282,7 +302,6 @@ class OlapEngine {
   Result<Table> ExecuteLocked(const NestedSelect& query, Strategy strategy,
                               const SessionLimits& session, QueryRun* run);
   Status SaveSnapshotLocked(const std::string& dir);
-  Status AppendRowsLocked(const std::string& name, std::vector<Row> rows);
 
   /// Builds the physical plan for a planner decision: like Plan(), but
   /// honors the decision's completion-placement choice and applies the
@@ -297,8 +316,13 @@ class OlapEngine {
 
   Catalog catalog_;
   /// Guards the catalog against online mutation: queries/batches/explains
-  /// hold it shared, AppendRows and snapshot save/restore exclusively.
+  /// hold it shared; snapshot save/restore, PutTable and the in-memory
+  /// half of AppendRows exclusively.
   mutable std::shared_mutex catalog_mu_;
+  /// Serializes catalog writers (AppendRows, PutTable, snapshot save and
+  /// restore), so a snapshot marker never falls between a journaled
+  /// record and its apply. Taken before `catalog_mu_`, never after.
+  std::mutex writer_mu_;
   spill::JournalWriter* journal_ = nullptr;
   uint64_t restored_snapshot_id_ = 0;
   ExecConfig exec_config_;

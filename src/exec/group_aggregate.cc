@@ -36,12 +36,11 @@ Result<Table> GroupAggregateNode::Execute(ExecContext* ctx) const {
   GMDJ_ASSIGN_OR_RETURN(Table in, input_->Execute(ctx));
   scope.AddRowsIn(in.num_rows());
   scope.AddBatches(1);
-  const Schema& in_schema = input_->output_schema();
   ctx->stats().table_scans += 1;
   ctx->stats().rows_scanned += in.num_rows();
 
   EvalContext ectx;
-  ectx.PushFrame(&in_schema, nullptr);
+  ectx.PushFrame(&in);
 
   // Group key -> aggregate states, in first-seen order for determinism.
   std::unordered_map<Row, size_t, RowHash, RowEq> group_of;
@@ -55,12 +54,9 @@ Result<Table> GroupAggregateNode::Execute(ExecContext* ctx) const {
   }
 
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("groupagg/scan"));
-  size_t row_index = 0;
-  for (const Row& row : in.rows()) {
-    if ((row_index++ & 4095u) == 0) {
-      GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    }
-    ectx.SetTopRow(&row);
+  for (size_t r = 0; r < in.num_rows(); ++r) {
+    if ((r & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
+    ectx.SetTopRow(r);
     size_t group;
     if (group_by_.empty()) {
       group = 0;
@@ -97,7 +93,7 @@ Result<Table> GroupAggregateNode::Execute(ExecContext* ctx) const {
     for (size_t a = 0; a < aggs_.size(); ++a) {
       row.push_back(states[g][a].Finalize(aggs_[a].kind, agg_arg_types_[a]));
     }
-    out.AppendRow(std::move(row));
+    GMDJ_RETURN_IF_ERROR(out.AppendRow(std::move(row)));
   }
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());

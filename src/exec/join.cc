@@ -23,13 +23,48 @@ const char* JoinKindToString(JoinKind kind) {
   return "?";
 }
 
+Table JoinedRows(const Schema& schema, const Table& left,
+                 std::span<const uint32_t> li, const Table& right,
+                 std::span<const uint32_t> ri) {
+  GMDJ_CHECK(li.size() == ri.size());
+  std::vector<Column> cols;
+  cols.reserve(schema.num_fields());
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    const Column& src = left.column(c);
+    Column& col = cols.emplace_back(src.type());
+    col.Reserve(li.size());
+    for (const uint32_t i : li) col.AppendFrom(src, i);
+  }
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    const Column& src = right.column(c);
+    Column& col = cols.emplace_back(src.type());
+    col.Reserve(ri.size());
+    for (const uint32_t i : ri) {
+      if (i == kNoMatch) {
+        col.AppendNull();
+      } else {
+        col.AppendFrom(src, i);
+      }
+    }
+  }
+  Result<Table> out = Table::FromColumns(schema, std::move(cols));
+  GMDJ_CHECK(out.ok());
+  return std::move(out).ValueOrDie();
+}
+
 namespace {
 
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
+/// The output of a join given its matches: inner and left-outer joins
+/// concatenate the pairs (`ri` = kNoMatch pads with NULLs), semi- and
+/// anti-joins keep the left rows `li`.
+Table JoinOutput(JoinKind kind, const Schema& schema, const Table& l,
+                 const std::vector<uint32_t>& li, const Table& r,
+                 const std::vector<uint32_t>& ri) {
+  if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+    return JoinedRows(schema, l, li, r, ri);
+  }
+  Table out = l.Gather(li);
+  out.SetSchema(schema);
   return out;
 }
 
@@ -90,9 +125,6 @@ Result<Table> HashJoinNode::Execute(ExecContext* ctx) const {
   ctx->stats().table_scans += 2;
   ctx->stats().rows_scanned += l.num_rows() + r.num_rows();
 
-  const Schema& ls = left_->output_schema();
-  const Schema& rs = right_->output_schema();
-
   // Build side: the right input.
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("join/build"));
   spill::SpillScope* sp = ctx->spill();
@@ -119,10 +151,10 @@ Result<Table> HashJoinNode::Execute(ExecContext* ctx) const {
   build.reserve(r.num_rows());
   {
     EvalContext rctx;
-    rctx.PushFrame(&rs, nullptr);
+    rctx.PushFrame(&r);
     for (size_t i = 0; i < r.num_rows(); ++i) {
       if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-      rctx.SetTopRow(&r.row(i));
+      rctx.SetTopRow(i);
       Row key;
       key.reserve(keys_.size());
       bool null_key = false;
@@ -139,18 +171,18 @@ Result<Table> HashJoinNode::Execute(ExecContext* ctx) const {
     }
   }
 
-  Table out(output_schema_);
   EvalContext lctx;
-  lctx.PushFrame(&ls, nullptr);
+  lctx.PushFrame(&l);
   EvalContext pctx;  // Pair context for the residual.
-  pctx.PushFrame(&ls, nullptr);
-  pctx.PushFrame(&rs, nullptr);
+  pctx.PushFrame(&l);
+  pctx.PushFrame(&r);
+  std::vector<uint32_t> out_l, out_r;  // Output pairs (or kept left rows).
 
   const std::vector<uint32_t> no_matches;
   for (size_t i = 0; i < l.num_rows(); ++i) {
     if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    const Row& lrow = l.row(i);
-    lctx.SetTopRow(&lrow);
+    const uint32_t li = static_cast<uint32_t>(i);
+    lctx.SetTopRow(i);
     Row key;
     key.reserve(keys_.size());
     bool null_key = false;
@@ -169,36 +201,32 @@ Result<Table> HashJoinNode::Execute(ExecContext* ctx) const {
       if (it != build.end()) matches = &it->second;
     }
 
-    pctx.SetRow(0, &lrow);
+    pctx.SetRow(0, i);
     bool any = false;
     for (const uint32_t ri : *matches) {
-      const Row& rrow = r.row(ri);
       if (residual_ != nullptr) {
-        pctx.SetRow(1, &rrow);
+        pctx.SetRow(1, ri);
         ctx->stats().predicate_evals += 1;
         if (!IsTrue(residual_->EvalPred(pctx))) continue;
       }
       any = true;
       if (kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter) {
-        out.AppendRow(ConcatRows(lrow, rrow));
+        out_l.push_back(li);
+        out_r.push_back(ri);
       } else {
         break;  // Semi/anti only need existence.
       }
     }
-    switch (kind_) {
-      case JoinKind::kInner:
-        break;
-      case JoinKind::kLeftOuter:
-        if (!any) out.AppendRow(NullPadded(lrow, rs.num_fields()));
-        break;
-      case JoinKind::kSemi:
-        if (any) out.AppendRow(lrow);
-        break;
-      case JoinKind::kAnti:
-        if (!any) out.AppendRow(lrow);
-        break;
+    if (kind_ == JoinKind::kLeftOuter && !any) {
+      out_l.push_back(li);
+      out_r.push_back(kNoMatch);
+    }
+    if ((kind_ == JoinKind::kSemi && any) ||
+        (kind_ == JoinKind::kAnti && !any)) {
+      out_l.push_back(li);
     }
   }
+  Table out = JoinOutput(kind_, output_schema_, l, out_l, r, out_r);
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;
@@ -209,7 +237,6 @@ Result<Table> HashJoinNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
                                            size_t initial_partitions) const {
   spill::SpillScope* sp = ctx->spill();
   GMDJ_CHECK(sp != nullptr);
-  const Schema& ls = left_->output_schema();
   const Schema& rs = right_->output_schema();
   const size_t nl = l.num_rows();
   const size_t nr = r.num_rows();
@@ -230,10 +257,10 @@ Result<Table> HashJoinNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
     build.reserve(hi - lo);
     {
       EvalContext rctx;
-      rctx.PushFrame(&rs, nullptr);
+      rctx.PushFrame(&r);
       for (size_t i = lo; i < hi; ++i) {
         if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-        rctx.SetTopRow(&r.row(i));
+        rctx.SetTopRow(i);
         Row key;
         key.reserve(keys_.size());
         bool null_key = false;
@@ -255,15 +282,14 @@ Result<Table> HashJoinNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
       GMDJ_ASSIGN_OR_RETURN(writer, sp->NewWriter("join"));
     }
     EvalContext lctx;
-    lctx.PushFrame(&ls, nullptr);
+    lctx.PushFrame(&l);
     EvalContext pctx;
-    pctx.PushFrame(&ls, nullptr);
-    pctx.PushFrame(&rs, nullptr);
+    pctx.PushFrame(&l);
+    pctx.PushFrame(&r);
     for (size_t i = 0; i < nl; ++i) {
       if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
       if (!emit_pairs && matched[i]) continue;  // Existence already decided.
-      const Row& lrow = l.row(i);
-      lctx.SetTopRow(&lrow);
+      lctx.SetTopRow(i);
       Row key;
       key.reserve(keys_.size());
       bool null_key = false;
@@ -279,16 +305,17 @@ Result<Table> HashJoinNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
       ctx->stats().hash_probes += 1;
       const auto it = build.find(key);
       if (it == build.end()) continue;
-      pctx.SetRow(0, &lrow);
+      pctx.SetRow(0, i);
       for (const uint32_t ri : it->second) {
-        const Row& rrow = r.row(ri);
         if (residual_ != nullptr) {
-          pctx.SetRow(1, &rrow);
+          pctx.SetRow(1, ri);
           ctx->stats().predicate_evals += 1;
           if (!IsTrue(residual_->EvalPred(pctx))) continue;
         }
         matched[i] = true;
         if (!emit_pairs) break;
+        const Row lrow = l.row(i);
+        const Row rrow = r.row(ri);
         Row staged;
         staged.reserve(1 + lrow.size() + rrow.size());
         staged.push_back(Value(static_cast<int64_t>(i)));
@@ -381,19 +408,25 @@ Result<Table> HashJoinNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
               (*staged)[0].int64() != static_cast<int64_t>(i)) {
             break;
           }
-          out.AppendRow(Row(staged->begin() + 1, staged->end()));
+          GMDJ_RETURN_IF_ERROR(
+              out.AppendRow(Row(staged->begin() + 1, staged->end())));
           ++cursor.pos;
         }
       }
       if (kind_ == JoinKind::kLeftOuter && !matched[i]) {
-        out.AppendRow(NullPadded(l.row(i), rs.num_fields()));
+        GMDJ_RETURN_IF_ERROR(
+            out.AppendRow(NullPadded(l.row(i), rs.num_fields())));
       }
     }
     for (PassCursor& cursor : cursors) bytes_read += cursor.reader->bytes_read();
   } else {
+    std::vector<uint32_t> keep;
     for (size_t i = 0; i < nl; ++i) {
-      if (matched[i] == (kind_ == JoinKind::kSemi)) out.AppendRow(l.row(i));
+      if (matched[i] == (kind_ == JoinKind::kSemi)) {
+        keep.push_back(static_cast<uint32_t>(i));
+      }
     }
+    out = JoinOutput(kind_, output_schema_, l, keep, r, {});
   }
   ctx->stats().rows_output += out.num_rows();
   scope->AddRowsOut(out.num_rows());
@@ -473,24 +506,21 @@ Result<Table> NLJoinNode::Execute(ExecContext* ctx) const {
   ctx->stats().table_scans += 1;
   ctx->stats().rows_scanned += l.num_rows();
 
-  const Schema& ls = left_->output_schema();
-  const Schema& rs = right_->output_schema();
-  Table out(output_schema_);
   EvalContext pctx;
-  pctx.PushFrame(&ls, nullptr);
-  pctx.PushFrame(&rs, nullptr);
+  pctx.PushFrame(&l);
+  pctx.PushFrame(&r);
+  std::vector<uint32_t> out_l, out_r;  // Output pairs (or kept left rows).
 
   for (size_t i = 0; i < l.num_rows(); ++i) {
     GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    const Row& lrow = l.row(i);
-    pctx.SetRow(0, &lrow);
+    const uint32_t li = static_cast<uint32_t>(i);
+    pctx.SetRow(0, i);
     // Each probe re-scans the inner input: that is the cost profile the
     // stats are meant to expose for tuple-iteration-style plans.
     ctx->stats().table_scans += 1;
     bool any = false;
     for (size_t j = 0; j < r.num_rows(); ++j) {
-      const Row& rrow = r.row(j);
-      pctx.SetRow(1, &rrow);
+      pctx.SetRow(1, j);
       ctx->stats().rows_scanned += 1;
       if (predicate_ != nullptr) {
         ctx->stats().predicate_evals += 1;
@@ -498,25 +528,22 @@ Result<Table> NLJoinNode::Execute(ExecContext* ctx) const {
       }
       any = true;
       if (kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter) {
-        out.AppendRow(ConcatRows(lrow, rrow));
+        out_l.push_back(li);
+        out_r.push_back(static_cast<uint32_t>(j));
       } else {
         break;  // Existence decided.
       }
     }
-    switch (kind_) {
-      case JoinKind::kInner:
-        break;
-      case JoinKind::kLeftOuter:
-        if (!any) out.AppendRow(NullPadded(lrow, rs.num_fields()));
-        break;
-      case JoinKind::kSemi:
-        if (any) out.AppendRow(lrow);
-        break;
-      case JoinKind::kAnti:
-        if (!any) out.AppendRow(lrow);
-        break;
+    if (kind_ == JoinKind::kLeftOuter && !any) {
+      out_l.push_back(li);
+      out_r.push_back(kNoMatch);
+    }
+    if ((kind_ == JoinKind::kSemi && any) ||
+        (kind_ == JoinKind::kAnti && !any)) {
+      out_l.push_back(li);
     }
   }
+  Table out = JoinOutput(kind_, output_schema_, l, out_l, r, out_r);
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;

@@ -1,6 +1,8 @@
 #ifndef GMDJ_EXEC_JOIN_H_
 #define GMDJ_EXEC_JOIN_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,16 @@ enum class JoinKind : unsigned char {
 };
 
 const char* JoinKindToString(JoinKind kind);
+
+/// Right-row index of a left-outer pair without a match.
+inline constexpr uint32_t kNoMatch = UINT32_MAX;
+
+/// Join output under `schema` (left columns then right columns): row k
+/// is left row li[k] followed by right row ri[k], or by NULLs when ri[k]
+/// is kNoMatch. Built column by column from the input columns.
+Table JoinedRows(const Schema& schema, const Table& left,
+                 std::span<const uint32_t> li, const Table& right,
+                 std::span<const uint32_t> ri);
 
 /// One equi-join key: `left_expr = right_expr`, with the left expression
 /// bound over the left schema and the right over the right schema.

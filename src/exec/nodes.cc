@@ -23,7 +23,7 @@ Result<Table> TableScanNode::Execute(ExecContext* ctx) const {
   OpScope scope(ctx, this, label());
   GMDJ_CHECK(table_ != nullptr);
   Table out = *table_;  // Scan is O(1); consumers account for the pass.
-  *out.mutable_schema() = output_schema_;
+  out.SetSchema(output_schema_);
   scope.AddRowsOut(out.num_rows());
   scope.AddBatches(1);
   return out;
@@ -73,18 +73,20 @@ Result<Table> FilterNode::Execute(ExecContext* ctx) const {
   GMDJ_ASSIGN_OR_RETURN(Table in, input_->Execute(ctx));
   scope.AddRowsIn(in.num_rows());
   scope.AddBatches(1);
-  Table out(output_schema_);
   EvalContext ectx;
-  ectx.PushFrame(&output_schema_, nullptr);
+  ectx.PushFrame(&in);
   ctx->stats().table_scans += 1;
   ctx->stats().rows_scanned += in.num_rows();
-  for (const Row& row : in.rows()) {
-    ectx.SetTopRow(&row);
+  std::vector<uint32_t> keep;
+  for (size_t r = 0; r < in.num_rows(); ++r) {
+    ectx.SetTopRow(r);
     ctx->stats().predicate_evals += 1;
     if (IsTrue(predicate_->EvalPred(ectx))) {
-      out.AppendRow(row);
+      keep.push_back(static_cast<uint32_t>(r));
     }
   }
+  Table out = keep.size() == in.num_rows() ? in : in.Gather(keep);
+  out.SetSchema(output_schema_);
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;
@@ -102,6 +104,9 @@ ProjectNode::ProjectNode(PlanPtr input, std::vector<ProjItem> items)
 Status ProjectNode::Prepare(const Catalog& catalog) {
   GMDJ_RETURN_IF_ERROR(input_->Prepare(catalog));
   const Schema& in = input_->output_schema();
+  if (items_.empty()) {
+    return Status::InvalidArgument("projection has no items");
+  }
   output_schema_ = Schema();
   for (ProjItem& item : items_) {
     GMDJ_RETURN_IF_ERROR(item.expr->Bind({&in}));
@@ -116,21 +121,29 @@ Result<Table> ProjectNode::Execute(ExecContext* ctx) const {
   GMDJ_ASSIGN_OR_RETURN(Table in, input_->Execute(ctx));
   scope.AddRowsIn(in.num_rows());
   scope.AddBatches(1);
-  Table out(output_schema_);
-  out.Reserve(in.num_rows());
+  // A bare column reference shares the input column; any other item is
+  // evaluated into a new column of its static type.
+  Table out;
   EvalContext ectx;
-  const Schema& in_schema = input_->output_schema();
-  ectx.PushFrame(&in_schema, nullptr);
+  ectx.PushFrame(&in);
   ctx->stats().table_scans += 1;
   ctx->stats().rows_scanned += in.num_rows();
-  for (const Row& row : in.rows()) {
-    ectx.SetTopRow(&row);
-    Row out_row;
-    out_row.reserve(items_.size());
-    for (const ProjItem& item : items_) {
-      out_row.push_back(item.expr->Eval(ectx));
+  for (size_t i = 0; i < items_.size(); ++i) {
+    const Expr& expr = *items_[i].expr;
+    const Field& field = output_schema_.field(i);
+    if (expr.kind() == ExprKind::kColumnRef) {
+      const auto& ref = static_cast<const ColumnRefExpr&>(expr);
+      out.AddColumn(field, in.shared_column(ref.bound_column()));
+      continue;
     }
-    out.AppendRow(std::move(out_row));
+    auto col = std::make_shared<Column>(field.type);
+    col->Reserve(in.num_rows());
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      ectx.SetTopRow(r);
+      GMDJ_RETURN_IF_ERROR(
+          AppendCell(field.QualifiedName(), expr.Eval(ectx), col.get()));
+    }
+    out.AddColumn(field, std::move(col));
   }
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
@@ -162,16 +175,16 @@ Result<Table> DistinctNode::Execute(ExecContext* ctx) const {
   GMDJ_ASSIGN_OR_RETURN(Table in, input_->Execute(ctx));
   scope.AddRowsIn(in.num_rows());
   scope.AddBatches(1);
-  Table out(output_schema_);
   std::unordered_set<Row, RowHash, RowEq> seen;
   seen.reserve(in.num_rows());
   ctx->stats().table_scans += 1;
   ctx->stats().rows_scanned += in.num_rows();
-  for (const Row& row : in.rows()) {
-    if (seen.insert(row).second) {
-      out.AppendRow(row);
-    }
+  std::vector<uint32_t> keep;
+  for (size_t r = 0; r < in.num_rows(); ++r) {
+    if (seen.insert(in.row(r)).second) keep.push_back(static_cast<uint32_t>(r));
   }
+  Table out = in.Gather(keep);
+  out.SetSchema(output_schema_);
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;
@@ -187,11 +200,23 @@ UnionAllNode::UnionAllNode(PlanPtr left, PlanPtr right)
 Status UnionAllNode::Prepare(const Catalog& catalog) {
   GMDJ_RETURN_IF_ERROR(left_->Prepare(catalog));
   GMDJ_RETURN_IF_ERROR(right_->Prepare(catalog));
-  if (left_->output_schema().num_fields() !=
-      right_->output_schema().num_fields()) {
+  const Schema& ls = left_->output_schema();
+  const Schema& rs = right_->output_schema();
+  if (ls.num_fields() != rs.num_fields()) {
     return Status::InvalidArgument("UNION ALL inputs have different widths");
   }
-  output_schema_ = left_->output_schema();
+  // Each output column takes the type both inputs fit: a NULL-typed side
+  // takes the other's, and int64 widens to double.
+  output_schema_ = Schema();
+  for (size_t c = 0; c < ls.num_fields(); ++c) {
+    Field field = ls.field(c);
+    const ValueType r = rs.field(c).type;
+    if (field.type == ValueType::kNull ||
+        (field.type == ValueType::kInt64 && r == ValueType::kDouble)) {
+      field.type = r;
+    }
+    output_schema_.AddField(std::move(field));
+  }
   return Status::OK();
 }
 
@@ -203,8 +228,11 @@ Result<Table> UnionAllNode::Execute(ExecContext* ctx) const {
   scope.AddBatches(2);
   Table out(output_schema_);
   out.Reserve(l.num_rows() + r.num_rows());
-  for (const Row& row : l.rows()) out.AppendRow(row);
-  for (const Row& row : r.rows()) out.AppendRow(row);
+  for (const Table* in : {&l, &r}) {
+    for (size_t i = 0; i < in->num_rows(); ++i) {
+      GMDJ_RETURN_IF_ERROR(out.AppendRow(in->row(i)));
+    }
+  }
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;
@@ -234,16 +262,22 @@ Result<Table> ExceptNode::Execute(ExecContext* ctx) const {
   GMDJ_ASSIGN_OR_RETURN(Table r, right_->Execute(ctx));
   scope.AddRowsIn(l.num_rows() + r.num_rows());
   scope.AddBatches(2);
-  std::unordered_set<Row, RowHash, RowEq> removed(r.rows().begin(),
-                                                  r.rows().end());
+  const RowRange right_rows = r.rows();
+  std::unordered_set<Row, RowHash, RowEq> removed(right_rows.begin(),
+                                                  right_rows.end());
   std::unordered_set<Row, RowHash, RowEq> emitted;
-  Table out(output_schema_);
   ctx->stats().table_scans += 2;
   ctx->stats().rows_scanned += l.num_rows() + r.num_rows();
-  for (const Row& row : l.rows()) {
+  std::vector<uint32_t> keep;
+  for (size_t i = 0; i < l.num_rows(); ++i) {
+    Row row = l.row(i);
     if (removed.count(row) > 0) continue;
-    if (emitted.insert(row).second) out.AppendRow(row);
+    if (emitted.insert(std::move(row)).second) {
+      keep.push_back(static_cast<uint32_t>(i));
+    }
   }
+  Table out = l.Gather(keep);
+  out.SetSchema(output_schema_);
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;
@@ -271,9 +305,9 @@ Result<Table> AssertNode::Execute(ExecContext* ctx) const {
   scope.AddRowsOut(in.num_rows());
   scope.AddBatches(1);
   EvalContext ectx;
-  ectx.PushFrame(&output_schema_, nullptr);
-  for (const Row& row : in.rows()) {
-    ectx.SetTopRow(&row);
+  ectx.PushFrame(&in);
+  for (size_t r = 0; r < in.num_rows(); ++r) {
+    ectx.SetTopRow(r);
     if (!IsTrue(predicate_->EvalPred(ectx))) {
       return Status::RuntimeError(message_);
     }
@@ -302,13 +336,14 @@ Result<Table> AttachRowIdNode::Execute(ExecContext* ctx) const {
   GMDJ_ASSIGN_OR_RETURN(Table in, input_->Execute(ctx));
   scope.AddRowsIn(in.num_rows());
   scope.AddBatches(1);
-  Table out(output_schema_);
-  out.Reserve(in.num_rows());
+  auto ids = std::make_shared<Column>(ValueType::kInt64);
+  ids->Reserve(in.num_rows());
   for (size_t i = 0; i < in.num_rows(); ++i) {
-    Row row = in.row(i);
-    row.push_back(Value(static_cast<int64_t>(i)));
-    out.AppendRow(std::move(row));
+    ids->Append(Value(static_cast<int64_t>(i)));
   }
+  Table out = in;
+  out.SetSchema(input_->output_schema());
+  out.AddColumn(output_schema_.fields().back(), std::move(ids));
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());
   return out;
@@ -340,17 +375,18 @@ Result<Table> SortNode::Execute(ExecContext* ctx) const {
   scope.AddRowsIn(in.num_rows());
   scope.AddRowsOut(in.num_rows());
   scope.AddBatches(1);
-  std::vector<Row>* rows = in.mutable_rows();
-  std::stable_sort(rows->begin(), rows->end(),
-                   [this](const Row& a, const Row& b) {
-                     for (const size_t idx : sort_indices_) {
-                       const int c = a[idx].Compare(b[idx]);
-                       if (c != 0) return c < 0;
-                     }
-                     return false;
-                   });
+  std::vector<uint32_t> order(in.num_rows());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (const size_t idx : sort_indices_) {
+      const Column& col = in.column(idx);
+      const int c = CompareCells(col, a, col, b);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
   ctx->stats().rows_output += in.num_rows();
-  return in;
+  return in.Gather(order);
 }
 
 std::string SortNode::label() const {

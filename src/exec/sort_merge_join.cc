@@ -22,15 +22,15 @@ int CompareKeys(const Row& a, const Row& b) {
   return 0;
 }
 
-std::vector<Keyed> ExtractAndSort(const Table& table, const Schema& schema,
+std::vector<Keyed> ExtractAndSort(const Table& table,
                                   const std::vector<JoinKey>& keys,
                                   bool left_side) {
   std::vector<Keyed> out;
   out.reserve(table.num_rows());
   EvalContext ctx;
-  ctx.PushFrame(&schema, nullptr);
+  ctx.PushFrame(&table);
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    ctx.SetTopRow(&table.row(i));
+    ctx.SetTopRow(i);
     Keyed k;
     k.row = static_cast<uint32_t>(i);
     k.key.reserve(keys.size());
@@ -44,14 +44,6 @@ std::vector<Keyed> ExtractAndSort(const Table& table, const Schema& schema,
   std::sort(out.begin(), out.end(), [](const Keyed& a, const Keyed& b) {
     return CompareKeys(a.key, b.key) < 0;
   });
-  return out;
-}
-
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
   return out;
 }
 
@@ -103,16 +95,14 @@ Result<Table> SortMergeJoinNode::Execute(ExecContext* ctx) const {
   ctx->stats().table_scans += 2;
   ctx->stats().rows_scanned += l.num_rows() + r.num_rows();
 
-  const Schema& ls = left_->output_schema();
-  const Schema& rs = right_->output_schema();
-  const std::vector<Keyed> lk = ExtractAndSort(l, ls, keys_, true);
-  const std::vector<Keyed> rk = ExtractAndSort(r, rs, keys_, false);
+  const std::vector<Keyed> lk = ExtractAndSort(l, keys_, true);
+  const std::vector<Keyed> rk = ExtractAndSort(r, keys_, false);
 
   EvalContext pctx;
-  pctx.PushFrame(&ls, nullptr);
-  pctx.PushFrame(&rs, nullptr);
+  pctx.PushFrame(&l);
+  pctx.PushFrame(&r);
+  std::vector<uint32_t> out_l, out_r;  // Output pairs (or kept left rows).
 
-  Table out(output_schema_);
   size_t ri = 0;
   for (size_t li = 0; li < lk.size();) {
     // One run of equal left keys at a time keeps anti/semi bookkeeping
@@ -139,46 +129,44 @@ Result<Table> SortMergeJoinNode::Execute(ExecContext* ctx) const {
     }
 
     for (size_t i = run_begin; i < run_end; ++i) {
-      const Row& lrow = l.row(lk[i].row);
-      pctx.SetRow(0, &lrow);
+      const uint32_t lrow = lk[i].row;
+      pctx.SetRow(0, lrow);
       bool any = false;
       if (key_matches && !lk[i].null_key) {
         for (size_t j = ri; j < rj_end; ++j) {
           const Keyed& rkey = rk[j];
           if (rkey.null_key) continue;
-          const Row& rrow = r.row(rkey.row);
           if (residual_ != nullptr) {
-            pctx.SetRow(1, &rrow);
+            pctx.SetRow(1, rkey.row);
             ctx->stats().predicate_evals += 1;
             if (!IsTrue(residual_->EvalPred(pctx))) continue;
           }
           any = true;
           if (kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter) {
-            out.AppendRow(ConcatRows(lrow, rrow));
+            out_l.push_back(lrow);
+            out_r.push_back(rkey.row);
           } else {
             break;
           }
         }
       }
-      switch (kind_) {
-        case JoinKind::kInner:
-          break;
-        case JoinKind::kLeftOuter:
-          if (!any) {
-            Row padded = lrow;
-            padded.resize(lrow.size() + rs.num_fields());
-            out.AppendRow(std::move(padded));
-          }
-          break;
-        case JoinKind::kSemi:
-          if (any) out.AppendRow(lrow);
-          break;
-        case JoinKind::kAnti:
-          if (!any) out.AppendRow(lrow);
-          break;
+      if (kind_ == JoinKind::kLeftOuter && !any) {
+        out_l.push_back(lrow);
+        out_r.push_back(kNoMatch);
+      }
+      if ((kind_ == JoinKind::kSemi && any) ||
+          (kind_ == JoinKind::kAnti && !any)) {
+        out_l.push_back(lrow);
       }
     }
     li = run_end;
+  }
+  Table out;
+  if (kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter) {
+    out = JoinedRows(output_schema_, l, out_l, r, out_r);
+  } else {
+    out = l.Gather(out_l);
+    out.SetSchema(output_schema_);
   }
   ctx->stats().rows_output += out.num_rows();
   scope.AddRowsOut(out.num_rows());

@@ -17,6 +17,19 @@ TriBool ValueToTri(const Value& v) {
   }
 }
 
+/// The static type of an expression that yields either of two branches:
+/// a NULL-typed branch takes the other's type, and mixed numerics widen
+/// to double (the type a column holding both accepts).
+ValueType UnifyBranchTypes(ValueType a, ValueType b) {
+  if (a == ValueType::kNull) return b;
+  if (b == ValueType::kNull) return a;
+  if ((a == ValueType::kInt64 && b == ValueType::kDouble) ||
+      (a == ValueType::kDouble && b == ValueType::kInt64)) {
+    return ValueType::kDouble;
+  }
+  return a;
+}
+
 Value TriToValue(TriBool t) {
   switch (t) {
     case TriBool::kFalse:
@@ -107,6 +120,7 @@ Status CompareExpr::Bind(const std::vector<const Schema*>& frames) {
   result_type_ = ValueType::kInt64;
   col_col_ = lhs_->kind() == ExprKind::kColumnRef &&
              rhs_->kind() == ExprKind::kColumnRef;
+  BindColumnLiteral();
   if (col_col_) {
     const auto& l = static_cast<const ColumnRefExpr&>(*lhs_);
     const auto& r = static_cast<const ColumnRefExpr&>(*rhs_);
@@ -118,10 +132,31 @@ Status CompareExpr::Bind(const std::vector<const Schema*>& frames) {
   return Status::OK();
 }
 
+void CompareExpr::BindColumnLiteral() {
+  const bool lit_right = lhs_->kind() == ExprKind::kColumnRef &&
+                         rhs_->kind() == ExprKind::kLiteral;
+  const bool lit_left = lhs_->kind() == ExprKind::kLiteral &&
+                        rhs_->kind() == ExprKind::kColumnRef;
+  col_lit_ = lit_right || lit_left;
+  if (!col_lit_) return;
+  const auto& col = static_cast<const ColumnRefExpr&>(lit_right ? *lhs_
+                                                                : *rhs_);
+  lhs_frame_ = col.bound_frame();
+  lhs_col_ = col.bound_column();
+  lit_ = &static_cast<const LiteralExpr&>(lit_right ? *rhs_ : *lhs_).value();
+  col_lit_op_ = lit_right ? op_ : MirrorCompareOp(op_);
+}
+
 TriBool CompareExpr::EvalPred(const EvalContext& ctx) const {
+  if (col_lit_) {
+    return SqlCompareCellValue(ctx.ColumnAt(lhs_frame_, lhs_col_),
+                               ctx.RowAt(lhs_frame_), col_lit_op_, *lit_);
+  }
   if (col_col_) {
-    return SqlCompare(ctx.ValueAt(lhs_frame_, lhs_col_), op_,
-                      ctx.ValueAt(rhs_frame_, rhs_col_));
+    return SqlCompareCells(ctx.ColumnAt(lhs_frame_, lhs_col_),
+                           ctx.RowAt(lhs_frame_), op_,
+                           ctx.ColumnAt(rhs_frame_, rhs_col_),
+                           ctx.RowAt(rhs_frame_));
   }
   return SqlCompare(lhs_->Eval(ctx), op_, rhs_->Eval(ctx));
 }
@@ -129,6 +164,7 @@ TriBool CompareExpr::EvalPred(const EvalContext& ctx) const {
 ExprPtr CompareExpr::Clone() const {
   auto out = std::make_unique<CompareExpr>(op_, lhs_->Clone(), rhs_->Clone());
   out->col_col_ = col_col_;
+  if (col_lit_) out->BindColumnLiteral();
   out->lhs_frame_ = lhs_frame_;
   out->lhs_col_ = lhs_col_;
   out->rhs_frame_ = rhs_frame_;
@@ -287,7 +323,14 @@ Status IsNullExpr::Bind(const std::vector<const Schema*>& frames) {
 }
 
 TriBool IsNullExpr::EvalPred(const EvalContext& ctx) const {
-  const bool is_null = input_->Eval(ctx).is_null();
+  bool is_null;
+  if (input_->kind() == ExprKind::kColumnRef) {
+    const auto& col = static_cast<const ColumnRefExpr&>(*input_);
+    is_null = ctx.ColumnAt(col.bound_frame(), col.bound_column())
+                  .is_null(ctx.RowAt(col.bound_frame()));
+  } else {
+    is_null = input_->Eval(ctx).is_null();
+  }
   return MakeTriBool(negated_ ? !is_null : is_null);
 }
 
@@ -378,9 +421,8 @@ Status CaseExpr::Bind(const std::vector<const Schema*>& frames) {
   GMDJ_RETURN_IF_ERROR(condition_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(then_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(otherwise_->Bind(frames));
-  result_type_ = then_->result_type() != ValueType::kNull
-                     ? then_->result_type()
-                     : otherwise_->result_type();
+  result_type_ =
+      UnifyBranchTypes(then_->result_type(), otherwise_->result_type());
   return Status::OK();
 }
 
@@ -404,9 +446,8 @@ std::string CaseExpr::ToString() const {
 Status CoalesceExpr::Bind(const std::vector<const Schema*>& frames) {
   GMDJ_RETURN_IF_ERROR(first_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(second_->Bind(frames));
-  result_type_ = first_->result_type() != ValueType::kNull
-                     ? first_->result_type()
-                     : second_->result_type();
+  result_type_ =
+      UnifyBranchTypes(first_->result_type(), second_->result_type());
   return Status::OK();
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/table.h"
 #include "types/row.h"
 #include "types/schema.h"
 #include "types/tribool.h"
@@ -17,7 +18,9 @@ class Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
 /// Evaluation context: a stack of frames, one per table scope currently in
-/// play. Frame 0 is the outermost scope; the innermost is at the back.
+/// play. Frame 0 is the outermost scope; the innermost is at the back. A
+/// frame is a (table, row) position: expressions read the cells of that
+/// row in place, through the table's typed columns.
 ///
 /// Correlation ("free references" in the paper) is simply a column
 /// reference bound to a non-innermost frame. A GMDJ θ condition evaluates
@@ -26,27 +29,36 @@ using ExprPtr = std::unique_ptr<Expr>;
 class EvalContext {
  public:
   struct Frame {
-    const Schema* schema = nullptr;
-    const Row* row = nullptr;
+    const Table* table = nullptr;
+    const Table::ColumnHandle* columns = nullptr;  // table->columns().
+    size_t row = 0;
   };
 
   EvalContext() = default;
 
-  void PushFrame(const Schema* schema, const Row* row) {
-    frames_.push_back(Frame{schema, row});
+  /// `table` must keep its columns (no AddColumn) while the frame is up.
+  void PushFrame(const Table* table, size_t row = 0) {
+    frames_.push_back(
+        Frame{table, table != nullptr ? table->columns() : nullptr, row});
   }
   void PopFrame() { frames_.pop_back(); }
 
-  /// Rebinds the row of the innermost frame (hot loop: the detail row
-  /// changes per iteration while outer frames stay fixed).
-  void SetTopRow(const Row* row) { frames_.back().row = row; }
-  void SetRow(size_t frame, const Row* row) { frames_[frame].row = row; }
+  /// Moves the innermost frame to `row` (hot loop: the detail row changes
+  /// per iteration while outer frames stay fixed).
+  void SetTopRow(size_t row) { frames_.back().row = row; }
+  void SetRow(size_t frame, size_t row) { frames_[frame].row = row; }
 
   size_t num_frames() const { return frames_.size(); }
   const Frame& frame(size_t i) const { return frames_[i]; }
 
-  const Value& ValueAt(size_t frame, size_t column) const {
-    return (*frames_[frame].row)[column];
+  /// The column `column` of frame `frame`'s table, and the frame's row.
+  const Column& ColumnAt(size_t frame, size_t column) const {
+    return *frames_[frame].columns[column];
+  }
+  size_t RowAt(size_t frame) const { return frames_[frame].row; }
+
+  Value ValueAt(size_t frame, size_t column) const {
+    return ColumnAt(frame, column).Get(frames_[frame].row);
   }
 
  private:
@@ -180,15 +192,21 @@ class CompareExpr final : public Expr {
   const Expr& rhs() const { return *rhs_; }
 
  private:
+  /// Sets up the column-vs-literal fast path (after the operands bound).
+  void BindColumnLiteral();
+
   CompareOp op_;
   ExprPtr lhs_;
   ExprPtr rhs_;
-  // Fast path: when both operands are bound column references, evaluation
-  // compares the stored values in place, skipping two Value copies per
-  // call. This is the hottest comparison shape in every engine (join and
-  // correlation predicates), so the branch pays for itself many times
-  // over.
+  // Fast paths: when both operands are bound column references, or one is
+  // and the other a literal, evaluation compares in place, skipping the
+  // Value copies. These are the hottest comparison shapes in every engine
+  // (join, correlation and filter predicates), so the branches pay for
+  // themselves many times over.
   bool col_col_ = false;
+  bool col_lit_ = false;          // lhs_* is the column, `lit_` the value.
+  CompareOp col_lit_op_ = CompareOp::kEq;  // Mirrored when the literal leads.
+  const Value* lit_ = nullptr;    // Owned by the literal operand.
   size_t lhs_frame_ = 0, lhs_col_ = 0;
   size_t rhs_frame_ = 0, rhs_col_ = 0;
 };

@@ -51,47 +51,23 @@ bool ExprProgram::Run(const EvalContext& ctx, ExprScratch* scratch) const {
         break;
       case OpCode::kLoadCol: {
         ExprReg& r = regs[op.dst];
-        // Columnar fast path: the staging buffer decoded this column once
-        // for the whole chunk, so the load is a typed array index.
-        if (op.frame == scratch->batch_frame &&
-            op.col < scratch->batch_num_cols &&
-            scratch->batch_cols[op.col] != nullptr) {
-          const ColumnVector& cv = *scratch->batch_cols[op.col];
-          const size_t row = scratch->batch_row;
-          if (cv.null[row]) {
-            r.null = true;
-            break;
-          }
-          r.null = false;
-          switch (op.expect) {
-            case ValueType::kInt64:
-              r.i = cv.i64[row];
-              break;
-            case ValueType::kDouble:
-              r.d = cv.dbl[row];
-              break;
-            default:
-              r.s = cv.str[row];
-              break;
-          }
-          break;
-        }
-        const Value& v = ctx.ValueAt(op.frame, op.col);
-        if (v.is_null()) {
+        const Column& col = ctx.ColumnAt(op.frame, op.col);
+        const size_t row = ctx.RowAt(op.frame);
+        GMDJ_DCHECK(col.type() == op.expect);
+        if (col.is_null(row)) {
           r.null = true;
           break;
         }
-        if (v.type() != op.expect) return false;  // Bail: type surprise.
         r.null = false;
         switch (op.expect) {
           case ValueType::kInt64:
-            r.i = v.int64();
+            r.i = col.i64(row);
             break;
           case ValueType::kDouble:
-            r.d = v.dbl();
+            r.d = col.dbl(row);
             break;
           default:
-            r.s = &v.str();
+            r.s = &col.str(row);
             break;
         }
         break;
@@ -350,32 +326,31 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
       }
       case OpCode::kLoadCol: {
         ExprVecReg& r = regs[op.dst];
+        const Column& col = ctx.ColumnAt(op.frame, op.col);
+        GMDJ_DCHECK(col.type() == op.expect);
         if (op.frame == scratch.batch_frame) {
-          // The whole point of the batch VM: a staged column *is* the
-          // register. Unstaged/unclean columns disqualify the chunk.
-          if (op.col >= scratch.batch_num_cols ||
-              scratch.batch_cols[op.col] == nullptr) {
-            return nullptr;
-          }
-          const ColumnVector& cv = *scratch.batch_cols[op.col];
-          r.null.assign(cv.null.begin(), cv.null.begin() + n);
+          // The whole point of the batch VM: the chunk's slice of the
+          // table column *is* the register.
+          const ColumnVector cv = ColumnVector::Of(col, scratch.batch_begin);
+          r.null.assign(cv.null, cv.null + n);
           switch (op.expect) {
             case ValueType::kInt64:
-              r.i.assign(cv.i64.begin(), cv.i64.begin() + n);
+              r.i.assign(cv.i64, cv.i64 + n);
               break;
             case ValueType::kDouble:
-              r.d.assign(cv.dbl.begin(), cv.dbl.begin() + n);
+              r.d.assign(cv.dbl, cv.dbl + n);
               break;
             default:
-              r.s.assign(cv.str.begin(), cv.str.begin() + n);
+              r.s.resize(n);
+              for (size_t k = 0; k < n; ++k) r.s[k] = cv.str + k;
               break;
           }
           break;
         }
         // Non-batch frame: the row is fixed for the chunk, so the load is
         // a broadcast of one scalar.
-        const Value& v = ctx.ValueAt(op.frame, op.col);
-        if (v.is_null()) {
+        const size_t row = ctx.RowAt(op.frame);
+        if (col.is_null(row)) {
           r.null.assign(n, 1);
           // Pad the payloads: ops like kCastDbl mirror the scalar VM in
           // copying payloads without consulting null flags, and registers
@@ -385,17 +360,16 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
           r.s.assign(n, nullptr);
           break;
         }
-        if (v.type() != op.expect) return nullptr;  // Bail: type surprise.
         r.null.assign(n, 0);
         switch (op.expect) {
           case ValueType::kInt64:
-            r.i.assign(n, v.int64());
+            r.i.assign(n, col.i64(row));
             break;
           case ValueType::kDouble:
-            r.d.assign(n, v.dbl());
+            r.d.assign(n, col.dbl(row));
             break;
           default:
-            r.s.assign(n, &v.str());
+            r.s.assign(n, &col.str(row));
             break;
         }
         break;
@@ -659,15 +633,6 @@ Value ExprProgram::Eval(const EvalContext& ctx, ExprScratch* scratch) const {
       break;
   }
   return Value::Null();
-}
-
-void ExprProgram::CollectColumns(size_t frame,
-                                 std::vector<uint32_t>* cols) const {
-  for (const ExprOp& op : ops_) {
-    if (op.code == OpCode::kLoadCol && op.frame == frame) {
-      cols->push_back(op.col);
-    }
-  }
 }
 
 std::string ExprProgram::ToString() const {

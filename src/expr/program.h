@@ -24,37 +24,46 @@ struct ExprReg {
   bool null = true;
 };
 
-/// Columnar storage for one staged column: a typed payload vector plus a
-/// null byte per row. Only the vector matching `type` is populated.
-///
-/// Defined here (not in exec/) because kLoadCol reads it: the expression
-/// layer owns the register machine, the exec layer owns the staging
-/// policy (exec/detail_batch.h).
+/// A typed view of one table column from row `begin` on: the batch VM's
+/// and the GMDJ chunk kernel's columnar input, read in place. Only the
+/// array matching `type` is set; `null[k]` is row begin + k's validity.
 struct ColumnVector {
   ValueType type = ValueType::kInt64;
-  /// False when a non-NULL value of another runtime type was seen while
-  /// staging; unclean columns are never exposed to the VM (the producer
-  /// publishes a null pointer instead), so typed loads stay exact.
-  bool clean = true;
-  std::vector<uint8_t> null;
-  std::vector<int64_t> i64;
-  std::vector<double> dbl;
-  std::vector<const std::string*> str;
+  const uint8_t* null = nullptr;
+  const int64_t* i64 = nullptr;
+  const double* dbl = nullptr;
+  const std::string* str = nullptr;
+
+  static ColumnVector Of(const Column& col, size_t begin) {
+    ColumnVector v;
+    v.type = col.type();
+    v.null = col.nulls() + begin;
+    switch (col.type()) {
+      case ValueType::kInt64:
+        v.i64 = col.i64_data() + begin;
+        break;
+      case ValueType::kDouble:
+        v.dbl = col.dbl_data() + begin;
+        break;
+      case ValueType::kString:
+        v.str = col.str_data() + begin;
+        break;
+      case ValueType::kNull:
+        break;
+    }
+    return v;
+  }
 };
 
-/// Mutable per-thread evaluation state: the register file plus an optional
-/// columnar source for one frame. When `batch_cols` is set, kLoadCol ops
-/// whose frame equals `batch_frame` read `batch_cols[col]->...[batch_row]`
-/// instead of indexing the frame's Row — the per-column staging done once
-/// per detail chunk replaces per-row Value inspection.
+/// Mutable per-thread evaluation state: the register file, plus the chunk
+/// the batch calls (EvalBatch / EvalPredMask) evaluate: rows
+/// [batch_begin, batch_begin + num_rows) of frame `batch_frame`'s table.
 struct ExprScratch {
   static constexpr size_t kNoBatch = static_cast<size_t>(-1);
 
   std::vector<ExprReg> regs;
   size_t batch_frame = kNoBatch;
-  size_t batch_row = 0;
-  const ColumnVector* const* batch_cols = nullptr;
-  uint32_t batch_num_cols = 0;
+  size_t batch_begin = 0;
 };
 
 /// One register of the *batch* VM: a column of ExprReg fields, one entry
@@ -76,12 +85,14 @@ struct ExprVecScratch {
 };
 
 /// Opcodes of the flat expression VM. Scalar ops are typed at compile time
-/// from the bound tree's static types; kLoadCol verifies the runtime type
-/// and bails the whole evaluation to the tree interpreter on a mismatch,
-/// so compilation can never change semantics.
+/// from the bound tree's static types. kLoadCol reads the typed column in
+/// place: columns refuse values of another type at append, so the static
+/// type is the runtime type. kInterpret verifies the runtime type of the
+/// subtree's result and bails the whole evaluation to the tree interpreter
+/// on a mismatch, so compilation can never change semantics.
 enum class OpCode : unsigned char {
   kConst,       // regs[dst] = const_reg (payload + tribool prepared once).
-  kLoadCol,     // regs[dst] = frame[col]; bail unless NULL or `expect`.
+  kLoadCol,     // regs[dst] = frame's cell `col`, typed `expect`.
   kCmpI64,      // t[dst] = i[a] cmp i[b]; UNKNOWN when either is null.
   kCmpDbl,      // t[dst] = d[a] cmp d[b]; UNKNOWN when either is null.
   kCmpStr,      // t[dst] = *s[a] cmp *s[b]; UNKNOWN when either is null.
@@ -132,17 +143,15 @@ class ExprProgram {
   /// 3VL predicate evaluation (the compiled Expr::EvalPred).
   TriBool EvalPred(const EvalContext& ctx, ExprScratch* scratch) const;
 
-  /// Batch predicate evaluation over rows [0, num_rows) of the staged
-  /// chunk described by `scratch` (batch_frame / batch_cols): each opcode
+  /// Batch predicate evaluation over the `num_rows` chunk rows described
+  /// by `scratch` (batch_frame / batch_begin): each opcode
   /// dispatches once per chunk and runs as a tight typed loop, so the
   /// per-row cost is the kernel body instead of the VM switch. On success
   /// ANDs IsTrue(predicate) for every row into `mask` and returns true.
   ///
-  /// Returns false — with `mask` untouched — when the program cannot run
-  /// as column kernels for this chunk: a kInterpret op, a load from the
-  /// batch frame whose column is unstaged or unclean, or a non-batch-frame
-  /// load whose current value has drifted from its static type. Callers
-  /// then fall back to per-row EvalPred, which is exact.
+  /// Returns false — with `mask` untouched — when the program holds a
+  /// kInterpret op, which cannot run as a column kernel. Callers then fall
+  /// back to per-row EvalPred, which is exact.
   ///
   /// Evaluates all rows, including rows whose mask byte is already 0: ops
   /// are pure and total (division by zero yields NULL), so the dead lanes
@@ -153,7 +162,7 @@ class ExprProgram {
                     ExprVecScratch* vec, size_t num_rows,
                     uint8_t* mask) const;
 
-  /// Batch scalar evaluation over rows [0, num_rows) of the staged chunk:
+  /// Batch scalar evaluation over the chunk rows described by `scratch`:
   /// the register VM of EvalPredMask, returning the root register (valid
   /// until the next batch call on `vec`). Row k holds Eval's value for
   /// chunk row k: NULL when `null[k]`, else `i[k]` or `d[k]` by
@@ -172,9 +181,7 @@ class ExprProgram {
     return root_is_pred_ ? ValueType::kNull : root_type_;
   }
 
-  /// True when no opcode falls back to the tree interpreter. (Per-row
-  /// type-mismatch bails can still interpret, but never fire on tables
-  /// that satisfy Table::Validate.)
+  /// True when no opcode falls back to the tree interpreter.
   bool fully_compiled() const { return interpret_ops_ == 0; }
   bool has_interpret() const { return interpret_ops_ != 0; }
 
@@ -187,11 +194,6 @@ class ExprProgram {
   void PrepareScratch(ExprScratch* scratch) const {
     if (scratch->regs.size() < num_regs_) scratch->regs.resize(num_regs_);
   }
-
-  /// Appends every column id this program loads from `frame` to `cols`
-  /// (kLoadCol ops and, conservatively, nothing for kInterpret — the
-  /// interpreter reads rows directly, so its columns need no staging).
-  void CollectColumns(size_t frame, std::vector<uint32_t>* cols) const;
 
   /// Disassembly, one op per line ("0: loadcol f1 c3 -> r0").
   std::string ToString() const;

@@ -22,19 +22,20 @@ Result<Table> NativeEvaluator::Run(NestedSelect* query) {
   GMDJ_RETURN_IF_ERROR(source_plan->Prepare(*catalog_));
   GMDJ_ASSIGN_OR_RETURN(Table base, source_plan->Execute(&ctx_));
 
-  Table out(base.schema());
   EvalContext ectx;
-  ectx.PushFrame(&query->schema(), nullptr);
+  ectx.PushFrame(&base);
   ctx_.stats().table_scans += 1;
   ctx_.stats().rows_scanned += base.num_rows();
-  for (const Row& row : base.rows()) {
-    ectx.SetTopRow(&row);
+  std::vector<uint32_t> keep_rows;
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    ectx.SetTopRow(r);
     TriBool keep = TriBool::kTrue;
     if (query->where != nullptr) {
       GMDJ_ASSIGN_OR_RETURN(keep, EvalPred(*query->where, &ectx));
     }
-    if (IsTrue(keep)) out.AppendRow(row);
+    if (IsTrue(keep)) keep_rows.push_back(static_cast<uint32_t>(r));
   }
+  Table out = base.Gather(keep_rows);
   ctx_.stats().rows_output += out.num_rows();
   return out;
 }
@@ -46,7 +47,6 @@ Status NativeEvaluator::PrepareBlock(NestedSelect* sub, size_t depth) {
   PlanPtr plan = sub->SourcePlan();
   GMDJ_RETURN_IF_ERROR(plan->Prepare(*catalog_));
   GMDJ_ASSIGN_OR_RETURN(state.table, plan->Execute(&ctx_));
-  state.schema = &sub->schema();
 
   if (options_.use_indexes && sub->where != nullptr) {
     // Find equality conjuncts `local_col = outer_expr` in the top-level
@@ -308,9 +308,9 @@ Result<TriBool> NativeEvaluator::EvalExists(const ExistsPred& pred,
   const std::vector<uint32_t>* candidates = Candidates(state, ctx, &scratch);
 
   bool found = false;
-  ctx->PushFrame(state.schema, nullptr);
+  ctx->PushFrame(&state.table);
   for (const uint32_t r : *candidates) {
-    ctx->SetTopRow(&state.table.row(r));
+    ctx->SetTopRow(r);
     ctx_.stats().rows_scanned += 1;
     TriBool w = TriBool::kTrue;
     if (pred.sub().where != nullptr) {
@@ -357,9 +357,9 @@ Result<TriBool> NativeEvaluator::EvalCompareSub(const CompareSubPred& pred,
   Value scalar;
   size_t matches = 0;
 
-  ctx->PushFrame(state.schema, nullptr);
+  ctx->PushFrame(&state.table);
   for (const uint32_t r : *candidates) {
-    ctx->SetTopRow(&state.table.row(r));
+    ctx->SetTopRow(r);
     ctx_.stats().rows_scanned += 1;
     TriBool w = TriBool::kTrue;
     if (sub.where != nullptr) {
@@ -426,9 +426,9 @@ Result<TriBool> NativeEvaluator::EvalQuantSub(const QuantSubPred& pred,
   bool any_false = false;
   bool any_unknown = false;
 
-  ctx->PushFrame(state.schema, nullptr);
+  ctx->PushFrame(&state.table);
   for (const uint32_t r : *candidates) {
-    ctx->SetTopRow(&state.table.row(r));
+    ctx->SetTopRow(r);
     ctx_.stats().rows_scanned += 1;
     TriBool w = TriBool::kTrue;
     if (sub.where != nullptr) {

@@ -56,7 +56,6 @@ class NativeEvaluator {
  private:
   struct SubState {
     Table table;  // Materialized subquery source.
-    const Schema* schema = nullptr;
     std::unique_ptr<HashIndex> index;        // Over local equality columns.
     std::vector<const Expr*> probe_exprs;    // Outer-side key expressions.
     size_t frame = 0;                        // The block's frame index.

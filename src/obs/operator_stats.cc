@@ -1,5 +1,7 @@
 #include "obs/operator_stats.h"
 
+#include <algorithm>
+
 namespace gmdj {
 namespace obs {
 
@@ -15,6 +17,8 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   completion_discards += other.completion_discards;
   completion_freezes += other.completion_freezes;
   compiled_conditions += other.compiled_conditions;
+  morsels += other.morsels;
+  threads = std::max(threads, other.threads);
   interpreter_fallbacks += other.interpreter_fallbacks;
   typed_aggs += other.typed_aggs;
   aggs += other.aggs;

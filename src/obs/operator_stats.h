@@ -39,6 +39,8 @@ struct OperatorStats {
   uint64_t rows_in = 0;    // Rows consumed from children.
   uint64_t rows_out = 0;   // Rows produced.
   uint64_t batches = 0;    // Processing chunks / morsels handled.
+  uint64_t morsels = 0;    // Parallel GMDJ morsels (0 = ran sequentially).
+  uint64_t threads = 0;    // Most threads a GMDJ pass ran on.
   uint64_t predicate_evals = 0;
   uint64_t hash_probes = 0;
 

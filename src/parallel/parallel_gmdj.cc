@@ -10,7 +10,6 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "exec/detail_batch.h"
 #include "expr/expr.h"
 #include "expr/program.h"
 #include "obs/metrics.h"
@@ -20,7 +19,7 @@
 namespace gmdj {
 namespace {
 
-/// Detail rows staged per chunk: the kernel's unit of work, and the
+/// Detail rows per chunk: the kernel's unit of work, and the
 /// liveness-poll stride of both evaluators.
 constexpr size_t kChunkRows = 1024;
 /// Interval stab output buffered per chunk; past it, the binding group's
@@ -205,9 +204,9 @@ void FoldTyped(AggKind kind, const T* vals, const uint8_t* null,
 }
 
 /// Working state of one pass over detail rows — the sequential pass, or
-/// one morsel slot — and the chunk kernel both evaluators run. Per staged
-/// chunk the kernel stages the touched detail columns and runs every
-/// condition's detail-only conjuncts as masks, then takes the conditions
+/// one morsel slot — and the chunk kernel both evaluators run. Per chunk
+/// the kernel runs every condition's detail-only conjuncts as masks over
+/// the detail table's columns, read in place, then takes the conditions
 /// in runtime order:
 ///  - a binding group runs one probe or stab per row that passes at least
 ///    one member's mask (hash candidates are spans into the index; stab
@@ -256,13 +255,16 @@ class GmdjScan {
     ExprVecScratch vec;
   };
 
-  /// Stages chunk [begin, begin+rows) and computes the detail-only masks.
+  /// Starts chunk [begin, begin+rows) and computes the detail-only masks.
   void BeginChunk(size_t begin, size_t rows);
   /// Makes chunk row `i` the current detail row.
   void SetRow(size_t i) {
-    detail_row_ = &detail_rows_[chunk_begin_ + i];
+    detail_row_ = chunk_begin_ + i;
     ectx_.SetRow(1, detail_row_);
-    scratch_.batch_row = i;
+  }
+  /// Detail column `col` from the chunk's first row on, in place.
+  ColumnVector DetailColumn(size_t col) const {
+    return ColumnVector::Of(in_->detail->column(col), chunk_begin_);
   }
   /// Runs binding group `g`'s lookups for rows [r0, rows) into `cands_`,
   /// stopping early when the stab buffer fills; returns the end row.
@@ -303,10 +305,6 @@ class GmdjScan {
                                          const GmdjCondRuntime& rt);
   const std::vector<uint32_t>* ProbeBoxed(std::span<const EqBinding> keys,
                                           const HashIndex& hash);
-  /// `rt`'s single int64 probe column staged clean for this chunk, when
-  /// it has an unboxed index; else null.
-  const ColumnVector* TypedProbeColumn(const GmdjCondRuntime& rt,
-                                       std::span<const EqBinding> keys) const;
   /// Appends the current row's stab of `rt`'s interval index to `out`.
   void Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out);
 
@@ -316,10 +314,7 @@ class GmdjScan {
   const GmdjCondRuntime* runtimes_ = nullptr;
   size_t num_runtimes_ = 0;
   size_t total_aggs_ = 0;
-  const Row* base_rows_ = nullptr;
-  const Row* detail_rows_ = nullptr;
   EvalContext ectx_;
-  DetailBatch batch_;
   ExprScratch scratch_;
   ExprVecScratch vec_scratch_;
   // Per runtime: the chunk's detail-only pass mask, and a pointer to it
@@ -329,7 +324,7 @@ class GmdjScan {
   size_t chunk_begin_ = 0;
   size_t chunk_rows_ = 0;
   uint64_t chunk_seq_ = 0;
-  const Row* detail_row_ = nullptr;  // The current detail row.
+  size_t detail_row_ = 0;  // The current detail row.
   Row probe_key_;
   // Binding groups: member runtimes in runtime order.
   std::vector<std::vector<uint32_t>> groups_;
@@ -355,14 +350,9 @@ void GmdjScan::Init(const GmdjEvalInput& in) {
   runtimes_ = in.runtimes->data();
   num_runtimes_ = in.runtimes->size();
   total_aggs_ = in.total_aggs;
-  base_rows_ = in.base->rows().data();
-  detail_rows_ = in.detail->rows().data();
-  ectx_.PushFrame(in.base_schema, nullptr);
-  ectx_.PushFrame(in.detail_schema, nullptr);
-  if (in.compiled) {
-    batch_.Configure(*in.detail_schema, in.batch_columns);
-    scratch_.batch_frame = 1;
-  }
+  ectx_.PushFrame(in.base);
+  ectx_.PushFrame(in.detail);
+  scratch_.batch_frame = 1;
   pass_.resize(num_runtimes_);
   masks_.assign(num_runtimes_, nullptr);
   for (size_t ci = 0; ci < num_runtimes_; ++ci) {
@@ -381,13 +371,7 @@ void GmdjScan::BeginChunk(size_t begin, size_t rows) {
   chunk_begin_ = begin;
   chunk_rows_ = rows;
   ++chunk_seq_;
-  if (compiled_) {
-    // Decode the chunk once into typed columns for the batch masks, the
-    // probe keys, and the typed aggregate folds.
-    batch_.Stage(*in_->detail, begin, rows);
-    scratch_.batch_cols = batch_.column_ptrs();
-    scratch_.batch_num_cols = batch_.num_columns();
-  }
+  scratch_.batch_begin = begin;
   // Each condition's detail-only conjuncts, as a pass mask over the chunk.
   // Conjunct j only counts rows that passed conjuncts < j, so
   // predicate_evals matches a short-circuiting row-at-a-time evaluation.
@@ -481,16 +465,19 @@ size_t GmdjScan::CollectCandidates(size_t g, size_t r0, size_t rows) {
 
   if (rt.analysis->strategy == CondStrategy::kHash) {
     const std::span<const EqBinding> keys = rt.analysis->eq_bindings;
-    const ColumnVector* typed = TypedProbeColumn(rt, keys);
+    if (rt.typed_hash != nullptr) {
+      const ColumnVector key = DetailColumn(keys[0].detail_col);
+      for (size_t i = r0; i < rows; ++i) {
+        cands_[i] = {};
+        if (!want_[i] || key.null[i]) continue;  // NULL key: no match.
+        hash_probes += 1;
+        cands_[i] = rt.typed_hash->Probe(key.i64[i]);
+      }
+      return rows;
+    }
     for (size_t i = r0; i < rows; ++i) {
       cands_[i] = {};
       if (!want_[i]) continue;
-      if (typed != nullptr) {
-        if (typed->null[i]) continue;  // NULL key: no equality match.
-        hash_probes += 1;
-        cands_[i] = rt.typed_hash->Probe(typed->i64[i]);
-        continue;
-      }
       SetRow(i);
       const std::vector<uint32_t>* found = ProbeBoxed(keys, *rt.hash);
       if (found != nullptr) cands_[i] = *found;
@@ -643,7 +630,7 @@ void GmdjScan::FoldMatches(const GmdjCondition& cond,
     for (size_t k = 0; k < matches.rows.size(); ++k) {
       SetRow(matches.rows[k]);
       for (const uint32_t b : matches.bases[k]) {
-        ectx_.SetRow(0, &base_rows_[b]);
+        ectx_.SetRow(0, b);
         col[static_cast<size_t>(b) * total_aggs_].Update(
             agg.kind, prog != nullptr ? prog->Eval(ectx_, &scratch_)
                                       : agg.arg->Eval(ectx_));
@@ -658,13 +645,12 @@ bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,
   const ExprVecReg* reg = nullptr;
   switch (progs.agg_folds[a]) {
     case AggFold::kColumn: {
-      const ColumnVector* cv = batch_.column(prog.op(0).col);
-      if (cv == nullptr) return false;  // Unclean this chunk.
-      arg->null = cv->null.data();
-      if (cv->type == ValueType::kInt64) {
-        arg->i64 = cv->i64.data();
+      const ColumnVector cv = DetailColumn(prog.op(0).col);
+      arg->null = cv.null;
+      if (cv.type == ValueType::kInt64) {
+        arg->i64 = cv.i64;
       } else {
-        arg->dbl = cv->dbl.data();
+        arg->dbl = cv.dbl;
       }
       return true;
     }
@@ -691,7 +677,7 @@ bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,
 }
 
 bool GmdjScan::ResidualMatches(const GmdjCondRuntime& rt, uint32_t b) {
-  ectx_.SetRow(0, &base_rows_[b]);
+  ectx_.SetRow(0, b);
   if (const GmdjCondPrograms* p = progs(rt); p != nullptr) {
     for (const ExprProgram& prog : p->residual) {
       predicate_evals += 1;
@@ -714,72 +700,33 @@ bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
                     : rt.pair_cmp->EvalPred(ectx_));
 }
 
-const ColumnVector* GmdjScan::TypedProbeColumn(
-    const GmdjCondRuntime& rt, std::span<const EqBinding> keys) const {
-  // CompileRuntimes only builds `typed_hash` for drift-free int64 = int64
-  // single-key bindings; the chunk must also have staged the key clean.
-  if (rt.typed_hash == nullptr) return nullptr;
-  const ColumnVector* cv =
-      batch_.column(static_cast<uint32_t>(keys[0].detail_col));
-  return cv != nullptr && cv->type == ValueType::kInt64 ? cv : nullptr;
-}
-
 const std::vector<uint32_t>* GmdjScan::ProbeHash(
     std::span<const EqBinding> keys, const GmdjCondRuntime& rt) {
-  if (const ColumnVector* cv = TypedProbeColumn(rt, keys); cv != nullptr) {
-    const size_t i = scratch_.batch_row;
-    if (cv->null[i]) return nullptr;  // NULL key: no equality match.
+  if (rt.typed_hash != nullptr) {
+    const Column& key = in_->detail->column(keys[0].detail_col);
+    if (key.is_null(detail_row_)) return nullptr;  // NULL: no match.
     hash_probes += 1;
-    return &rt.typed_hash->Probe(cv->i64[i]);
+    return &rt.typed_hash->Probe(key.i64(detail_row_));
   }
   return ProbeBoxed(keys, *rt.hash);
 }
 
 void GmdjScan::Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out) {
-  const uint32_t col =
-      static_cast<uint32_t>(rt.analysis->interval->detail_col);
-  const ColumnVector* cv = compiled_ ? batch_.column(col) : nullptr;
-  double key;
-  if (cv != nullptr && cv->type != ValueType::kString) {
-    const size_t i = scratch_.batch_row;
-    if (cv->null[i]) return;
-    key = cv->type == ValueType::kInt64 ? static_cast<double>(cv->i64[i])
-                                        : cv->dbl[i];
-  } else {
-    const Value& v = (*detail_row_)[col];
-    if (v.is_null()) return;
-    key = v.AsDouble();
-  }
-  rt.interval->Stab(key, out);
+  const Column& key = in_->detail->column(rt.analysis->interval->detail_col);
+  if (key.is_null(detail_row_)) return;
+  rt.interval->Stab(key.type() == ValueType::kInt64
+                        ? static_cast<double>(key.i64(detail_row_))
+                        : key.dbl(detail_row_),
+                    out);
 }
 
 const std::vector<uint32_t>* GmdjScan::ProbeBoxed(
     std::span<const EqBinding> keys, const HashIndex& hash) {
-  // Key extraction reads the staged typed columns when available.
-  const size_t i = scratch_.batch_row;
   probe_key_.clear();
   for (const EqBinding& eq : keys) {
-    const ColumnVector* cv =
-        compiled_ ? batch_.column(static_cast<uint32_t>(eq.detail_col))
-                  : nullptr;
-    if (cv == nullptr) {
-      const Value& v = (*detail_row_)[eq.detail_col];
-      if (v.is_null()) return nullptr;
-      probe_key_.push_back(v);
-      continue;
-    }
-    if (cv->null[i]) return nullptr;
-    switch (cv->type) {
-      case ValueType::kInt64:
-        probe_key_.push_back(Value(cv->i64[i]));
-        break;
-      case ValueType::kDouble:
-        probe_key_.push_back(Value(cv->dbl[i]));
-        break;
-      default:
-        probe_key_.push_back(Value(*cv->str[i]));
-        break;
-    }
+    const Column& key = in_->detail->column(eq.detail_col);
+    if (key.is_null(detail_row_)) return nullptr;
+    probe_key_.push_back(key.Get(detail_row_));
   }
   hash_probes += 1;
   return &hash.Probe(probe_key_);

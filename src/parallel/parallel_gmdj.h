@@ -19,7 +19,7 @@ namespace gmdj {
 /// How the chunk kernel folds one aggregate into its AggState.
 enum class AggFold : unsigned char {
   kCountStar,  // Increments the count; no argument.
-  kColumn,     // Reads the int64/double argument from the staged column.
+  kColumn,     // Reads the int64/double argument column in place.
   kBatch,      // Detail-only argument, evaluated once per chunk (EvalBatch).
   kValue,      // Per-pair Value: strings, base-reading arguments, interpret.
 };
@@ -34,9 +34,7 @@ struct GmdjCondPrograms {
   std::unique_ptr<ExprProgram> pair_cmp; // ψ of a fused ALL pair, if any.
   /// Aligned with cond->aggs; null for count(*) (no argument to evaluate).
   std::vector<std::unique_ptr<ExprProgram>> agg_args;
-  /// Aligned with cond->aggs: the fold each aggregate takes. A typed fold
-  /// whose column or batch program cannot run on a chunk (type drift)
-  /// takes the per-pair Value fold for that chunk.
+  /// Aligned with cond->aggs: the fold each aggregate takes.
   std::vector<AggFold> agg_folds;
   /// Every program above lowered without a kInterpret fallback op.
   bool fully_compiled = false;
@@ -65,10 +63,8 @@ struct GmdjCondRuntime {
   bool skip = false;  // Filtered half of a fused pair.
   std::shared_ptr<HashIndex> hash;
   /// Unboxed probe fast path, built only in compiled mode for conditions
-  /// with exactly one int64 = int64 equality binding (and only when the
-  /// base column is drift-free). Null = probe through `hash`. The probe
-  /// site additionally requires the staged detail column to be clean
-  /// int64 for the chunk, falling back to `hash` row-wise otherwise.
+  /// with exactly one int64 = int64 equality binding: the probe reads the
+  /// detail key column in place. Null = probe through `hash`.
   std::shared_ptr<Int64HashIndex> typed_hash;
   std::shared_ptr<IntervalIndex> interval;
   /// Binding group of a kHash/kInterval condition; -1 for scan dispatch
@@ -94,8 +90,6 @@ struct GmdjCondRuntime {
 struct GmdjEvalInput {
   const Table* base = nullptr;
   const Table* detail = nullptr;
-  const Schema* base_schema = nullptr;
-  const Schema* detail_schema = nullptr;
   const std::vector<GmdjCondRuntime>* runtimes = nullptr;
   size_t total_aggs = 0;
   /// Aggregate kind per flat slot (condition-major order); used to merge
@@ -104,13 +98,10 @@ struct GmdjEvalInput {
   /// Lifecycle governance of the enclosing query; null = ungoverned.
   /// Workers poll it at every morsel boundary.
   QueryContext* query = nullptr;
-  /// True when the runtimes carry compiled programs; evaluators then stage
-  /// detail chunks into a DetailBatch over `batch_columns` and run the
-  /// typed register programs instead of the tree interpreter.
+  /// True when the runtimes carry compiled programs; evaluators then run
+  /// the typed register programs over the detail table's columns, in
+  /// place, instead of the tree interpreter.
   bool compiled = false;
-  /// Detail-schema columns the compiled programs and probe/stab key
-  /// extraction read (union across conditions); empty in interpret mode.
-  std::vector<uint32_t> batch_columns;
   /// Optional |B| x |runtimes| match counters (base-major, then condition)
   /// — the observed RNG(b, R, θ) range sizes EXPLAIN ANALYZE reports as a
   /// histogram. Null (the default) skips collection entirely. Sized and
@@ -129,7 +120,7 @@ struct GmdjEvalResult {
   std::vector<uint8_t> discarded;  // |B|; 1 = excluded from the output.
   size_t num_discarded = 0;
   size_t num_freezes = 0;   // Satisfy-on-match freeze bits set.
-  uint64_t batches = 0;     // Staging chunks (sequential) / morsels run.
+  uint64_t batches = 0;     // Chunks (sequential) / morsels run.
 };
 
 /// Whether the morsel-parallel evaluator reproduces the sequential

@@ -53,9 +53,9 @@ PlannerConfig PlannerConfig::FromEnv() {
   return config;
 }
 
-std::string PlanDecision::Summary() const {
+std::string PlanDecision::Summary(std::string_view label) const {
   std::ostringstream out;
-  out << "planner: strategy=" << StrategyToString(strategy);
+  out << label << ": strategy=" << StrategyToString(strategy);
   if (!signature.empty()) {
     out << " cost=" << FormatRows(est_cost)
         << " est_rows=" << FormatRows(est_result_rows)
@@ -63,7 +63,7 @@ std::string PlanDecision::Summary() const {
                                             : std::to_string(num_threads));
     if (replanned) out << " replanned=yes";
   }
-  out << "\nplanner: " << rationale;
+  out << "\n" << label << ": " << rationale;
   return out.str();
 }
 

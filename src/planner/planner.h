@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,8 +68,8 @@ struct PlanDecision {
   std::vector<StrategyCostEstimate> estimates;
 
   /// "planner: strategy=... est_rows=... | rationale" lines prepended to
-  /// EXPLAIN output (and shown by the shell).
-  std::string Summary() const;
+  /// EXPLAIN output (and shown by the shell); `label` replaces "planner".
+  std::string Summary(std::string_view label = "planner") const;
 };
 
 /// Cost-based adaptive planner: consumes per-column statistics

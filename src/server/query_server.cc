@@ -119,11 +119,8 @@ HttpResponse ErrorResponseRetry(int http_status, const Status& status,
 /// as plain text, one line per row.
 std::string PlanTableToText(const Table& table) {
   std::string out;
-  for (const Row& row : table.rows()) {
-    if (!row.empty()) {
-      out += row[0].type() == ValueType::kString ? row[0].str()
-                                                 : row[0].ToString();
-    }
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (table.num_columns() > 0) out += table.cell(r, 0).ToString();
     out += '\n';
   }
   return out;

@@ -40,18 +40,17 @@ std::string JsonEscape(const std::string& raw) {
 
 namespace {
 
-void AppendValueJson(const Value& value, std::string* out) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      *out += "null";
-      break;
-    case ValueType::kString:
-      *out += '"';
-      *out += JsonEscape(value.str());
-      *out += '"';
-      break;
-    default:
-      *out += value.ToString();
+/// Appends cell `r` of `col`, read in place: null, a quoted string, or
+/// the number as Value::ToString prints it.
+void AppendCellJson(const Column& col, size_t r, std::string* out) {
+  if (col.is_null(r)) {
+    *out += "null";
+  } else if (col.type() == ValueType::kString) {
+    *out += '"';
+    *out += JsonEscape(col.str(r));
+    *out += '"';
+  } else {
+    *out += col.Get(r).ToString();
   }
 }
 
@@ -70,10 +69,9 @@ std::string TableToJson(const Table& table, double elapsed_ms,
   for (size_t r = 0; r < table.num_rows(); ++r) {
     if (r > 0) out += ", ";
     out += '[';
-    const Row& row = table.row(r);
-    for (size_t c = 0; c < row.size(); ++c) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) out += ", ";
-      AppendValueJson(row[c], &out);
+      AppendCellJson(table.column(c), r, &out);
     }
     out += ']';
   }
@@ -95,10 +93,10 @@ std::string TableToTsv(const Table& table) {
     out += table.schema().field(i).QualifiedName();
   }
   out += '\n';
-  for (const Row& row : table.rows()) {
-    for (size_t c = 0; c < row.size(); ++c) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) out += '\t';
-      out += row[c].ToString();
+      out += table.cell(r, c).ToString();
     }
     out += '\n';
   }

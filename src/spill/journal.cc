@@ -380,6 +380,13 @@ Result<JournalReplayStats> ReplayJournal(const std::string& path,
                               ", table has " +
                               std::to_string((*table)->schema().num_fields()));
     }
+    for (const Row& row : mutation.rows) {
+      const Status typed = (*table)->CheckRow(row);
+      if (!typed.ok()) {
+        return Status::DataLoss("journal rows for '" + mutation.table +
+                                "' do not fit the table: " + typed.message());
+      }
+    }
   }
   for (size_t i = first_uncovered; i < staged.size(); ++i) {
     PendingMutation& mutation = staged[i];
@@ -387,7 +394,8 @@ Result<JournalReplayStats> ReplayJournal(const std::string& path,
     GMDJ_ASSIGN_OR_RETURN(Table * table,
                           catalog->GetMutableTable(mutation.table));
     stats.rows_applied += mutation.rows.size();
-    for (Row& row : mutation.rows) table->AppendRow(std::move(row));
+    // Each record's rows go into the columns and are released at once.
+    GMDJ_RETURN_IF_ERROR(table->AppendRows(std::exchange(mutation.rows, {})));
     ++stats.records_applied;
   }
   return stats;

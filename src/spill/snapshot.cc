@@ -151,9 +151,7 @@ Status WriteSnapshotInto(const Catalog& catalog, const std::string& dir,
         std::unique_ptr<SpillWriter> writer,
         SpillWriter::Open(dir + "/" + file, kSnapshotBlockRows,
                           /*scope=*/nullptr));
-    for (const Row& row : table->rows()) {
-      GMDJ_RETURN_IF_ERROR(writer->Append(row));
-    }
+    GMDJ_RETURN_IF_ERROR(writer->AppendTable(*table));
     GMDJ_RETURN_IF_ERROR(writer->Finish());
     GMDJ_RETURN_IF_ERROR(FsyncPath(dir + "/" + file));
 
@@ -331,26 +329,23 @@ Status LoadSnapshotTables(const std::string& dir,
                               ": " + reader_or.status().message());
     }
     std::unique_ptr<SpillReader> reader = std::move(*reader_or);
-    std::vector<Row> rows;
-    Status read = reader->ReadAll(&rows);
+    // Column blocks decode straight into the table's columns.
+    Table table(std::move(schema));
+    table.Reserve(num_rows);
+    Status read = reader->ReadInto(&table);
     if (!read.ok()) {
       // A torn or bit-flipped block surfaces as a checksum/decode error;
       // retype it so callers can tell corruption from engine bugs.
       return Status::DataLoss("snapshot: corrupt data file " + file + ": " +
                               read.message());
     }
-    if (rows.size() != num_rows) {
+    if (table.num_rows() != num_rows) {
       return Status::DataLoss(
-          "snapshot: table " + name + " has " + std::to_string(rows.size()) +
-          " rows, manifest promised " + std::to_string(num_rows));
+          "snapshot: table " + name + " has " +
+          std::to_string(table.num_rows()) + " rows, manifest promised " +
+          std::to_string(num_rows));
     }
-    for (const Row& row : rows) {
-      if (row.size() != num_cols) {
-        return Status::DataLoss("snapshot: table " + name +
-                                " row width mismatch");
-      }
-    }
-    staged->emplace_back(name, Table(std::move(schema), std::move(rows)));
+    staged->emplace_back(name, std::move(table));
   }
   return Status::OK();
 }

@@ -1,5 +1,6 @@
 #include "spill/spill_file.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -100,6 +101,38 @@ Status SpillWriter::WriteRows(const Row* rows, size_t num_rows) {
     GMDJ_RETURN_IF_ERROR(WriteRows(rows, half));
     return WriteRows(rows + half, num_rows - half);
   }
+  return WriteEncoded(block, num_rows);
+}
+
+Status SpillWriter::AppendTable(const Table& table) {
+  GMDJ_RETURN_IF_ERROR(Flush());
+  if (num_cols_ == 0) num_cols_ = table.num_columns();
+  GMDJ_CHECK(table.num_columns() == num_cols_);
+  for (size_t begin = 0; begin < table.num_rows(); begin += block_rows_) {
+    Status gate = GMDJ_FAULT_POINT("spill/disk-full");
+    if (gate.ok()) gate = GMDJ_FAULT_POINT("spill/write");
+    GMDJ_RETURN_IF_ERROR(gate);
+    GMDJ_RETURN_IF_ERROR(WriteTableRows(
+        table, begin, std::min(block_rows_, table.num_rows() - begin)));
+  }
+  return Status::OK();
+}
+
+Status SpillWriter::WriteTableRows(const Table& table, size_t begin,
+                                   size_t num_rows) {
+  std::string block;
+  const Status encoded = EncodeBlock(table, begin, num_rows, &block);
+  if (!encoded.ok()) {
+    if (num_rows <= 1) return encoded;
+    const size_t half = num_rows / 2;
+    GMDJ_RETURN_IF_ERROR(WriteTableRows(table, begin, half));
+    return WriteTableRows(table, begin + half, num_rows - half);
+  }
+  return WriteEncoded(block, num_rows);
+}
+
+Status SpillWriter::WriteEncoded(const std::string& block, size_t num_rows) {
+  GMDJ_CHECK(file_ != nullptr);
   if (scope_ != nullptr) {
     GMDJ_RETURN_IF_ERROR(scope_->ChargeBlock(block.size()));
   }
@@ -160,7 +193,7 @@ void SpillReader::Close() {
   }
 }
 
-Status SpillReader::ReadBlock(std::vector<Row>* out, bool* eof) {
+Status SpillReader::ReadRawBlock(BlockHeader* header, bool* eof) {
   *eof = false;
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("spill/read"));
   char header_bytes[kBlockHeaderSize];
@@ -173,21 +206,27 @@ Status SpillReader::ReadBlock(std::vector<Row>* out, bool* eof) {
     if (std::ferror(file_)) return ErrnoStatus("read", path_);
     return Status::Internal("spill file truncated mid-header: " + path_);
   }
-  GMDJ_ASSIGN_OR_RETURN(BlockHeader header, ParseBlockHeader(header_bytes));
-  payload_.resize(header.payload_size);
-  if (header.payload_size > 0 &&
-      std::fread(payload_.data(), 1, header.payload_size, file_) !=
-          header.payload_size) {
+  GMDJ_ASSIGN_OR_RETURN(*header, ParseBlockHeader(header_bytes));
+  payload_.resize(header->payload_size);
+  if (header->payload_size > 0 &&
+      std::fread(payload_.data(), 1, header->payload_size, file_) !=
+          header->payload_size) {
     if (std::ferror(file_)) return ErrnoStatus("read", path_);
     return Status::Internal("spill file truncated mid-block: " + path_);
   }
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("spill/checksum"));
-  GMDJ_RETURN_IF_ERROR(DecodeBlockPayload(header, payload_.data(), out));
-  const uint64_t block_bytes = kBlockHeaderSize + header.payload_size;
+  const uint64_t block_bytes = kBlockHeaderSize + header->payload_size;
   bytes_read_ += block_bytes;
   blocks_read_ += 1;
   if (scope_ != nullptr) scope_->NoteRead(block_bytes);
   return Status::OK();
+}
+
+Status SpillReader::ReadBlock(std::vector<Row>* out, bool* eof) {
+  BlockHeader header;
+  GMDJ_RETURN_IF_ERROR(ReadRawBlock(&header, eof));
+  if (*eof) return Status::OK();
+  return DecodeBlockPayload(header, payload_.data(), out);
 }
 
 Status SpillReader::ReadAll(std::vector<Row>* out) {
@@ -196,6 +235,19 @@ Status SpillReader::ReadAll(std::vector<Row>* out) {
     GMDJ_RETURN_IF_ERROR(ReadBlock(out, &eof));
   }
   return Status::OK();
+}
+
+Status SpillReader::ReadInto(Table* out) {
+  std::vector<Column> block;
+  while (true) {
+    BlockHeader header;
+    bool eof = false;
+    GMDJ_RETURN_IF_ERROR(ReadRawBlock(&header, &eof));
+    if (eof) return Status::OK();
+    GMDJ_RETURN_IF_ERROR(
+        DecodeBlockPayload(header, payload_.data(), out->schema(), &block));
+    GMDJ_RETURN_IF_ERROR(out->AppendColumns(std::move(block)));
+  }
 }
 
 }  // namespace spill

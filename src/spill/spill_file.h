@@ -39,6 +39,10 @@ class SpillWriter {
   /// row must have the width of the first.
   Status Append(Row row);
 
+  /// Writes every row of `table` in blocks of `block_rows`, encoded from
+  /// its columns in place (after flushing any buffered rows).
+  Status AppendTable(const Table& table);
+
   /// Encodes and writes any buffered rows as a (possibly short) block.
   Status Flush();
 
@@ -60,6 +64,10 @@ class SpillWriter {
   /// thousand rows of very large strings). A single row that still
   /// exceeds the cap is a hard error.
   Status WriteRows(const Row* rows, size_t num_rows);
+  /// Same for rows [begin, begin + num_rows) of `table`.
+  Status WriteTableRows(const Table& table, size_t begin, size_t num_rows);
+  /// Writes one encoded block of `num_rows` rows.
+  Status WriteEncoded(const std::string& block, size_t num_rows);
   void Close();
 
   std::string path_;
@@ -95,6 +103,10 @@ class SpillReader {
   /// Reads every remaining block.
   Status ReadAll(std::vector<Row>* out);
 
+  /// Reads every remaining block straight into `out`'s columns, which
+  /// must match the blocks' width and value types.
+  Status ReadInto(Table* out);
+
   uint64_t bytes_read() const { return bytes_read_; }
   uint64_t blocks_read() const { return blocks_read_; }
   const std::string& path() const { return path_; }
@@ -102,6 +114,9 @@ class SpillReader {
  private:
   SpillReader(std::string path, std::FILE* file, SpillScope* scope);
   void Close();
+  /// Reads the next block's header and verified-size payload into
+  /// `payload_`; `*eof` at end of file.
+  Status ReadRawBlock(BlockHeader* header, bool* eof);
 
   std::string path_;
   std::FILE* file_;

@@ -122,13 +122,13 @@ struct ByteReader {
   Status ReadScalar(ValueType type, Value* v) {
     switch (type) {
       case ValueType::kInt64: {
-        uint64_t raw;
+        uint64_t raw = 0;
         GMDJ_RETURN_IF_ERROR(ReadVarint(&raw));
         *v = Value(UnZigZag(raw));
         return Status::OK();
       }
       case ValueType::kDouble: {
-        uint64_t bits;
+        uint64_t bits = 0;
         GMDJ_RETURN_IF_ERROR(ReadU64(&bits));
         double d;
         std::memcpy(&d, &bits, 8);
@@ -136,7 +136,7 @@ struct ByteReader {
         return Status::OK();
       }
       case ValueType::kString: {
-        uint64_t len;
+        uint64_t len = 0;
         GMDJ_RETURN_IF_ERROR(ReadVarint(&len));
         GMDJ_RETURN_IF_ERROR(Need(len));
         *v = Value(std::string(data + pos, len));
@@ -163,8 +163,9 @@ Result<ValueType> TypeFromByte(uint8_t b) {
   }
 }
 
-void EncodeColumn(const Row* rows, size_t num_rows, size_t col,
-                  std::string* out) {
+/// Encodes one block column whose cell i is `cells[i]`.
+template <typename CellFn>
+void EncodeColumn(size_t num_rows, const CellFn& cells, std::string* out) {
   // Null bitmap (bit set = non-null) plus the non-null value list.
   const size_t bitmap_bytes = (num_rows + 7) / 8;
   const size_t bitmap_at = out->size();
@@ -172,7 +173,7 @@ void EncodeColumn(const Row* rows, size_t num_rows, size_t col,
   std::vector<const Value*> values;
   values.reserve(num_rows);
   for (size_t i = 0; i < num_rows; ++i) {
-    const Value& v = rows[i][col];
+    const Value& v = cells(i);
     if (v.is_null()) continue;
     (*out)[bitmap_at + i / 8] |= static_cast<char>(1u << (i % 8));
     values.push_back(&v);
@@ -250,8 +251,10 @@ void EncodeColumn(const Row* rows, size_t num_rows, size_t col,
   for (const Value* v : values) PutScalar(*v, out);
 }
 
-Status DecodeColumn(ByteReader* reader, size_t num_rows, size_t col,
-                    std::vector<Row>* rows, size_t first_row) {
+/// Decodes one block column, calling `emit(i, value)` for every non-NULL
+/// cell i in row order.
+template <typename EmitFn>
+Status DecodeColumn(ByteReader* reader, size_t num_rows, const EmitFn& emit) {
   const size_t bitmap_bytes = (num_rows + 7) / 8;
   GMDJ_RETURN_IF_ERROR(reader->Need(bitmap_bytes));
   const char* bitmap = reader->data + reader->pos;
@@ -343,25 +346,13 @@ Status DecodeColumn(ByteReader* reader, size_t num_rows, size_t col,
   size_t next = 0;
   for (size_t i = 0; i < num_rows; ++i) {
     if (bitmap[i / 8] & (1 << (i % 8))) {
-      (*rows)[first_row + i][col] = std::move(values[next++]);
+      GMDJ_RETURN_IF_ERROR(emit(i, std::move(values[next++])));
     }
   }
   return Status::OK();
 }
 
-}  // namespace
-
-uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t h = kFnvOffset;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
-                   std::string* out) {
+Status CheckGeometry(size_t num_rows, size_t num_cols) {
   if (num_rows > kMaxBlockRows || num_cols > kMaxBlockCols) {
     return Status::ResourceExhausted(
         "spill block geometry exceeds format bounds: " +
@@ -369,10 +360,12 @@ Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
         " cols (max " + std::to_string(kMaxBlockRows) + " x " +
         std::to_string(kMaxBlockCols) + ")");
   }
-  std::string payload;
-  for (size_t c = 0; c < num_cols; ++c) {
-    EncodeColumn(rows, num_rows, c, &payload);
-  }
+  return Status::OK();
+}
+
+/// Frames `payload` as one block appended to `out`.
+Status AppendBlock(const std::string& payload, size_t num_rows,
+                   size_t num_cols, std::string* out) {
   if (payload.size() > kMaxPayload) {
     // Unchecked, this would truncate (or past 4 GB, wrap) the u32
     // payload_size below — a block that writes fine and can never be
@@ -390,6 +383,60 @@ Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
   PutU64(Fnv1a64(payload.data(), payload.size()), out);
   out->append(payload);
   return Status::OK();
+}
+
+/// Verifies the checksum and runs `decode_columns` over the payload,
+/// which must consume it exactly.
+template <typename DecodeFn>
+Status DecodePayload(const BlockHeader& header, const char* payload,
+                     const DecodeFn& decode_columns) {
+  if (Fnv1a64(payload, header.payload_size) != header.checksum) {
+    return Status::Internal("spill block checksum mismatch");
+  }
+  ByteReader reader{payload, header.payload_size};
+  GMDJ_RETURN_IF_ERROR(decode_columns(&reader));
+  if (reader.pos != header.payload_size) {
+    return Status::Internal("spill block has trailing payload bytes");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+uint64_t Fnv1a64(const char* data, size_t size) {
+  uint64_t h = kFnvOffset;
+  for (size_t i = 0; i < size; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
+                   std::string* out) {
+  GMDJ_RETURN_IF_ERROR(CheckGeometry(num_rows, num_cols));
+  std::string payload;
+  for (size_t c = 0; c < num_cols; ++c) {
+    EncodeColumn(
+        num_rows, [&](size_t i) -> const Value& { return rows[i][c]; },
+        &payload);
+  }
+  return AppendBlock(payload, num_rows, num_cols, out);
+}
+
+Status EncodeBlock(const Table& table, size_t begin, size_t num_rows,
+                   std::string* out) {
+  GMDJ_RETURN_IF_ERROR(CheckGeometry(num_rows, table.num_columns()));
+  std::string payload;
+  std::vector<Value> cells(num_rows);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& col = table.column(c);
+    for (size_t i = 0; i < num_rows; ++i) cells[i] = col.Get(begin + i);
+    EncodeColumn(
+        num_rows, [&](size_t i) -> const Value& { return cells[i]; },
+        &payload);
+  }
+  return AppendBlock(payload, num_rows, table.num_columns(), out);
 }
 
 Result<BlockHeader> ParseBlockHeader(const char* bytes) {
@@ -410,20 +457,49 @@ Result<BlockHeader> ParseBlockHeader(const char* bytes) {
 
 Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
                           std::vector<Row>* out) {
-  if (Fnv1a64(payload, header.payload_size) != header.checksum) {
-    return Status::Internal("spill block checksum mismatch");
-  }
   const size_t first_row = out->size();
   out->resize(first_row + header.num_rows, Row(header.num_cols));
-  ByteReader reader{payload, header.payload_size};
-  for (size_t c = 0; c < header.num_cols; ++c) {
-    GMDJ_RETURN_IF_ERROR(
-        DecodeColumn(&reader, header.num_rows, c, out, first_row));
+  return DecodePayload(header, payload, [&](ByteReader* reader) {
+    for (size_t c = 0; c < header.num_cols; ++c) {
+      GMDJ_RETURN_IF_ERROR(DecodeColumn(
+          reader, header.num_rows, [&](size_t i, Value v) {
+            (*out)[first_row + i][c] = std::move(v);
+            return Status::OK();
+          }));
+    }
+    return Status::OK();
+  });
+}
+
+Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
+                          const Schema& schema, std::vector<Column>* out) {
+  if (header.num_cols != schema.num_fields()) {
+    return Status::Internal("spill block has " +
+                            std::to_string(header.num_cols) +
+                            " columns, schema has " +
+                            std::to_string(schema.num_fields()));
   }
-  if (reader.pos != header.payload_size) {
-    return Status::Internal("spill block has trailing payload bytes");
-  }
-  return Status::OK();
+  out->clear();
+  return DecodePayload(header, payload, [&](ByteReader* reader) {
+    for (size_t c = 0; c < header.num_cols; ++c) {
+      Column& col = out->emplace_back(schema.field(c).type);
+      col.Reserve(header.num_rows);
+      GMDJ_RETURN_IF_ERROR(DecodeColumn(
+          reader, header.num_rows, [&](size_t i, Value v) {
+            if (!col.Accepts(v)) {
+              return Status::Internal("spill block column " +
+                                      schema.field(c).QualifiedName() +
+                                      " holds a " +
+                                      ValueTypeToString(v.type()) + " value");
+            }
+            while (col.size() < i) col.AppendNull();
+            col.Append(std::move(v));
+            return Status::OK();
+          }));
+      while (col.size() < header.num_rows) col.AppendNull();
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace spill

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/table.h"
 #include "types/row.h"
 
 namespace gmdj {
@@ -75,6 +76,11 @@ struct BlockHeader {
 Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
                    std::string* out);
 
+/// Encodes rows [begin, begin + num_rows) of `table` as one block, reading
+/// its columns in place; same bounds and errors as the row form.
+Status EncodeBlock(const Table& table, size_t begin, size_t num_rows,
+                   std::string* out);
+
 /// Parses a header from `bytes` (kBlockHeaderSize bytes). Internal on a
 /// bad magic or an implausible geometry.
 Result<BlockHeader> ParseBlockHeader(const char* bytes);
@@ -83,6 +89,12 @@ Result<BlockHeader> ParseBlockHeader(const char* bytes);
 /// `out`. Internal on checksum mismatch or a malformed payload.
 Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
                           std::vector<Row>* out);
+
+/// Decodes a block straight into `out`: one typed column per field of
+/// `schema` (replacing its contents). Internal, as above, and when the
+/// block's width or a value's type does not fit `schema`.
+Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
+                          const Schema& schema, std::vector<Column>* out);
 
 }  // namespace spill
 }  // namespace gmdj

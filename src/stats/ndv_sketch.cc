@@ -33,7 +33,11 @@ void NdvSketch::AddHash(uint64_t hash) {
 
 void NdvSketch::AddValue(const Value& value) {
   if (value.is_null()) return;
-  AddHash(Mix64(static_cast<uint64_t>(value.Hash())));
+  AddValueHash(value.Hash());
+}
+
+void NdvSketch::AddValueHash(size_t value_hash) {
+  AddHash(Mix64(static_cast<uint64_t>(value_hash)));
 }
 
 double NdvSketch::Estimate() const {

@@ -40,6 +40,10 @@ class NdvSketch {
   /// Value::Hash / Compare equality.
   void AddValue(const Value& value);
 
+  /// Adds one non-null value given its Value::Hash (a table cell's
+  /// CellHash), without boxing it.
+  void AddValueHash(size_t value_hash);
+
   /// Estimated number of distinct items added.
   double Estimate() const;
 

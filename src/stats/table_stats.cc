@@ -7,15 +7,21 @@ namespace gmdj {
 namespace stats {
 namespace {
 
-void FoldValue(const Value& value, ColumnStats* col) {
-  ++col->num_values;
-  if (value.is_null()) {
-    ++col->num_nulls;
-    return;
-  }
-  col->ndv_sketch.AddValue(value);
-  if (value.type() == ValueType::kInt64 || value.type() == ValueType::kDouble) {
-    const double v = value.AsDouble();
+/// Folds cells [first_row, end) of `cells` into `col`, in place.
+void FoldColumn(const Column& cells, size_t first_row, ColumnStats* col) {
+  const bool numeric = cells.type() == ValueType::kInt64 ||
+                       cells.type() == ValueType::kDouble;
+  for (size_t r = first_row; r < cells.size(); ++r) {
+    ++col->num_values;
+    if (cells.is_null(r)) {
+      ++col->num_nulls;
+      continue;
+    }
+    col->ndv_sketch.AddValueHash(CellHash(cells, r));
+    if (!numeric) continue;
+    const double v = cells.type() == ValueType::kInt64
+                         ? static_cast<double>(cells.i64(r))
+                         : cells.dbl(r);
     if (!col->has_minmax) {
       col->has_minmax = true;
       col->min_value = col->max_value = v;
@@ -49,12 +55,8 @@ TableStats CollectTableStats(const std::string& name, const Table& table,
 void UpdateTableStats(const Table& table, size_t first_row,
                       const TableVersion& version, TableStats* tstats) {
   tstats->columns.resize(table.num_columns());
-  const size_t ncols = table.num_columns();
-  for (size_t r = first_row; r < table.num_rows(); ++r) {
-    const Row& row = table.row(r);
-    for (size_t c = 0; c < ncols && c < row.size(); ++c) {
-      FoldValue(row[c], &tstats->columns[c]);
-    }
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    FoldColumn(table.column(c), first_row, &tstats->columns[c]);
   }
   tstats->row_count = table.num_rows();
   tstats->version = version;

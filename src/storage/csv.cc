@@ -209,7 +209,11 @@ Result<Table> CsvToTable(const std::string& csv, const Schema& schema) {
           Value v, ParseField(fields[c], schema.field(c).type, row_index));
       row.push_back(std::move(v));
     }
-    out.AppendRow(std::move(row));
+    const Status appended = out.AppendRow(std::move(row));
+    if (!appended.ok()) {
+      return Status::InvalidArgument("row " + std::to_string(row_index) +
+                                     ": " + appended.message());
+    }
   }
   return out;
 }

@@ -17,16 +17,16 @@ using KeyMap = std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq>;
 void BuildRange(const Table& table, const std::vector<size_t>& key_columns,
                 size_t begin, size_t end, KeyMap* map) {
   for (size_t r = begin; r < end; ++r) {
-    const Row& row = table.row(r);
     bool has_null = false;
     Row key;
     key.reserve(key_columns.size());
     for (const size_t c : key_columns) {
-      if (row[c].is_null()) {
+      const Column& col = table.column(c);
+      if (col.is_null(r)) {
         has_null = true;
         break;
       }
-      key.push_back(row[c]);
+      key.push_back(col.Get(r));
     }
     if (has_null) continue;
     (*map)[std::move(key)].push_back(static_cast<uint32_t>(r));
@@ -96,14 +96,14 @@ Row HashIndex::ExtractKey(const Row& row) const {
 std::unique_ptr<Int64HashIndex> Int64HashIndex::Build(const Table& table,
                                                       size_t key_column) {
   GMDJ_CHECK(key_column < table.num_columns());
+  const Column& col = table.column(key_column);
+  if (col.type() != ValueType::kInt64) return nullptr;
   auto index = std::make_unique<Int64HashIndex>();
   const size_t num_rows = table.num_rows();
   index->map_.reserve(num_rows);
   for (size_t r = 0; r < num_rows; ++r) {
-    const Value& v = table.row(r)[key_column];
-    if (v.is_null()) continue;
-    if (v.type() != ValueType::kInt64) return nullptr;  // Drift: unusable.
-    index->map_[v.int64()].push_back(static_cast<uint32_t>(r));
+    if (col.is_null(r)) continue;
+    index->map_[col.i64(r)].push_back(static_cast<uint32_t>(r));
   }
   return index;
 }

@@ -56,16 +56,16 @@ class HashIndex {
 /// int64 columns. Probing costs one integer hash instead of a Row key
 /// build + per-Value hashing/comparison.
 ///
-/// Only valid when every indexed value is int64-or-NULL: the generic
-/// HashIndex deliberately equates int64 and double keys of equal numeric
-/// value, so under runtime type drift it must stay authoritative — Build
-/// returns nullptr on the first non-int64 value. Probe lists hold row
+/// Only built over an int64 column, whose cells are int64-or-NULL by the
+/// table's append typing (the generic HashIndex equates int64 and double
+/// keys of equal numeric value, which this index could not). Probe lists
+/// hold row
 /// indices in ascending order, exactly like HashIndex, so candidate
 /// iteration (and thus double-sum rounding) is identical on either index.
 class Int64HashIndex {
  public:
-  /// Builds over `table[key_column]`; nullptr when any value isn't
-  /// int64-or-NULL. NULL keys are not indexed (can never equality-match).
+  /// Builds over `table[key_column]`; nullptr unless the column is int64.
+  /// NULL keys are not indexed (can never equality-match).
   static std::unique_ptr<Int64HashIndex> Build(const Table& table,
                                                size_t key_column);
 

@@ -1,84 +1,169 @@
 #ifndef GMDJ_STORAGE_TABLE_H_
 #define GMDJ_STORAGE_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "storage/column.h"
 #include "types/row.h"
 #include "types/schema.h"
 
 namespace gmdj {
 
-/// An in-memory, row-oriented relation: a schema plus rows.
+class Table;
+
+/// Read-only range over a table's rows that materializes one Row per
+/// dereference. For tests and tools: operators read cells in place.
+class RowRange {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Row;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Row;
+
+    Iterator(const Table* table, size_t i) : table_(table), i_(i) {}
+    Row operator*() const;
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const Iterator& other) const { return i_ == other.i_; }
+    bool operator!=(const Iterator& other) const { return i_ != other.i_; }
+
+   private:
+    const Table* table_;
+    size_t i_;
+  };
+
+  explicit RowRange(const Table* table) : table_(table) {}
+  size_t size() const;
+  Iterator begin() const { return Iterator(table_, 0); }
+  Iterator end() const { return Iterator(table_, size()); }
+  operator std::vector<Row>() const {  // NOLINT(runtime/explicit)
+    return std::vector<Row>(begin(), end());
+  }
+
+ private:
+  const Table* table_;
+};
+
+/// An in-memory, column-oriented relation: a schema plus one typed Column
+/// per field.
 ///
 /// Tables are the unit of exchange between operators; the executor fully
 /// materializes intermediate results (OLAP batch style), which keeps the
 /// three competing engines in this repository directly comparable and makes
 /// the GMDJ's single-scan property easy to observe via ExecStats.
 ///
-/// Row storage is shared copy-on-write: copying a Table (e.g. a scan
-/// returning a catalog table, or `WithQualifier` renaming) is O(1); any
-/// mutating accessor detaches a private copy first. This keeps benchmark
-/// timings about the algorithms, not about redundant materialization.
+/// Columns are shared copy-on-write, each on its own: copying a Table
+/// (a scan returning a catalog table, `WithQualifier` renaming) copies
+/// column handles only, an operator may reuse its input's columns in its
+/// output (the GMDJ appends its aggregate columns to the base columns),
+/// and any mutating accessor detaches private copies first.
 ///
-/// Every mutation path (row appends, bulk loads, in-place edits via
-/// `mutable_rows`, schema edits) bumps a monotone `version` counter. The
-/// MQO aggregate cache (src/mqo/) keys cached GMDJ results on the version
-/// of the catalog table they were computed from, so any mutation — however
-/// it reached the rows — invalidates dependent entries. The counter is
-/// deliberately conservative: `Reserve` and `SortRows` also bump it, which
-/// can only cause a spurious recomputation, never a stale hit.
+/// Appends are typed (Column::Accepts): NULL, the column's type, or an
+/// int64 widened into a double column. Any other value is refused with a
+/// typed error and the table is left unchanged, so a column never holds a
+/// value of another runtime type and kernels read its payload directly.
+///
+/// Every mutation path (appends, cell edits, schema renames, sorts) bumps a
+/// monotone `version` counter. The MQO aggregate cache (src/mqo/) keys
+/// cached GMDJ results on the version of the catalog table they were
+/// computed from, so any mutation invalidates dependent entries. The
+/// counter is deliberately conservative: `Reserve` and `SortRows` also bump
+/// it, which can only cause a spurious recomputation, never a stale hit.
 class Table {
  public:
-  Table() : rows_(std::make_shared<std::vector<Row>>()) {}
-  explicit Table(Schema schema)
-      : schema_(std::move(schema)),
-        rows_(std::make_shared<std::vector<Row>>()) {}
-  Table(Schema schema, std::vector<Row> rows)
-      : schema_(std::move(schema)),
-        rows_(std::make_shared<std::vector<Row>>(std::move(rows))) {}
+  Table() = default;
+  explicit Table(Schema schema);
+
+  /// Assembles a table from finished columns, one per field of `schema`,
+  /// of equal length and each of its field's type.
+  static Result<Table> FromColumns(Schema schema, std::vector<Column> columns);
 
   const Schema& schema() const { return schema_; }
-  Schema* mutable_schema() {
-    ++version_;
-    return &schema_;
-  }
+
+  /// Replaces the schema by one of the same width and field types (a
+  /// rename: new names or qualifiers).
+  void SetSchema(Schema schema);
 
   /// In-place mutation counter: bumped by every mutating accessor. Copies
   /// inherit the current count and then diverge independently; catalog-
   /// level identity additionally tracks re-registration (Catalog).
   uint64_t version() const { return version_; }
 
-  size_t num_rows() const { return rows_->size(); }
+  size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_fields(); }
-  bool empty() const { return rows_->empty(); }
+  bool empty() const { return num_rows_ == 0; }
 
-  const Row& row(size_t i) const { return (*rows_)[i]; }
-  const std::vector<Row>& rows() const { return *rows_; }
+  /// Column `c`, read in place.
+  const Column& column(size_t c) const { return *cols_[c]; }
+  /// Every column's handle, in schema order (stable until AddColumn).
+  using ColumnHandle = std::shared_ptr<const Column>;
+  const ColumnHandle* columns() const { return cols_.data(); }
+  /// Cell (`row`, `c`) as a Value.
+  Value cell(size_t row, size_t c) const { return cols_[c]->Get(row); }
 
-  /// Mutable row access; detaches from any sharing first.
-  std::vector<Row>* mutable_rows() {
-    ++version_;
-    Detach();
-    return rows_.get();
+  /// Row accessors for tests and tools: each materializes Values.
+  Row row(size_t i) const;
+  RowRange rows() const { return RowRange(this); }
+
+  /// Whether `row` may be appended: schema width, and every cell accepted
+  /// by its column. The error names the column and both types.
+  Status CheckRow(const Row& row) const;
+
+  /// Appends a row after CheckRow; a refused row leaves the table as it
+  /// was.
+  Status AppendRow(Row row);
+  Status AppendRow(std::initializer_list<Value> values);
+
+  /// Bulk load: checks every row first, then appends all of them in one
+  /// detach/version bump; a refused row appends none.
+  Status AppendRows(std::vector<Row> rows);
+
+  /// Appends a block of columns, one per field, each of its field's type
+  /// and all of one length.
+  Status AppendColumns(std::vector<Column> block);
+
+  /// Overwrites one cell; `value` must be accepted by the column.
+  Status SetCell(size_t row, size_t c, const Value& value);
+
+  /// Appends a field whose cells are `column` (of the field's type, with
+  /// num_rows() cells), sharing it without a copy.
+  void AddColumn(Field field, std::shared_ptr<const Column> column);
+
+  /// Handle to column `c`, for sharing it into another table.
+  std::shared_ptr<const Column> shared_column(size_t c) const {
+    return cols_[c];
   }
 
-  /// Appends a row; must have schema width (checked in debug builds).
-  void AppendRow(Row row);
+  /// The rows at `indices`, in that order, under the same schema.
+  Table Gather(std::span<const uint32_t> indices) const;
+  /// Rows [begin, end), under the same schema.
+  Table Slice(size_t begin, size_t end) const;
 
-  /// Appends from an initializer list of values.
-  void AppendRow(std::initializer_list<Value> values);
+  /// Room for `n` rows without reallocation (geometric growth).
+  void Reserve(size_t n);
+  /// Rows the columns hold without reallocating (the smallest column's).
+  size_t capacity() const;
 
-  /// Bulk load: appends all rows in one detach/version bump.
-  void AppendRows(std::vector<Row> rows);
-
-  void Reserve(size_t n) { mutable_rows()->reserve(n); }
-
-  /// Copy with every field's qualifier replaced (O(1): rows shared).
+  /// Copy with every field's qualifier replaced (columns shared).
   /// Mirrors `Flow -> F` renaming in the paper's algebra.
   Table WithQualifier(std::string_view qualifier) const {
     Table out = *this;
@@ -86,8 +171,8 @@ class Table {
     return out;
   }
 
-  /// Validates that every row value matches the declared column type
-  /// (NULL always allowed). Used by tests and generators.
+  /// Checks the storage invariants: one column per field, each of its
+  /// field's type and num_rows() long.
   Status Validate() const;
 
   /// Sorts rows into the internal total order (canonical form for
@@ -102,16 +187,17 @@ class Table {
   std::string ToString(size_t max_rows = 50) const;
 
  private:
-  void Detach() {
-    if (rows_.use_count() != 1) {
-      rows_ = std::make_shared<std::vector<Row>>(*rows_);
-    }
-  }
+  /// Private, unshared column `c` (copied first when shared).
+  Column* MutableColumn(size_t c);
 
   Schema schema_;
-  std::shared_ptr<std::vector<Row>> rows_;
+  std::vector<ColumnHandle> cols_;
+  size_t num_rows_ = 0;
   uint64_t version_ = 0;
 };
+
+inline Row RowRange::Iterator::operator*() const { return table_->row(i_); }
+inline size_t RowRange::size() const { return table_->num_rows(); }
 
 }  // namespace gmdj
 

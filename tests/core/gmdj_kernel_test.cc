@@ -391,7 +391,7 @@ TEST_F(GmdjKernelTest, SkewedKeyExceedsStabAndPairCaps) {
                                    base));
   Table detail = DetailTable(60, 1, 13);  // Every non-NULL key is 0...
   for (size_t r = 0; r < detail.num_rows(); r += 2) {
-    (*detail.mutable_rows())[r][0] = Value(int64_t{7});  // ...or 7.
+    ASSERT_TRUE(detail.SetCell(r, 0, Value(int64_t{7})).ok());  // ...or 7.
   }
   catalog_.PutTable("R", std::move(detail));
   const auto make = [] {
@@ -435,7 +435,9 @@ TEST_F(GmdjKernelTest, DiscardOnMatchMixedWithAggregates) {
       if (kept[base_width + 3].int64() > 0) kept[base_width + 3] = Value(1);
       rows.push_back(std::move(kept));
     }
-    return Table(naive.schema(), std::move(rows));
+    Table out(naive.schema());
+    EXPECT_TRUE(out.AppendRows(std::move(rows)).ok());
+    return out;
   };
   ExpectMatchesNaive(make, "discard + aggregates", &spec, expected);
 }
@@ -479,8 +481,8 @@ TEST_F(GmdjKernelTest, SequentialDoubleSumsMatchRowOrderBitForBit) {
     ASSERT_EQ(actual->num_rows(), reference.num_rows());
     for (size_t r = 0; r < reference.num_rows(); ++r) {
       for (size_t c = 0; c < reference.schema().num_fields(); ++c) {
-        const Value& want = reference.row(r)[c];
-        const Value& got = actual->row(r)[c];
+        const Value want = reference.row(r)[c];
+        const Value got = actual->row(r)[c];
         ASSERT_EQ(got.type(), want.type()) << "row " << r << " col " << c;
         if (want.type() == ValueType::kDouble) {
           EXPECT_EQ(std::bit_cast<uint64_t>(got.dbl()),

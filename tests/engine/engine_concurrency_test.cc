@@ -9,10 +9,15 @@
 #include <thread>
 #include <vector>
 
+#include <chrono>
+#include <cstdio>
+
+#include "common/fault_injection.h"
 #include "engine/batch_planner.h"
 #include "engine/olap_engine.h"
 #include "governance/query_context.h"
 #include "gtest/gtest.h"
+#include "spill/journal.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -130,6 +135,56 @@ TEST(EngineConcurrencyTest, PerCallRunsStayIsolatedUnderRaces) {
   });
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(healthy_failures.load(), 0);
+}
+
+// An INSERT holds the catalog lock exclusively only for its in-memory
+// append: while it is parked inside the journal fsync (a delayed fault
+// point), a read on another thread runs to completion.
+TEST(EngineConcurrencyTest, ReadCompletesWhileInsertIsParkedInFsync) {
+  OlapEngine engine;
+  testutil::LoadPaperTables(&engine);
+  const std::string path =
+      ::testing::TempDir() + "/gmdj_engine_concurrency_fsync.wal";
+  std::remove(path.c_str());
+  auto wal = spill::JournalWriter::Open(path, 0);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  engine.set_journal(wal->get());
+  const Result<Table> before = engine.ExecuteSql(kExistsSql,
+                                                 Strategy::kGmdjOptimized);
+  ASSERT_TRUE(before.ok());
+
+  FaultInjector::Global()->Reset();
+  FaultSpec park;
+  park.kind = FaultKind::kDelay;
+  park.delay_micros = 3'000'000;
+  park.max_fires = 1;
+  FaultInjector::Global()->Arm("journal/fsync", park);
+
+  std::atomic<bool> insert_done{false};
+  Status inserted;
+  std::thread writer([&] {
+    inserted = engine.AppendRows(
+        "Flow", {{Value("10.0.0.9"), Value("167.167.167.0"), Value("HTTP"),
+                  Value(int64_t{170}), Value(int64_t{0})}});
+    insert_done.store(true);
+  });
+  while (FaultInjector::Global()->hits("journal/fsync") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The writer is inside its fsync now; the read must not wait for it.
+  const Result<Table> read = engine.ExecuteSql(kExistsSql,
+                                               Strategy::kGmdjOptimized);
+  const bool insert_finished_first = insert_done.load();
+  writer.join();
+  FaultInjector::Global()->Reset();
+  engine.set_journal(nullptr);
+  std::remove(path.c_str());
+
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(testutil::SameRows(*read, *before));
+  EXPECT_FALSE(insert_finished_first);
+  ASSERT_TRUE(inserted.ok()) << inserted.ToString();
+  EXPECT_EQ((*engine.catalog()->GetTable("Flow"))->num_rows(), 7u);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ class ExprTest : public ::testing::Test {
     const Status s = clone->Bind({&table_.schema()});
     EXPECT_TRUE(s.ok()) << s.ToString();
     EvalContext ctx;
-    ctx.PushFrame(&table_.schema(), &table_.row(0));
+    ctx.PushFrame(&table_);
     return clone->Eval(ctx);
   }
 
@@ -30,7 +30,7 @@ class ExprTest : public ::testing::Test {
     const Status s = clone->Bind({&table_.schema()});
     EXPECT_TRUE(s.ok()) << s.ToString();
     EvalContext ctx;
-    ctx.PushFrame(&table_.schema(), &table_.row(0));
+    ctx.PushFrame(&table_);
     return clone->EvalPred(ctx);
   }
 
@@ -178,8 +178,8 @@ TEST_F(ExprTest, CorrelationAcrossFrames) {
   ExprPtr e = Gt(Add(Col("F.a"), Col("U.k")), Lit(13));
   ASSERT_TRUE(e->Bind({&outer.schema(), &table_.schema()}).ok());
   EvalContext ctx;
-  ctx.PushFrame(&outer.schema(), &outer.row(0));
-  ctx.PushFrame(&table_.schema(), &table_.row(0));
+  ctx.PushFrame(&outer);
+  ctx.PushFrame(&table_);
   EXPECT_EQ(e->EvalPred(ctx), TriBool::kTrue);  // 4 + 10 > 13.
 }
 
@@ -189,8 +189,8 @@ TEST_F(ExprTest, InnermostFrameShadowsOuter) {
   ExprPtr e = Col("a");
   ASSERT_TRUE(e->Bind({&outer.schema(), &table_.schema()}).ok());
   EvalContext ctx;
-  ctx.PushFrame(&outer.schema(), &outer.row(0));
-  ctx.PushFrame(&table_.schema(), &table_.row(0));
+  ctx.PushFrame(&outer);
+  ctx.PushFrame(&table_);
   EXPECT_EQ(e->Eval(ctx).int64(), 4);
 }
 
@@ -199,8 +199,8 @@ TEST_F(ExprTest, PinnedFrameForcesResolution) {
   auto pinned = std::make_unique<ColumnRefExpr>("a", 0);
   ASSERT_TRUE(pinned->Bind({&outer.schema(), &table_.schema()}).ok());
   EvalContext ctx;
-  ctx.PushFrame(&outer.schema(), &outer.row(0));
-  ctx.PushFrame(&table_.schema(), &table_.row(0));
+  ctx.PushFrame(&outer);
+  ctx.PushFrame(&table_);
   EXPECT_EQ(pinned->Eval(ctx).int64(), 100);
 
   auto bad = std::make_unique<ColumnRefExpr>("a", 5);
@@ -213,7 +213,7 @@ TEST_F(ExprTest, CloneIsDeepAndPreservesBinding) {
   ExprPtr clone = e->Clone();
   // The clone evaluates without re-binding.
   EvalContext ctx;
-  ctx.PushFrame(&table_.schema(), &table_.row(0));
+  ctx.PushFrame(&table_);
   EXPECT_EQ(clone->EvalPred(ctx), TriBool::kTrue);
 }
 

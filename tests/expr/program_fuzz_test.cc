@@ -3,9 +3,9 @@
 // and evaluated side by side with the tree interpreter over NULL-heavy
 // rows. Every divergence — TriBool predicate outcome, scalar value, or
 // scalar runtime type — is a compiler bug: the compiled programs must be
-// bit-exact, including the Kleene UNKNOWN edges, the div-by-zero → NULL
-// rule, and runtime type drift (values whose type contradicts the
-// declared column type force the program to bail to the interpreter).
+// bit-exact, including the Kleene UNKNOWN edges and the div-by-zero → NULL
+// rule. Runtime type drift in a column (a value whose type contradicts
+// the declared column type) cannot be built: tables refuse it at append.
 //
 // The generator is seeded with fixed constants (common/rng.h is
 // platform-deterministic), so failures reproduce exactly.
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/detail_batch.h"
 #include "expr/expr.h"
 #include "expr/expr_builder.h"
 #include "expr/program.h"
@@ -169,10 +168,10 @@ struct FuzzStats {
 };
 
 // Evaluates `expr` and its compiled program over every (base, detail) row
-// pair, row-decoded and batch-staged, asserting exact agreement of both
-// the 3VL predicate view and the scalar view. Staged programs additionally
-// run through the batch kernels (EvalPredMask), whose IsTrue verdict per
-// row must match the interpreter's.
+// pair, asserting exact agreement of both the 3VL predicate view and the
+// scalar view. Programs the batch kernels accept additionally run through
+// EvalPredMask over the whole detail table, whose IsTrue verdict per row
+// must match the interpreter's.
 void CheckExpr(const Expr& expr, const Table& base, const Table& detail,
                const std::string& context, FuzzStats* stats) {
   const std::vector<const Schema*> frames = {&base.schema(),
@@ -183,62 +182,44 @@ void CheckExpr(const Expr& expr, const Table& base, const Table& detail,
 
   ExprScratch scratch;
   program.PrepareScratch(&scratch);
-  DetailBatch batch;
-  std::vector<uint32_t> cols;
-  program.CollectColumns(1, &cols);
-  batch.Configure(detail.schema(), cols);
-  batch.Stage(detail, 0, detail.num_rows());
-
-  for (int staged = 0; staged < 2; ++staged) {
-    if (staged == 1) {
-      scratch.batch_frame = 1;
-      scratch.batch_cols = batch.column_ptrs();
-      scratch.batch_num_cols = batch.num_columns();
-    } else {
-      scratch.batch_frame = ExprScratch::kNoBatch;
-    }
-    EvalContext ectx;
-    ectx.PushFrame(&base.schema(), nullptr);
-    ectx.PushFrame(&detail.schema(), nullptr);
-    ExprVecScratch vec_scratch;
-    for (size_t b = 0; b < base.num_rows(); ++b) {
-      ectx.SetRow(0, &base.row(b));
-      if (staged == 1) {
-        // Batch kernels: one EvalPredMask call covers every detail row of
-        // this base tuple. A false return (kInterpret op, unclean staged
-        // column, drifted broadcast load) is a legal refusal, not a bug —
-        // the per-row path below is then the only evaluator.
-        std::vector<uint8_t> mask(detail.num_rows(), 1);
-        if (program.EvalPredMask(ectx, scratch, &vec_scratch,
-                                 detail.num_rows(), mask.data())) {
-          stats->batch_evaluated += 1;
-          for (size_t r = 0; r < detail.num_rows(); ++r) {
-            ectx.SetRow(1, &detail.row(r));
-            ASSERT_EQ(mask[r] != 0, IsTrue(expr.EvalPred(ectx)))
-                << context << " batch base=" << b << " detail=" << r
-                << "\nexpr: " << expr.ToString() << "\nprogram:\n"
-                << program.ToString();
-          }
-        }
-      }
+  scratch.batch_frame = 1;
+  scratch.batch_begin = 0;
+  EvalContext ectx;
+  ectx.PushFrame(&base);
+  ectx.PushFrame(&detail);
+  ExprVecScratch vec_scratch;
+  for (size_t b = 0; b < base.num_rows(); ++b) {
+    ectx.SetRow(0, b);
+    // Batch kernels: one EvalPredMask call covers every detail row of this
+    // base tuple. A false return (a kInterpret op) is a legal refusal, not
+    // a bug — the per-row path below is then the only evaluator.
+    std::vector<uint8_t> mask(detail.num_rows(), 1);
+    if (program.EvalPredMask(ectx, scratch, &vec_scratch, detail.num_rows(),
+                             mask.data())) {
+      stats->batch_evaluated += 1;
       for (size_t r = 0; r < detail.num_rows(); ++r) {
-        ectx.SetRow(1, &detail.row(r));
-        scratch.batch_row = r;
-        const TriBool want_t = expr.EvalPred(ectx);
-        const TriBool got_t = program.EvalPred(ectx, &scratch);
-        ASSERT_EQ(want_t, got_t)
-            << context << " staged=" << staged << " base=" << b
-            << " detail=" << r << "\nexpr: " << expr.ToString()
-            << "\nprogram:\n" << program.ToString();
-        const Value want_v = expr.Eval(ectx);
-        const Value got_v = program.Eval(ectx, &scratch);
-        ASSERT_TRUE(want_v.type() == got_v.type() && want_v == got_v)
-            << context << " staged=" << staged << " base=" << b
-            << " detail=" << r << ": interpreted "
-            << want_v.ToString() << " vs compiled " << got_v.ToString()
+        ectx.SetRow(1, r);
+        ASSERT_EQ(mask[r] != 0, IsTrue(expr.EvalPred(ectx)))
+            << context << " batch base=" << b << " detail=" << r
             << "\nexpr: " << expr.ToString() << "\nprogram:\n"
             << program.ToString();
       }
+    }
+    for (size_t r = 0; r < detail.num_rows(); ++r) {
+      ectx.SetRow(1, r);
+      const TriBool want_t = expr.EvalPred(ectx);
+      const TriBool got_t = program.EvalPred(ectx, &scratch);
+      ASSERT_EQ(want_t, got_t)
+          << context << " base=" << b << " detail=" << r
+          << "\nexpr: " << expr.ToString() << "\nprogram:\n"
+          << program.ToString();
+      const Value want_v = expr.Eval(ectx);
+      const Value got_v = program.Eval(ectx, &scratch);
+      ASSERT_TRUE(want_v.type() == got_v.type() && want_v == got_v)
+          << context << " base=" << b << " detail=" << r << ": interpreted "
+          << want_v.ToString() << " vs compiled " << got_v.ToString()
+          << "\nexpr: " << expr.ToString() << "\nprogram:\n"
+          << program.ToString();
     }
   }
 }
@@ -271,11 +252,11 @@ TEST(ProgramFuzzTest, CompiledMatchesInterpreterOnCleanData) {
   EXPECT_GT(stats.batch_evaluated, 0u);
 }
 
-// Same differential check over a detail table whose declared column types
-// lie: an "int" column holding doubles and strings mid-stream. The
-// compiled kLoadCol kernels must detect the drift and bail to the tree
-// interpreter, and DetailBatch must refuse to publish the unclean column,
-// so results still match the interpreter exactly.
+// A detail table whose rows try to make the declared column types lie: an
+// "int" column fed doubles and strings mid-stream. Every such row is
+// refused at append; int64s into the double column widen. The
+// differential check then runs over the rows the table accepted, so
+// results still match the interpreter exactly.
 TEST(ProgramFuzzTest, CompiledMatchesInterpreterUnderTypeDrift) {
   Rng rng(0x51afd54c0ce5ca01ull);
   const Table base =
@@ -287,7 +268,8 @@ TEST(ProgramFuzzTest, CompiledMatchesInterpreterUnderTypeDrift) {
   dirty.AddField(Field{"d", ValueType::kDouble, "R"});
   dirty.AddField(Field{"d2", ValueType::kDouble, "R"});
   dirty.AddField(Field{"s", ValueType::kString, "R"});
-  std::vector<Row> rows;
+  Table detail(dirty);
+  size_t refused = 0;
   for (size_t r = 0; r < 13; ++r) {
     Row row;
     // R.i drifts: int64, double, string, NULL in rotation.
@@ -304,9 +286,22 @@ TEST(ProgramFuzzTest, CompiledMatchesInterpreterUnderTypeDrift) {
                              : RandomCell(&rng, ValueType::kDouble, 0.3));
     row.push_back(RandomCell(&rng, ValueType::kDouble, 0.3));
     row.push_back(RandomCell(&rng, ValueType::kString, 0.3));
-    rows.push_back(std::move(row));
+    const bool drifts = r % 4 == 1 || r % 4 == 2;
+    const Status appended = detail.AppendRow(std::move(row));
+    EXPECT_EQ(appended.ok(), !drifts) << "row " << r << ": "
+                                      << appended.ToString();
+    if (!appended.ok()) {
+      ++refused;
+      EXPECT_EQ(appended.code(), StatusCode::kInvalidArgument);
+    }
   }
-  const Table detail(dirty, rows);
+  EXPECT_EQ(refused, 6u);
+  EXPECT_EQ(detail.num_rows(), 7u);
+  EXPECT_TRUE(detail.Validate().ok());
+  for (size_t r = 0; r < detail.num_rows(); ++r) {
+    const Value d = detail.cell(r, 2);
+    EXPECT_TRUE(d.is_null() || d.type() == ValueType::kDouble);  // Widened.
+  }
 
   // R.i drifts into *strings*, so it may not appear under arithmetic (the
   // interpreter's AsDouble contract); R.d only drifts between the two

@@ -211,12 +211,13 @@ TEST_F(MutationInvalidationTest, BulkLoadInvalidates) {
 }
 
 TEST_F(MutationInvalidationTest, InPlaceRowEditInvalidates) {
-  (*(*catalog_.GetMutableTable("D"))->mutable_rows())[0][0] = Value(9);
+  ASSERT_TRUE((*catalog_.GetMutableTable("D"))->SetCell(0, 0, Value(9)).ok());
   EXPECT_FALSE(ProbeCurrent());
 }
 
 TEST_F(MutationInvalidationTest, SchemaEditInvalidates) {
-  (void)(*catalog_.GetMutableTable("B"))->mutable_schema();
+  Table* b = *catalog_.GetMutableTable("B");
+  b->SetSchema(b->schema());
   EXPECT_FALSE(ProbeCurrent());
 }
 
@@ -249,8 +250,8 @@ TEST_F(MutationInvalidationTest, MutationThenRestoreStillMisses) {
   // Even if the row content is restored, the version has moved on:
   // conservative (spurious recompute), never a stale hit.
   Table* d = *catalog_.GetMutableTable("D");
-  (*d->mutable_rows())[0][0] = Value(3);
-  (*d->mutable_rows())[0][0] = Value(2);
+  ASSERT_TRUE(d->SetCell(0, 0, Value(3)).ok());
+  ASSERT_TRUE(d->SetCell(0, 0, Value(2)).ok());
   EXPECT_FALSE(ProbeCurrent());
 }
 

@@ -252,6 +252,34 @@ TEST_F(SqlExplainTest, CacheProbeOutcomeIsReported) {
   EXPECT_NE(second[0].find("cache=hit"), std::string::npos) << second[0];
 }
 
+// Under kAuto the planner decides the FROM/WHERE block only; the
+// select-list GMDJ above it reports its own threads and morsels.
+TEST_F(SqlExplainTest, SelectListGmdjReportsItsOwnThreadsAndMorsels) {
+  ExecConfig config;
+  config.num_threads = 2;
+  config.morsel_rows = 2;  // 6 flows: three morsels.
+  config.min_parallel_rows = 1;
+  engine_.set_exec_config(config);
+  const Result<Table> out = engine_.ExecuteSql(
+      std::string("EXPLAIN ANALYZE ") + kExample21Sql, Strategy::kAuto);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  const std::string text = PlanText(*out);
+  EXPECT_EQ(text.rfind("planner (outer block): strategy=", 0), 0u) << text;
+  EXPECT_EQ(text.find("\nplanner: "), std::string::npos) << text;
+  EXPECT_NE(text.find("\nselect-list gmdj: threads=2 morsels=3\n"),
+            std::string::npos)
+      << text;
+
+  config.num_threads = 1;
+  engine_.set_exec_config(config);
+  const Result<Table> seq = engine_.ExecuteSql(
+      std::string("EXPLAIN ANALYZE ") + kExample21Sql, Strategy::kAuto);
+  ASSERT_TRUE(seq.ok()) << seq.status().message();
+  EXPECT_NE(PlanText(*seq).find("\nselect-list gmdj: threads=1 sequential\n"),
+            std::string::npos)
+      << PlanText(*seq);
+}
+
 TEST_F(SqlExplainTest, ExplainRejectsNativeStrategies) {
   const Result<Table> out = engine_.ExecuteSql(
       std::string("EXPLAIN ") + kExample21Sql, Strategy::kNativeSmart);

@@ -69,8 +69,11 @@ OlapEngine* FigEngine(int64_t customers, int64_t orders) {
   config.num_orders = orders;
   config.num_lineitems = 1;
   Table orders_table = GenOrdersTable(config);
-  for (Row& row : *orders_table.mutable_rows()) {
-    if (!row[3].is_null()) row[3] = Value(std::floor(row[3].dbl()));
+  for (size_t r = 0; r < orders_table.num_rows(); ++r) {
+    const Value price = orders_table.cell(r, 3);
+    if (price.is_null()) continue;
+    EXPECT_TRUE(
+        orders_table.SetCell(r, 3, Value(std::floor(price.dbl()))).ok());
   }
   engine->catalog()->PutTable("customer", GenCustomerTable(config));
   engine->catalog()->PutTable("orders", std::move(orders_table));

@@ -30,17 +30,19 @@ std::string TestDir(const std::string& name) {
 /// A table exercising every encoder path: negative ints, doubles, low
 /// cardinality strings, NULLs, and a mixed-type column.
 Table TrickyTable() {
-  Table t = testutil::MakeTable({"T.a", "T.b", "T.c"}, {});
+  Table t = testutil::MakeTable({"T.a", "T.b:d", "T.c"}, {});
   for (int64_t i = 0; i < 200; ++i) {
     Row row;
     row.push_back(Value(i - 100));
     row.push_back(i % 5 == 0 ? Value::Null() : Value(0.25 * i));
-    if (i % 3 == 0) {
+    const bool mixed = i % 3 == 0;
+    if (mixed) {
       row.push_back(Value("tag-" + std::to_string(i % 4)));
     } else {
-      row.push_back(Value(i));  // Mixed-type column: tagged encoding.
+      row.push_back(Value(i));
     }
-    t.AppendRow(std::move(row));
+    // A string into the int64 column is refused: columns never mix types.
+    EXPECT_EQ(t.AppendRow(std::move(row)).ok(), !mixed) << "row " << i;
   }
   return t;
 }
@@ -54,8 +56,8 @@ void ExpectSameCatalog(const OlapEngine& actual, const OlapEngine& expected) {
     for (size_t i = 0; i < want->num_rows(); ++i) {
       ASSERT_EQ(got->row(i).size(), want->row(i).size()) << name;
       for (size_t c = 0; c < want->row(i).size(); ++c) {
-        const Value& w = want->row(i)[c];
-        const Value& g = got->row(i)[c];
+        const Value w = want->row(i)[c];
+        const Value g = got->row(i)[c];
         if (w.is_null()) {
           EXPECT_TRUE(g.is_null()) << name << " row " << i << " col " << c;
         } else {

@@ -72,10 +72,16 @@ TEST(Int64HashIndexTest, ProbeMatchesGenericIndex) {
 
 TEST(Int64HashIndexTest, RefusesDriftedColumn) {
   // The generic index equates int64 and double keys of equal value; the
-  // unboxed index cannot, so it must refuse to build over drifted data.
+  // unboxed index cannot. A drifted int64 column can no longer be built:
+  // the table refuses the double at append, so the column the index is
+  // built over holds int64-or-NULL only.
   Table t = MakeTable({"k", "v"}, {{1, 10}});
-  t.AppendRow({Value(2.0), Value(20)});
-  EXPECT_EQ(Int64HashIndex::Build(t, 0), nullptr);
+  EXPECT_EQ(t.AppendRow({Value(2.0), Value(20)}).code(),
+            StatusCode::kInvalidArgument);
+  const auto typed = Int64HashIndex::Build(t, 0);
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->num_keys(), 1u);
+  EXPECT_TRUE(typed->Probe(2).empty());
 }
 
 TEST(Int64HashIndexTest, RefusesStringColumn) {

@@ -23,8 +23,8 @@ Table MakeTable(const std::vector<std::string>& field_specs,
       schema.AddField(Field{parts[0], type, ""});
     }
   }
-  Table out(schema, rows);
-  const Status status = out.Validate();
+  Table out(schema);
+  const Status status = out.AppendRows(rows);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return out;
 }
