@@ -1,5 +1,5 @@
 // Interactive SQL shell over the GMDJ engine — the whole repository in
-// one binary: the SQL front end, the cost advisor, all eight evaluation
+// one binary: the SQL front end, the cost-based planner, all eight evaluation
 // strategies, plan explanation, and CSV export.
 //
 //   ./build/examples/gmdj_shell              # interactive
@@ -12,7 +12,7 @@
 //                         plus the planner's estimate-vs-actual line)
 //   \run <strategy> <SQL> force a strategy ("auto" = planner; \strategies)
 //   \explain [strategy] <SQL>  show the physical plan
-//   \advise <SQL>         stat-free cost estimates for every strategy
+//   \advise <SQL>         the planner's cost estimate for every strategy
 //   \metrics              engine metrics snapshot (JSON)
 //   \tables, \schema <t>, \export <t> <path>, \help, \quit
 
@@ -25,7 +25,6 @@
 #include <string>
 
 #include "common/byte_size.h"
-#include "engine/advisor.h"
 #include "engine/olap_engine.h"
 #include "sql/parser.h"
 #include "storage/csv.h"
@@ -65,7 +64,7 @@ void PrintHelp() {
       "                             plus estimated vs actual cardinality\n"
       "  \\run <strategy> <SQL>      force a strategy (auto = planner)\n"
       "  \\explain [strategy] <SQL>  show the physical plan\n"
-      "  \\advise <SQL>              stat-free per-strategy cost estimates\n"
+      "  \\advise <SQL>              the planner's per-strategy cost estimates\n"
       "  \\metrics                   engine metrics snapshot (JSON)\n"
       "  \\tables                    list tables\n"
       "  \\schema <table>            show a table's schema\n"
@@ -210,14 +209,17 @@ void Advise(OlapEngine* engine, const std::string& sql) {
     PrintParseError(sql, parsed.status());
     return;
   }
-  StrategyAdvisor advisor(engine->catalog());
-  const auto estimates = advisor.EstimateAll(**parsed);
-  if (!estimates.ok()) {
-    std::printf("error: %s\n", estimates.status().ToString().c_str());
+  const auto decision = engine->Decide(**parsed);
+  if (!decision.ok()) {
+    std::printf("error: %s\n", decision.status().ToString().c_str());
+    return;
+  }
+  if (decision->estimates.empty()) {  // Planner disabled: no cost model.
+    std::printf("%s\n", decision->rationale.c_str());
     return;
   }
   std::printf("%-22s %14s  %s\n", "strategy", "est. row-ops", "rationale");
-  for (const auto& e : *estimates) {
+  for (const auto& e : decision->estimates) {
     if (std::isinf(e.cost)) {
       std::printf("%-22s %14s  %s\n", StrategyToString(e.strategy),
                   "unsupported", e.rationale.c_str());

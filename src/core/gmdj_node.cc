@@ -6,10 +6,10 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
+#include "exec/range_spill.h"
 #include "expr/program.h"
 #include "parallel/parallel_gmdj.h"
 #include "parallel/thread_pool.h"
-#include "spill/spill_manager.h"
 
 namespace gmdj {
 namespace {
@@ -260,7 +260,7 @@ Result<Table> GmdjNode::Execute(ExecContext* ctx) const {
   scope.AddRowsIn(base.num_rows() + detail.num_rows());
   Result<Table> result = strategy_ == GmdjStrategy::kNaive
                              ? ExecuteNaive(ctx, base, detail)
-                             : ExecuteAutoOrSpill(ctx, &scope, base, detail);
+                             : ExecuteAuto(ctx, &scope, base, detail);
   if (result.ok()) scope.AddRowsOut(result->num_rows());
   // A cancelled or failed evaluation never publishes: `result` is only a
   // complete aggregate table when it is ok, and partial aggregates in the
@@ -439,18 +439,14 @@ std::vector<GmdjNode::CondRoute> GmdjNode::RouteConditions() const {
   return routes;
 }
 
-/// Compiles conditions into runtime dispatch form (strategy, completion
-/// wiring, indexes, expression programs). The result is read-only during
-/// evaluation and shared by the sequential and morsel-parallel
-/// evaluators (parallel/parallel_gmdj.h).
-Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
-    ExecContext* ctx, const Table& base,
-    std::vector<GmdjCondPrograms>* programs) const {
-  GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/index-build"));
-  const size_t n = base.num_rows();
-  const bool completing = completion_.enabled();
+/// Wires the conditions into runtime dispatch form (binding routes,
+/// completion, expression programs), read-only during evaluation and
+/// shared by the sequential and morsel-parallel evaluators
+/// (parallel/parallel_gmdj.h). Indexes are built per base range
+/// (BuildIndexes).
+std::vector<GmdjCondRuntime> GmdjNode::PrepareRuntimes(
+    ExecContext* ctx, std::vector<GmdjCondPrograms>* programs) const {
   const std::vector<CondRoute> routes = RouteConditions();
-
   std::vector<GmdjCondRuntime> runtimes(conditions_.size());
   for (size_t c = 0; c < conditions_.size(); ++c) {
     runtimes[c].cond = &conditions_[c];
@@ -465,7 +461,7 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
       }
     }
   }
-  if (completing) {
+  if (completion_.enabled()) {
     for (const AllPairRule& pair : completion_.all_pairs) {
       runtimes[pair.filtered].skip = true;
       GmdjCondRuntime& u = runtimes[pair.unfiltered];
@@ -475,13 +471,112 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     }
   }
 
+  // ---- Expression programs: typed register programs, or one kInterpret
+  // op per tree in interpreted mode — GMDJ_EXPR_EVAL=interpret (the
+  // ablation baseline / test oracle), or an armed "gmdj/expr-compile"
+  // fault, which degrades to the interpreter rather than failing the
+  // query: compilation is an optimization, never a correctness
+  // dependency.
+  bool interpret =
+      ctx->config().ResolvedExprEvalMode() == ExprEvalMode::kInterpret;
+  if (!interpret && !GMDJ_FAULT_POINT("gmdj/expr-compile").ok()) {
+    interpret = true;
+    if (ctx->tracer() != nullptr) {
+      // Leave a breadcrumb in the flight recorder naming this operator.
+      ctx->tracer()->Event("fault:gmdj/expr-compile", label(),
+                           ctx->current_span());
+    }
+  }
+  const std::vector<const Schema*> frames = {&base_->output_schema(),
+                                             &detail_->output_schema()};
+  const auto lower = [&](const Expr& e) {
+    return interpret ? CompileInterpreted(e) : Compile(e, frames);
+  };
+  programs->clear();
+  programs->resize(conditions_.size());
+  for (size_t c = 0; c < conditions_.size(); ++c) {
+    GmdjCondPrograms& p = (*programs)[c];
+    const GmdjCondRuntime& rt = runtimes[c];
+    bool fully = !interpret;
+    if (!rt.skip) {
+      // Skipped (filtered-pair) conditions never run their own θ; only
+      // their aggregate arguments execute, after a TRUE pair comparison.
+      for (const Expr* e : rt.analysis->detail_only) {
+        p.detail_only.push_back(lower(*e));
+        fully &= p.detail_only.back().fully_compiled();
+      }
+      for (const Expr* e : rt.analysis->residual) {
+        p.residual.push_back(lower(*e));
+        fully &= p.residual.back().fully_compiled();
+      }
+    }
+    for (const AggSpec& agg : conditions_[c].aggs) {
+      if (agg.arg == nullptr) {
+        p.agg_args.push_back(nullptr);
+        p.agg_folds.push_back(AggFold::kCountStar);
+        continue;
+      }
+      p.agg_args.push_back(std::make_unique<ExprProgram>(lower(*agg.arg)));
+      p.agg_folds.push_back(ChooseAggFold(*p.agg_args.back()));
+      fully &= p.agg_args.back()->fully_compiled();
+    }
+    if (rt.pair_cmp != nullptr) {
+      p.pair_cmp = std::make_unique<ExprProgram>(lower(*rt.pair_cmp));
+      fully &= p.pair_cmp->fully_compiled();
+    }
+    p.fully_compiled = fully;
+  }
+
+  // Each condition's outcome counts once per node execution, however
+  // many base ranges it runs over.
+  uint64_t compiled = 0;
+  uint64_t fallbacks = 0;
+  for (size_t c = 0; c < conditions_.size(); ++c) {
+    GmdjCondRuntime& rt = runtimes[c];
+    rt.progs = &(*programs)[c];
+    if (rt.pair_cond != nullptr) {
+      const size_t filtered =
+          static_cast<size_t>(rt.pair_cond - conditions_.data());
+      rt.pair_progs = &(*programs)[filtered];
+    }
+    if (rt.skip) continue;
+    if (rt.progs->fully_compiled &&
+        (rt.pair_progs == nullptr || rt.pair_progs->fully_compiled)) {
+      ++compiled;
+    } else {
+      ++fallbacks;
+    }
+  }
+  ctx->stats().compiled_conditions += compiled;
+  ctx->stats().interpreter_fallbacks += fallbacks;
+  if (obs::OperatorStats* os = ctx->op_stats(this); os != nullptr) {
+    os->coalesced_conditions += conditions_.size();
+    os->compiled_conditions += compiled;
+    os->interpreter_fallbacks += fallbacks;
+    for (const GmdjCondPrograms& p : *programs) {
+      for (const AggFold fold : p.agg_folds) {
+        os->typed_aggs += fold != AggFold::kValue;
+      }
+    }
+    os->aggs += total_aggs_;
+  }
+
+  ApplyEvalOrder(&runtimes, eval_order_);
+  return runtimes;
+}
+
+Status GmdjNode::BuildIndexes(ExecContext* ctx, const Table& base,
+                              std::vector<GmdjCondRuntime>* runtimes) const {
+  GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/index-build"));
+  const size_t n = base.num_rows();
+
   // Hash indexes on the base, shared between conditions with identical key
   // columns (the common case for coalesced conditions and ALL pairs), and
   // interval indexes shared within a binding group.
   const size_t build_threads = ctx->config().ResolvedThreads();
   std::map<std::vector<size_t>, std::shared_ptr<HashIndex>> index_cache;
   std::map<int, std::shared_ptr<IntervalIndex>> interval_cache;
-  for (GmdjCondRuntime& rt : runtimes) {
+  for (GmdjCondRuntime& rt : *runtimes) {
     if (rt.skip) continue;
     if (rt.anti_key.has_value() ||
         rt.analysis->strategy == CondStrategy::kHash) {
@@ -530,123 +625,72 @@ Result<std::vector<GmdjCondRuntime>> GmdjNode::CompileRuntimes(
     }
   }
 
-  // ---- Expression programs (the compiled evaluation mode). ----
-  // An armed "gmdj/expr-compile" fault degrades to the interpreter rather
-  // than failing the query: compilation is an optimization, never a
-  // correctness dependency.
-  const bool compiling =
-      programs != nullptr && GMDJ_FAULT_POINT("gmdj/expr-compile").ok();
-  if (!compiling) {
-    if (programs != nullptr && ctx->tracer() != nullptr) {
-      // Compilation was requested but the fault point degraded it: leave
-      // a breadcrumb in the flight recorder naming this operator.
-      ctx->tracer()->Event("fault:gmdj/expr-compile", label(),
-                           ctx->current_span());
-    }
-    if (programs != nullptr) programs->clear();
-    for (const GmdjCondRuntime& rt : runtimes) {
-      if (!rt.skip) ctx->stats().interpreter_fallbacks += 1;
-    }
-    ApplyEvalOrder(&runtimes, eval_order_);
-    return runtimes;
-  }
-
-  const std::vector<const Schema*> frames = {&base_->output_schema(),
-                                             &detail_->output_schema()};
-  programs->clear();
-  programs->resize(conditions_.size());
-  for (size_t c = 0; c < conditions_.size(); ++c) {
-    GmdjCondPrograms& p = (*programs)[c];
-    const GmdjCondRuntime& rt = runtimes[c];
-    bool fully = true;
-    if (!rt.skip) {
-      // Skipped (filtered-pair) conditions never run their own θ; only
-      // their aggregate arguments execute, after a TRUE pair comparison.
-      for (const Expr* e : rt.analysis->detail_only) {
-        p.detail_only.push_back(Compile(*e, frames));
-        fully &= p.detail_only.back().fully_compiled();
-      }
-      for (const Expr* e : rt.analysis->residual) {
-        p.residual.push_back(Compile(*e, frames));
-        fully &= p.residual.back().fully_compiled();
-      }
-    }
-    for (const AggSpec& agg : conditions_[c].aggs) {
-      if (agg.arg == nullptr) {
-        p.agg_args.push_back(nullptr);
-        p.agg_folds.push_back(AggFold::kCountStar);
-        continue;
-      }
-      p.agg_args.push_back(
-          std::make_unique<ExprProgram>(Compile(*agg.arg, frames)));
-      p.agg_folds.push_back(ChooseAggFold(*p.agg_args.back()));
-      fully &= p.agg_args.back()->fully_compiled();
-    }
-    if (rt.pair_cmp != nullptr) {
-      p.pair_cmp =
-          std::make_unique<ExprProgram>(Compile(*rt.pair_cmp, frames));
-      fully &= p.pair_cmp->fully_compiled();
-    }
-    p.fully_compiled = fully;
-  }
-  for (size_t c = 0; c < conditions_.size(); ++c) {
-    GmdjCondRuntime& rt = runtimes[c];
-    rt.progs = &(*programs)[c];
-    if (rt.pair_cond != nullptr) {
-      const size_t filtered =
-          static_cast<size_t>(rt.pair_cond - conditions_.data());
-      rt.pair_progs = &(*programs)[filtered];
-    }
-    if (rt.skip) continue;
-    const bool condition_compiled =
-        rt.progs->fully_compiled &&
-        (rt.pair_progs == nullptr || rt.pair_progs->fully_compiled);
-    if (condition_compiled) {
-      ctx->stats().compiled_conditions += 1;
-    } else {
-      ctx->stats().interpreter_fallbacks += 1;
-    }
-  }
-
   // Typed probe fast path: a condition whose single equality binding joins
   // two int64 columns probes an unboxed int64 index instead of the
   // composite-Row map (one integer hash vs. a Row build + per-Value
   // hashing). Strictly optional: a failed reservation leaves the generic
   // index authoritative.
-  {
-    const Schema& base_schema = base_->output_schema();
-    const Schema& detail_schema = detail_->output_schema();
-    std::map<size_t, std::shared_ptr<Int64HashIndex>> typed_cache;
-    for (GmdjCondRuntime& rt : runtimes) {
-      if (rt.skip) continue;
-      const bool single_key = rt.analysis->strategy == CondStrategy::kHash &&
-                              rt.analysis->eq_bindings.size() == 1;
-      if (!single_key && !rt.anti_key.has_value()) continue;
-      const EqBinding& eq = single_key ? rt.analysis->eq_bindings[0]
-                                       : *rt.anti_key;
-      if (base_schema.field(eq.base_col).type != ValueType::kInt64 ||
-          detail_schema.field(eq.detail_col).type != ValueType::kInt64) {
-        continue;
-      }
-      auto it = typed_cache.find(eq.base_col);
-      if (it == typed_cache.end()) {
-        std::shared_ptr<Int64HashIndex> built;
-        // ~24 bytes/row for the duplicate posting lists + buckets.
-        if (ctx->ReserveMemory(n * 24).ok()) {
-          built = Int64HashIndex::Build(base, eq.base_col);
-        }
-        it = typed_cache.emplace(eq.base_col, std::move(built)).first;
-      }
-      rt.typed_hash = it->second;
+  const Schema& base_schema = base_->output_schema();
+  const Schema& detail_schema = detail_->output_schema();
+  std::map<size_t, std::shared_ptr<Int64HashIndex>> typed_cache;
+  for (GmdjCondRuntime& rt : *runtimes) {
+    if (rt.skip) continue;
+    const bool single_key = rt.analysis->strategy == CondStrategy::kHash &&
+                            rt.analysis->eq_bindings.size() == 1;
+    if (!single_key && !rt.anti_key.has_value()) continue;
+    const EqBinding& eq =
+        single_key ? rt.analysis->eq_bindings[0] : *rt.anti_key;
+    if (base_schema.field(eq.base_col).type != ValueType::kInt64 ||
+        detail_schema.field(eq.detail_col).type != ValueType::kInt64) {
+      continue;
     }
+    auto it = typed_cache.find(eq.base_col);
+    if (it == typed_cache.end()) {
+      std::shared_ptr<Int64HashIndex> built;
+      // ~24 bytes/row for the duplicate posting lists + buckets.
+      if (ctx->ReserveMemory(n * 24).ok()) {
+        built = Int64HashIndex::Build(base, eq.base_col);
+      }
+      it = typed_cache.emplace(eq.base_col, std::move(built)).first;
+    }
+    rt.typed_hash = it->second;
   }
-
-  ApplyEvalOrder(&runtimes, eval_order_);
-  return runtimes;
+  return Status::OK();
 }
 
-Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
+Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, OpScope* scope,
+                                    const Table& base,
                                     const Table& detail) const {
+  std::vector<GmdjCondPrograms> programs;
+  const std::vector<GmdjCondRuntime> runtimes =
+      PrepareRuntimes(ctx, &programs);
+  RangeSpill ranges(ctx, scope, "gmdj", "base", base.num_rows(),
+                    detail.num_rows());
+  GMDJ_ASSIGN_OR_RETURN(
+      std::optional<Table> resident,
+      ranges.Run<Table>(
+          [&](size_t lo, size_t hi) {
+            return EvalRange(ctx, runtimes, base.Slice(lo, hi), detail);
+          },
+          [&](const Table& part) { return ranges.Write(part); }));
+  if (resident.has_value()) return std::move(*resident);
+
+  // Every spilled pass after the first re-scanned the detail relation.
+  GMDJ_METRIC_ADD(ctx->hot_metrics().rows_scanned,
+                  (ranges.passes() - 1) * detail.num_rows());
+  // rows_output was already counted per range.
+  Table out(output_schema_);
+  GMDJ_RETURN_IF_ERROR(
+      ranges.ReadBack(output_schema_, [&](std::vector<Column> block) {
+        return out.AppendColumns(std::move(block));
+      }));
+  return out;
+}
+
+Result<Table> GmdjNode::EvalRange(ExecContext* ctx,
+                                  std::vector<GmdjCondRuntime> runtimes,
+                                  const Table& base,
+                                  const Table& detail) const {
   const size_t n = base.num_rows();
 
   // The |B| x total_aggs base-result table is the operator's bounded
@@ -659,34 +703,8 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
     }
     GMDJ_RETURN_IF_ERROR(alloc);
   }
-
-  // Evaluation mode: compiled typed programs by default; the interpreter
-  // on GMDJ_EXPR_EVAL=interpret (the ablation baseline / test oracle).
-  const bool want_compiled =
-      ctx->config().ResolvedExprEvalMode() != ExprEvalMode::kInterpret;
-  std::vector<GmdjCondPrograms> programs;
+  GMDJ_RETURN_IF_ERROR(BuildIndexes(ctx, base, &runtimes));
   obs::OperatorStats* os = ctx->op_stats(this);
-  const uint64_t compiled_before = ctx->stats().compiled_conditions;
-  const uint64_t fallbacks_before = ctx->stats().interpreter_fallbacks;
-  GMDJ_ASSIGN_OR_RETURN(
-      std::vector<GmdjCondRuntime> runtimes,
-      CompileRuntimes(ctx, base, want_compiled ? &programs : nullptr));
-  if (os != nullptr) {
-    os->coalesced_conditions += conditions_.size();
-    os->compiled_conditions +=
-        ctx->stats().compiled_conditions - compiled_before;
-    os->interpreter_fallbacks +=
-        ctx->stats().interpreter_fallbacks - fallbacks_before;
-    for (size_t c = 0; c < conditions_.size(); ++c) {
-      for (size_t a = 0; a < conditions_[c].aggs.size(); ++a) {
-        const AggFold fold = programs.empty() ? AggFold::kValue
-                                              : programs[c].agg_folds[a];
-        os->typed_aggs += conditions_[c].aggs[a].kind == AggKind::kCountStar ||
-                          fold != AggFold::kValue;
-      }
-    }
-    os->aggs += total_aggs_;
-  }
 
   GmdjEvalInput in;
   in.base = &base;
@@ -694,7 +712,6 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
   in.runtimes = &runtimes;
   in.total_aggs = total_aggs_;
   in.query = ctx->query_ctx();
-  in.compiled = !programs.empty();
   in.agg_kinds = FlatAggKinds();
 
   // RNG(b, R, θ) range-size collection: per-(base row, condition) match
@@ -769,119 +786,6 @@ Result<Table> GmdjNode::ExecuteAuto(ExecContext* ctx, const Table& base,
                 kinds[a], agg_arg_types_[a]);
           }));
   ctx->stats().rows_output += out.num_rows();
-  return out;
-}
-
-Result<Table> GmdjNode::ExecuteAutoOrSpill(ExecContext* ctx, OpScope* scope,
-                                           const Table& base,
-                                           const Table& detail) const {
-  spill::SpillScope* sp = ctx->spill();
-  if (sp == nullptr) return ExecuteAuto(ctx, base, detail);
-  const size_t forced = sp->config().min_spill_partitions;
-  if (forced > 1 && base.num_rows() > 1) {
-    return ExecuteSpilled(ctx, scope, base, detail,
-                          std::min(forced, base.num_rows()));
-  }
-  const size_t before = ctx->reserved_memory();
-  Result<Table> result = ExecuteAuto(ctx, base, detail);
-  if (result.ok() ||
-      result.status().code() != StatusCode::kResourceExhausted ||
-      base.num_rows() <= 1) {
-    return result;
-  }
-  // The in-memory attempt may have reserved partially (index builds,
-  // aggregate state) before being rejected; vacate that before retrying
-  // in partitions against the freed budget.
-  const size_t after = ctx->reserved_memory();
-  if (after > before) ctx->ReleaseMemory(after - before);
-  GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-  return ExecuteSpilled(ctx, scope, base, detail, 2);
-}
-
-Result<Table> GmdjNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
-                                       const Table& base, const Table& detail,
-                                       size_t initial_partitions) const {
-  spill::SpillScope* sp = ctx->spill();
-  GMDJ_CHECK(sp != nullptr);
-  const size_t n = base.num_rows();
-  GMDJ_ASSIGN_OR_RETURN(std::unique_ptr<spill::SpillWriter> writer,
-                        sp->NewWriter("gmdj"));
-
-  // Base rows are independent (per-row aggregate state, one detail scan
-  // each), so evaluating contiguous base ranges in order and concatenating
-  // reproduces the single-pass output exactly — rows and order. Each pass
-  // streams its slice's output to the spill file so the only resident
-  // state is one range's aggregates.
-  uint64_t passes = 0;
-  auto run_range = [&](auto&& self, size_t lo, size_t hi) -> Status {
-    const size_t before = ctx->reserved_memory();
-    Result<Table> part = ExecuteAuto(ctx, base.Slice(lo, hi), detail);
-    const size_t after = ctx->reserved_memory();
-    if (after > before) ctx->ReleaseMemory(after - before);
-    if (part.ok()) {
-      ++passes;
-      if (passes > 1) {
-        // Every pass after the first re-scans the detail relation; make
-        // the trade visible in the scan counters the paper's argument is
-        // stated in.
-        ctx->stats().table_scans += 1;
-        ctx->stats().rows_scanned += detail.num_rows();
-        GMDJ_METRIC_ADD(ctx->hot_metrics().rows_scanned, detail.num_rows());
-      }
-      return writer->AppendTable(*part);
-    }
-    if (part.status().code() != StatusCode::kResourceExhausted) {
-      return part.status();
-    }
-    GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    if (hi - lo <= 1) {
-      // Recursion bottomed out: even one base row's state (index share +
-      // aggregates) exceeds the budget. Spilling cannot help — fail the
-      // query with the real reason.
-      return Status::ResourceExhausted(
-          "gmdj spill: a single base row exceeds the memory budget: " +
-          part.status().message());
-    }
-    const size_t mid = lo + (hi - lo) / 2;
-    GMDJ_RETURN_IF_ERROR(self(self, lo, mid));
-    return self(self, mid, hi);
-  };
-
-  const size_t partitions = std::max<size_t>(1, initial_partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    const size_t lo = n * p / partitions;
-    const size_t hi = n * (p + 1) / partitions;
-    if (lo == hi) continue;
-    GMDJ_RETURN_IF_ERROR(run_range(run_range, lo, hi));
-  }
-  GMDJ_RETURN_IF_ERROR(writer->Finish());
-
-  GMDJ_ASSIGN_OR_RETURN(std::unique_ptr<spill::SpillReader> reader,
-                        sp->OpenReader(writer->path()));
-  // rows_output was already counted by the per-range ExecuteAuto calls.
-  Table out(output_schema_);
-  out.Reserve(writer->rows_written());
-  GMDJ_RETURN_IF_ERROR(reader->ReadInto(&out));
-
-  ctx->stats().spill_partitions += passes;
-  ctx->stats().spill_passes += passes;
-  ctx->stats().spill_bytes_written += writer->bytes_written();
-  ctx->stats().spill_bytes_read += reader->bytes_read();
-  if (scope != nullptr && scope->stats() != nullptr) {
-    obs::OperatorStats* os = scope->stats();
-    os->spill_partitions += passes;
-    os->spill_passes += passes;
-    os->spill_bytes_written += writer->bytes_written();
-    os->spill_bytes_read += reader->bytes_read();
-  }
-  sp->NoteSpill(passes, passes);
-  if (ctx->tracer() != nullptr) {
-    ctx->tracer()->Event(
-        "spill",
-        "gmdj passes=" + std::to_string(passes) +
-            " bytes=" + std::to_string(writer->bytes_written()),
-        ctx->current_span());
-  }
   return out;
 }
 

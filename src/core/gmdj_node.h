@@ -173,27 +173,24 @@ class GmdjNode final : public PlanNode {
  private:
   Result<Table> ExecuteNaive(ExecContext* ctx, const Table& base,
                              const Table& detail) const;
-  Result<Table> ExecuteAuto(ExecContext* ctx, const Table& base,
-                            const Table& detail) const;
 
-  /// ExecuteAuto with graceful memory degradation. When a spill scope is
-  /// attached and the in-memory attempt (or the scope's forced-partition
-  /// config) says the base does not fit, falls back to ExecuteSpilled;
-  /// without a scope a failed reservation stays fatal, as before.
-  Result<Table> ExecuteAutoOrSpill(ExecContext* ctx, OpScope* scope,
-                                   const Table& base,
-                                   const Table& detail) const;
+  /// The paper's evaluation: one loop over contiguous base ranges
+  /// (exec/range_spill.h), each evaluated by the chunk kernel against the
+  /// whole detail relation. Base tuples are independent (state is per
+  /// base row), so concatenating the ranges in order is exactly the
+  /// single-pass output. The whole base is one range unless it does not
+  /// fit the budget or the spill scope forces partitions; ranges then
+  /// stream their output through a spill file, each re-scanning the
+  /// detail.
+  Result<Table> ExecuteAuto(ExecContext* ctx, OpScope* scope,
+                            const Table& base, const Table& detail) const;
 
-  /// Partitioned evaluation: splits the base into contiguous ranges, runs
-  /// ExecuteAuto per range against the vacated budget (re-scanning the
-  /// detail each pass), streams each range's output through a spill file,
-  /// and concatenates in base order — exactly the single-pass output,
-  /// since GMDJ base tuples are independent (state is per base row).
-  /// Ranges that still do not fit split recursively; a single base row
-  /// over budget is the hard ResourceExhausted fallback.
-  Result<Table> ExecuteSpilled(ExecContext* ctx, OpScope* scope,
-                               const Table& base, const Table& detail,
-                               size_t initial_partitions) const;
+  /// One base range against the whole detail: reserves the range's
+  /// aggregate state, builds its indexes, runs the chunk kernel, and
+  /// emits the range's output rows.
+  Result<Table> EvalRange(ExecContext* ctx,
+                          std::vector<GmdjCondRuntime> runtimes,
+                          const Table& base, const Table& detail) const;
 
   /// How the kernel locates one condition's candidate base tuples.
   struct CondRoute {
@@ -214,20 +211,23 @@ class GmdjNode final : public PlanNode {
   /// anti-probe, or "<kind>, shared probe ×k".
   std::string RouteLabel(size_t c, const std::vector<CondRoute>& routes) const;
 
-  /// Compiles conditions into dispatch runtimes (indexes included); the
+  /// Wires the conditions into dispatch runtimes, once per execution:
+  /// routes, completion, and `programs` — θ conjuncts, pair comparisons
+  /// and aggregate arguments lowered into register programs
+  /// (expr/program.h). In interpreted mode (GMDJ_EXPR_EVAL=interpret, or
+  /// an armed "gmdj/expr-compile" fault, which never fails the query)
+  /// every program is one kInterpret op over its tree. Per-condition
+  /// compiled/fallback outcomes are counted into ctx->stats() and the
+  /// node's profile.
+  std::vector<GmdjCondRuntime> PrepareRuntimes(
+      ExecContext* ctx, std::vector<GmdjCondPrograms>* programs) const;
+
+  /// Builds `runtimes`' indexes over `base` (one base range); the
   /// hash-index build parallelizes on the shared pool for large bases.
   /// Non-OK on governance abort (index memory over budget) or an injected
   /// "gmdj/index-build" fault.
-  ///
-  /// When `programs` is non-null, θ conjuncts, pair comparisons, and
-  /// aggregate arguments are additionally lowered into typed register
-  /// programs (expr/program.h) wired into the runtimes. An armed
-  /// "gmdj/expr-compile" fault forces the interpreter
-  /// (programs left empty) without failing the query. Per-condition
-  /// compiled/fallback outcomes are counted into ctx->stats().
-  Result<std::vector<GmdjCondRuntime>> CompileRuntimes(
-      ExecContext* ctx, const Table& base,
-      std::vector<GmdjCondPrograms>* programs) const;
+  Status BuildIndexes(ExecContext* ctx, const Table& base,
+                      std::vector<GmdjCondRuntime>* runtimes) const;
 
   /// Aggregate kinds in flat (condition-major) order.
   std::vector<AggKind> FlatAggKinds() const;

@@ -461,12 +461,14 @@ Status OlapEngine::RestoreSnapshot(const std::string& dir) {
 
 Status OlapEngine::AppendRows(const std::string& name, std::vector<Row> rows) {
   std::lock_guard<std::mutex> writer(writer_mu_);
+  std::vector<Column> staged;
   {
     // Check and journal with the catalog lock shared: reads go on during
     // the fsync, and no other writer can change the table meanwhile.
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
     GMDJ_ASSIGN_OR_RETURN(const Table* table, catalog_.GetTable(name));
-    const size_t width = table->schema().num_fields();
+    const Schema& schema = table->schema();
+    const size_t width = schema.num_fields();
     for (const Row& row : rows) {
       if (row.size() != width) {
         return Status::InvalidArgument(
@@ -484,20 +486,29 @@ Status OlapEngine::AppendRows(const std::string& name, std::vector<Row> rows) {
         }
       }
     }
+    // The rows, staged as typed columns: the journal encodes them and the
+    // table appends them.
+    staged.reserve(width);
+    for (size_t c = 0; c < width; ++c) {
+      Column& col = staged.emplace_back(schema.field(c).type);
+      col.Reserve(rows.size());
+      for (Row& row : rows) col.Append(std::move(row[c]));
+    }
     // Write-ahead: journal + fsync before the in-memory apply, so a crash
     // after the caller's ack replays to exactly the acknowledged state. A
     // journal failure leaves the catalog untouched (and at worst a torn
     // tail on disk, which recovery drops).
     if (journal_ != nullptr && !rows.empty()) {
-      GMDJ_RETURN_IF_ERROR(
-          journal_->AppendRows(name, rows.data(), rows.size(), width));
+      GMDJ_ASSIGN_OR_RETURN(const Table block,
+                            Table::FromColumns(schema, staged));
+      GMDJ_RETURN_IF_ERROR(journal_->AppendRows(name, block));
     }
   }
   std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   GMDJ_ASSIGN_OR_RETURN(Table * table, catalog_.GetMutableTable(name));
   metrics_.GetCounter("engine.inserted_rows")
       ->Add(static_cast<int64_t>(rows.size()));
-  return table->AppendRows(std::move(rows));
+  return table->AppendColumns(std::move(staged));
 }
 
 void OlapEngine::PutTable(const std::string& name, Table table) {

@@ -5,7 +5,7 @@
 
 #include "common/check.h"
 #include "common/fault_injection.h"
-#include "spill/spill_manager.h"
+#include "exec/range_spill.h"
 
 namespace gmdj {
 
@@ -68,14 +68,6 @@ Table JoinOutput(JoinKind kind, const Schema& schema, const Table& l,
   return out;
 }
 
-Row NullPadded(const Row& a, size_t right_width) {
-  Row out;
-  out.reserve(a.size() + right_width);
-  out.insert(out.end(), a.begin(), a.end());
-  out.resize(a.size() + right_width);
-  return out;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- HashJoin
@@ -125,105 +117,63 @@ Result<Table> HashJoinNode::Execute(ExecContext* ctx) const {
   ctx->stats().table_scans += 2;
   ctx->stats().rows_scanned += l.num_rows() + r.num_rows();
 
-  // Build side: the right input.
+  // Build side: the right input, one hash table per build range
+  // (exec/range_spill.h). Every range probes the whole left input, so per
+  // probe row the matches come out in build-row order across ranges.
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("join/build"));
-  spill::SpillScope* sp = ctx->spill();
-  if (sp != nullptr && sp->config().min_spill_partitions > 1 &&
-      r.num_rows() > 1) {
-    return ExecuteSpilled(
-        ctx, &scope, l, r,
-        std::min(sp->config().min_spill_partitions, r.num_rows()));
-  }
-  {
-    Status reserve =
-        ctx->ReserveMemory(r.num_rows() * (sizeof(Row) + sizeof(uint32_t)));
-    if (!reserve.ok()) {
-      if (sp == nullptr ||
-          reserve.code() != StatusCode::kResourceExhausted ||
-          r.num_rows() <= 1) {
-        return reserve;
-      }
-      GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-      return ExecuteSpilled(ctx, &scope, l, r, 2);
-    }
-  }
-  std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq> build;
-  build.reserve(r.num_rows());
-  {
-    EvalContext rctx;
-    rctx.PushFrame(&r);
-    for (size_t i = 0; i < r.num_rows(); ++i) {
-      if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-      rctx.SetTopRow(i);
-      Row key;
-      key.reserve(keys_.size());
-      bool null_key = false;
-      for (const JoinKey& k : keys_) {
-        Value v = k.right->Eval(rctx);
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        key.push_back(std::move(v));
-      }
-      if (null_key) continue;  // NULL keys can never match.
-      build[std::move(key)].push_back(static_cast<uint32_t>(i));
-    }
-  }
+  const size_t nl = l.num_rows();
+  // Matches per probe row, across ranges: all semi/anti need, and what
+  // places each probe row's pairs (and left-outer NULL padding) in order.
+  std::vector<uint32_t> matches(nl, 0);
+  RangeSpill ranges(ctx, &scope, "join", "build", r.num_rows(), nl);
+  GMDJ_ASSIGN_OR_RETURN(
+      std::optional<JoinPairs> resident,
+      ranges.Run<JoinPairs>(
+          [&](size_t lo, size_t hi) {
+            return BuildAndProbe(ctx, l, r, lo, hi, &matches);
+          },
+          [&](const JoinPairs& pairs) {
+            return EmitsPairs() ? ranges.Write(pairs.ToTable()) : Status::OK();
+          }));
 
-  EvalContext lctx;
-  lctx.PushFrame(&l);
-  EvalContext pctx;  // Pair context for the residual.
-  pctx.PushFrame(&l);
-  pctx.PushFrame(&r);
   std::vector<uint32_t> out_l, out_r;  // Output pairs (or kept left rows).
-
-  const std::vector<uint32_t> no_matches;
-  for (size_t i = 0; i < l.num_rows(); ++i) {
-    if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-    const uint32_t li = static_cast<uint32_t>(i);
-    lctx.SetTopRow(i);
-    Row key;
-    key.reserve(keys_.size());
-    bool null_key = false;
-    for (const JoinKey& k : keys_) {
-      Value v = k.left->Eval(lctx);
-      if (v.is_null()) {
-        null_key = true;
-        break;
-      }
-      key.push_back(std::move(v));
-    }
-    const std::vector<uint32_t>* matches = &no_matches;
-    if (!null_key) {
-      ctx->stats().hash_probes += 1;
-      const auto it = build.find(key);
-      if (it != build.end()) matches = &it->second;
-    }
-
-    pctx.SetRow(0, i);
-    bool any = false;
-    for (const uint32_t ri : *matches) {
-      if (residual_ != nullptr) {
-        pctx.SetRow(1, ri);
-        ctx->stats().predicate_evals += 1;
-        if (!IsTrue(residual_->EvalPred(pctx))) continue;
-      }
-      any = true;
-      if (kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter) {
-        out_l.push_back(li);
-        out_r.push_back(ri);
-      } else {
-        break;  // Semi/anti only need existence.
+  if (!EmitsPairs()) {
+    for (size_t i = 0; i < nl; ++i) {
+      if ((matches[i] > 0) == (kind_ == JoinKind::kSemi)) {
+        out_l.push_back(static_cast<uint32_t>(i));
       }
     }
-    if (kind_ == JoinKind::kLeftOuter && !any) {
-      out_l.push_back(li);
-      out_r.push_back(kNoMatch);
+  } else {
+    // Each probe row's slots: its matches, or one NULL-padded slot for an
+    // unmatched left-outer row. Pairs land in their row's slots in the
+    // order they were staged, which is build-row order.
+    std::vector<size_t> next(nl + 1, 0);
+    for (size_t i = 0; i < nl; ++i) {
+      const size_t width = matches[i] > 0 ? matches[i]
+                           : kind_ == JoinKind::kLeftOuter ? 1
+                                                            : 0;
+      next[i + 1] = next[i] + width;
     }
-    if ((kind_ == JoinKind::kSemi && any) ||
-        (kind_ == JoinKind::kAnti && !any)) {
-      out_l.push_back(li);
+    out_l.resize(next[nl]);
+    out_r.assign(next[nl], kNoMatch);
+    for (size_t i = 0; i < nl; ++i) {
+      std::fill(out_l.begin() + next[i], out_l.begin() + next[i + 1],
+                static_cast<uint32_t>(i));
+    }
+    const auto place = [&](const auto* probe, const auto* build, size_t n) {
+      for (size_t k = 0; k < n; ++k) {
+        out_r[next[probe[k]]++] = static_cast<uint32_t>(build[k]);
+      }
+    };
+    if (resident.has_value()) {
+      place(resident->probe.data(), resident->build.data(),
+            resident->probe.size());
+    } else {
+      GMDJ_RETURN_IF_ERROR(ranges.ReadBack(
+          JoinPairs::SpillSchema(), [&](std::vector<Column> block) {
+            place(block[0].i64_data(), block[1].i64_data(), block[0].size());
+            return ctx->PollQuery();
+          }));
     }
   }
   Table out = JoinOutput(kind_, output_schema_, l, out_l, r, out_r);
@@ -232,225 +182,85 @@ Result<Table> HashJoinNode::Execute(ExecContext* ctx) const {
   return out;
 }
 
-Result<Table> HashJoinNode::ExecuteSpilled(ExecContext* ctx, OpScope* scope,
-                                           const Table& l, const Table& r,
-                                           size_t initial_partitions) const {
-  spill::SpillScope* sp = ctx->spill();
-  GMDJ_CHECK(sp != nullptr);
-  const Schema& rs = right_->output_schema();
-  const size_t nl = l.num_rows();
-  const size_t nr = r.num_rows();
-  const bool emit_pairs =
-      kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter;
-
-  // One probe-side match flag survives across passes; it is all semi/anti
-  // need, and it decides left-outer NULL padding after the last pass.
-  std::vector<bool> matched(nl, false);
-  std::vector<std::string> pass_files;  // Ascending build-range order.
-  uint64_t passes = 0;
-  uint64_t bytes_written = 0;
-
-  // Builds the hash table over build rows [lo, hi), probes every left row,
-  // and (inner/left-outer) stages match rows tagged with their probe index.
-  auto run_pass = [&](size_t lo, size_t hi) -> Status {
-    std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq> build;
-    build.reserve(hi - lo);
-    {
-      EvalContext rctx;
-      rctx.PushFrame(&r);
-      for (size_t i = lo; i < hi; ++i) {
-        if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-        rctx.SetTopRow(i);
-        Row key;
-        key.reserve(keys_.size());
-        bool null_key = false;
-        for (const JoinKey& k : keys_) {
-          Value v = k.right->Eval(rctx);
-          if (v.is_null()) {
-            null_key = true;
-            break;
-          }
-          key.push_back(std::move(v));
-        }
-        if (null_key) continue;
-        build[std::move(key)].push_back(static_cast<uint32_t>(i));
-      }
+Result<HashJoinNode::JoinPairs> HashJoinNode::BuildAndProbe(
+    ExecContext* ctx, const Table& l, const Table& r, size_t lo, size_t hi,
+    std::vector<uint32_t>* matches) const {
+  GMDJ_RETURN_IF_ERROR(
+      ctx->ReserveMemory((hi - lo) * (sizeof(Row) + sizeof(uint32_t))));
+  std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq> build;
+  build.reserve(hi - lo);
+  // Row `i` of `ectx`'s table keyed by the `side` key expressions into
+  // `key`; false when a key is NULL (NULL keys never match).
+  const auto key_of = [this](EvalContext* ectx, size_t i,
+                             ExprPtr JoinKey::*side, Row* key) {
+    ectx->SetTopRow(i);
+    key->clear();
+    for (const JoinKey& k : keys_) {
+      Value v = (k.*side)->Eval(*ectx);
+      if (v.is_null()) return false;
+      key->push_back(std::move(v));
     }
-
-    std::unique_ptr<spill::SpillWriter> writer;
-    if (emit_pairs) {
-      GMDJ_ASSIGN_OR_RETURN(writer, sp->NewWriter("join"));
-    }
-    EvalContext lctx;
-    lctx.PushFrame(&l);
-    EvalContext pctx;
-    pctx.PushFrame(&l);
-    pctx.PushFrame(&r);
-    for (size_t i = 0; i < nl; ++i) {
-      if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-      if (!emit_pairs && matched[i]) continue;  // Existence already decided.
-      lctx.SetTopRow(i);
-      Row key;
-      key.reserve(keys_.size());
-      bool null_key = false;
-      for (const JoinKey& k : keys_) {
-        Value v = k.left->Eval(lctx);
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        key.push_back(std::move(v));
-      }
-      if (null_key) continue;
-      ctx->stats().hash_probes += 1;
-      const auto it = build.find(key);
-      if (it == build.end()) continue;
-      pctx.SetRow(0, i);
-      for (const uint32_t ri : it->second) {
-        if (residual_ != nullptr) {
-          pctx.SetRow(1, ri);
-          ctx->stats().predicate_evals += 1;
-          if (!IsTrue(residual_->EvalPred(pctx))) continue;
-        }
-        matched[i] = true;
-        if (!emit_pairs) break;
-        const Row lrow = l.row(i);
-        const Row rrow = r.row(ri);
-        Row staged;
-        staged.reserve(1 + lrow.size() + rrow.size());
-        staged.push_back(Value(static_cast<int64_t>(i)));
-        staged.insert(staged.end(), lrow.begin(), lrow.end());
-        staged.insert(staged.end(), rrow.begin(), rrow.end());
-        GMDJ_RETURN_IF_ERROR(writer->Append(std::move(staged)));
-      }
-    }
-    if (writer != nullptr) {
-      GMDJ_RETURN_IF_ERROR(writer->Finish());
-      bytes_written += writer->bytes_written();
-      pass_files.push_back(writer->path());
-    }
-    return Status::OK();
+    return true;
   };
-
-  // Split-on-ResourceExhausted recursion over contiguous build ranges; the
-  // reservation failing (not a write error) is the only split trigger, so
-  // a full spill disk stays fatal instead of recursing forever.
-  auto run_range = [&](auto&& self, size_t lo, size_t hi) -> Status {
-    const size_t before = ctx->reserved_memory();
-    Status reserve =
-        ctx->ReserveMemory((hi - lo) * (sizeof(Row) + sizeof(uint32_t)));
-    if (!reserve.ok()) {
-      if (reserve.code() != StatusCode::kResourceExhausted) return reserve;
-      GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-      if (hi - lo <= 1) {
-        return Status::ResourceExhausted(
-            "hash join spill: a single build row exceeds the memory "
-            "budget: " + reserve.message());
-      }
-      const size_t mid = lo + (hi - lo) / 2;
-      GMDJ_RETURN_IF_ERROR(self(self, lo, mid));
-      return self(self, mid, hi);
-    }
-    Status st = run_pass(lo, hi);
-    const size_t after = ctx->reserved_memory();
-    if (after > before) ctx->ReleaseMemory(after - before);
-    GMDJ_RETURN_IF_ERROR(st);
-    ++passes;
-    if (passes > 1) {
-      // Every pass after the first re-probes the whole left input.
-      ctx->stats().table_scans += 1;
-      ctx->stats().rows_scanned += nl;
-    }
-    return Status::OK();
-  };
-
-  const size_t partitions = std::max<size_t>(1, initial_partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    const size_t lo = nr * p / partitions;
-    const size_t hi = nr * (p + 1) / partitions;
-    if (lo == hi) continue;
-    GMDJ_RETURN_IF_ERROR(run_range(run_range, lo, hi));
-  }
-
-  Table out(output_schema_);
-  uint64_t bytes_read = 0;
-  if (emit_pairs) {
-    // Merge the per-pass files back into exact single-pass order: pass
-    // files ascend in build-index ranges and each is in probe order, so
-    // for every left row its matches come from the files in pass order.
-    struct PassCursor {
-      std::unique_ptr<spill::SpillReader> reader;
-      std::vector<Row> rows;
-      size_t pos = 0;
-      bool eof = false;
-    };
-    std::vector<PassCursor> cursors;
-    cursors.reserve(pass_files.size());
-    for (const std::string& path : pass_files) {
-      PassCursor cursor;
-      GMDJ_ASSIGN_OR_RETURN(cursor.reader, sp->OpenReader(path));
-      cursors.push_back(std::move(cursor));
-    }
-    auto peek = [](PassCursor& c) -> Result<const Row*> {
-      while (c.pos >= c.rows.size() && !c.eof) {
-        c.rows.clear();
-        c.pos = 0;
-        GMDJ_RETURN_IF_ERROR(c.reader->ReadBlock(&c.rows, &c.eof));
-      }
-      return c.pos < c.rows.size() ? &c.rows[c.pos] : nullptr;
-    };
-    for (size_t i = 0; i < nl; ++i) {
+  Row key;
+  key.reserve(keys_.size());
+  {
+    EvalContext rctx;
+    rctx.PushFrame(&r);
+    for (size_t i = lo; i < hi; ++i) {
       if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
-      for (PassCursor& cursor : cursors) {
-        while (true) {
-          GMDJ_ASSIGN_OR_RETURN(const Row* staged, peek(cursor));
-          if (staged == nullptr ||
-              (*staged)[0].int64() != static_cast<int64_t>(i)) {
-            break;
-          }
-          GMDJ_RETURN_IF_ERROR(
-              out.AppendRow(Row(staged->begin() + 1, staged->end())));
-          ++cursor.pos;
-        }
-      }
-      if (kind_ == JoinKind::kLeftOuter && !matched[i]) {
-        GMDJ_RETURN_IF_ERROR(
-            out.AppendRow(NullPadded(l.row(i), rs.num_fields())));
-      }
+      if (!key_of(&rctx, i, &JoinKey::right, &key)) continue;
+      build[key].push_back(static_cast<uint32_t>(i));
     }
-    for (PassCursor& cursor : cursors) bytes_read += cursor.reader->bytes_read();
-  } else {
-    std::vector<uint32_t> keep;
-    for (size_t i = 0; i < nl; ++i) {
-      if (matched[i] == (kind_ == JoinKind::kSemi)) {
-        keep.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    out = JoinOutput(kind_, output_schema_, l, keep, r, {});
   }
-  ctx->stats().rows_output += out.num_rows();
-  scope->AddRowsOut(out.num_rows());
 
-  ctx->stats().spill_partitions += passes;
-  ctx->stats().spill_passes += passes;
-  ctx->stats().spill_bytes_written += bytes_written;
-  ctx->stats().spill_bytes_read += bytes_read;
-  if (scope->stats() != nullptr) {
-    obs::OperatorStats* os = scope->stats();
-    os->spill_partitions += passes;
-    os->spill_passes += passes;
-    os->spill_bytes_written += bytes_written;
-    os->spill_bytes_read += bytes_read;
+  JoinPairs pairs;
+  EvalContext lctx;
+  lctx.PushFrame(&l);
+  EvalContext pctx;  // Pair context for the residual.
+  pctx.PushFrame(&l);
+  pctx.PushFrame(&r);
+  for (size_t i = 0; i < l.num_rows(); ++i) {
+    if ((i & 4095u) == 0) GMDJ_RETURN_IF_ERROR(ctx->PollQuery());
+    uint32_t& matched = (*matches)[i];
+    if (!EmitsPairs() && matched > 0) continue;  // Existence decided.
+    if (!key_of(&lctx, i, &JoinKey::left, &key)) continue;
+    ctx->stats().hash_probes += 1;
+    const auto it = build.find(key);
+    if (it == build.end()) continue;
+    pctx.SetRow(0, i);
+    for (const uint32_t ri : it->second) {
+      if (residual_ != nullptr) {
+        pctx.SetRow(1, ri);
+        ctx->stats().predicate_evals += 1;
+        if (!IsTrue(residual_->EvalPred(pctx))) continue;
+      }
+      ++matched;
+      if (!EmitsPairs()) break;  // Semi/anti only need existence.
+      pairs.probe.push_back(static_cast<uint32_t>(i));
+      pairs.build.push_back(ri);
+    }
   }
-  sp->NoteSpill(passes, passes);
-  if (ctx->tracer() != nullptr) {
-    ctx->tracer()->Event(
-        "spill",
-        "join passes=" + std::to_string(passes) +
-            " bytes=" + std::to_string(bytes_written),
-        ctx->current_span());
+  return pairs;
+}
+
+Schema HashJoinNode::JoinPairs::SpillSchema() {
+  Schema schema;
+  schema.AddField(Field{"probe", ValueType::kInt64, ""});
+  schema.AddField(Field{"build", ValueType::kInt64, ""});
+  return schema;
+}
+
+Table HashJoinNode::JoinPairs::ToTable() const {
+  std::vector<Column> cols;
+  for (const std::vector<uint32_t>* rows : {&probe, &build}) {
+    Column& col = cols.emplace_back(ValueType::kInt64);
+    col.Reserve(rows->size());
+    for (const uint32_t row : *rows) col.Append(Value(int64_t{row}));
   }
-  return out;
+  Result<Table> table = Table::FromColumns(SpillSchema(), std::move(cols));
+  GMDJ_CHECK(table.ok());
+  return std::move(table).ValueOrDie();
 }
 
 std::string HashJoinNode::label() const {

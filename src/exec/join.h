@@ -60,17 +60,30 @@ class HashJoinNode final : public PlanNode {
   }
 
  private:
-  /// Build-side spilling: partitions the right input into contiguous
-  /// ranges, builds a hash table per range against the vacated budget, and
-  /// probes the full left input each pass. Inner/left-outer match rows are
-  /// staged in per-pass spill files tagged with their probe-row index and
-  /// merged back in exact single-pass order; semi/anti only need the
-  /// cross-pass match bitmap. Ranges that still do not fit split
-  /// recursively; a single build row over budget is the hard
-  /// ResourceExhausted fallback.
-  Result<Table> ExecuteSpilled(ExecContext* ctx, OpScope* scope,
-                               const Table& l, const Table& r,
-                               size_t initial_partitions) const;
+  /// Matches as (probe row, build row) index pairs, in probe-row order
+  /// and, per probe row, build-row order.
+  struct JoinPairs {
+    std::vector<uint32_t> probe;
+    std::vector<uint32_t> build;
+
+    /// The pairs as a spill block: two int64 columns.
+    static Schema SpillSchema();
+    Table ToTable() const;
+  };
+
+  /// Inner and left-outer joins emit pairs; semi and anti joins only need
+  /// each probe row's match count.
+  bool EmitsPairs() const {
+    return kind_ == JoinKind::kInner || kind_ == JoinKind::kLeftOuter;
+  }
+
+  /// One build range: reserves and builds the hash table over build rows
+  /// [lo, hi), probes every left row against it, adds each row's matches
+  /// to `matches`, and returns the pairs (none for semi/anti, which skip
+  /// rows already matched).
+  Result<JoinPairs> BuildAndProbe(ExecContext* ctx, const Table& l,
+                                  const Table& r, size_t lo, size_t hi,
+                                  std::vector<uint32_t>* matches) const;
 
   PlanPtr left_;
   PlanPtr right_;

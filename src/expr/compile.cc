@@ -97,6 +97,15 @@ class ExprCompiler {
     prog_->num_regs_ = next_reg_;
   }
 
+  void RunInterpreted(const Expr& root) {
+    prog_->source_ = &root;
+    prog_->root_is_pred_ = IsPredNatured(root.kind());
+    prog_->root_type_ = root.result_type();
+    prog_->root_ =
+        EmitInterpret(root, prog_->root_is_pred_, root.result_type());
+    prog_->num_regs_ = next_reg_;
+  }
+
  private:
   struct ScalarReg {
     uint16_t reg;
@@ -400,6 +409,13 @@ ExprProgram Compile(const Expr& expr,
                     const std::vector<const Schema*>& frames) {
   ExprProgram prog;
   ExprCompiler(frames, &prog).Run(expr);
+  return prog;
+}
+
+ExprProgram CompileInterpreted(const Expr& expr) {
+  ExprProgram prog;
+  const std::vector<const Schema*> no_frames;
+  ExprCompiler(no_frames, &prog).RunInterpreted(expr);
   return prog;
 }
 

@@ -183,7 +183,6 @@ class ExprProgram {
 
   /// True when no opcode falls back to the tree interpreter.
   bool fully_compiled() const { return interpret_ops_ == 0; }
-  bool has_interpret() const { return interpret_ops_ != 0; }
 
   size_t num_ops() const { return ops_.size(); }
   size_t num_regs() const { return num_regs_; }
@@ -221,6 +220,11 @@ class ExprProgram {
 /// bindings before trusting them with typed loads.
 ExprProgram Compile(const Expr& expr,
                     const std::vector<const Schema*>& frames);
+
+/// The interpreted evaluation mode as a program: one kInterpret op over
+/// the whole bound tree, so a caller runs the same program path in both
+/// modes and the tree interpreter does all the work.
+ExprProgram CompileInterpreted(const Expr& expr);
 
 }  // namespace gmdj
 

@@ -277,9 +277,8 @@ class GmdjScan {
   /// Anti-probe runtime `ci` over the chunk's rows.
   template <typename Completion>
   void AntiProbe(size_t ci, size_t rows, Completion* done);
-  /// Folds `matches` into `cond`'s aggregates at flat offset `agg_offset`
-  /// (`progs` null = tree interpreter).
-  void FoldMatches(const GmdjCondition& cond, const GmdjCondPrograms* progs,
+  /// Folds `matches` into `cond`'s aggregates at flat offset `agg_offset`.
+  void FoldMatches(const GmdjCondition& cond, const GmdjCondPrograms& progs,
                    size_t agg_offset, const Matches& matches);
   /// Resolves aggregate `a` of `progs` (flat slot `flat`) to typed arrays
   /// for the current chunk; false = fold it per pair.
@@ -290,14 +289,6 @@ class GmdjScan {
   bool ResidualMatches(const GmdjCondRuntime& rt, uint32_t b);
   /// Evaluates a fused ALL pair's comparison ψ on the current pair.
   bool PairMatches(const GmdjCondRuntime& rt);
-
-  /// Programs of `rt` (or its fused pair) in compiled mode, else null.
-  const GmdjCondPrograms* progs(const GmdjCondRuntime& rt) const {
-    return compiled_ ? rt.progs : nullptr;
-  }
-  const GmdjCondPrograms* pair_progs(const GmdjCondRuntime& rt) const {
-    return compiled_ ? rt.pair_progs : nullptr;
-  }
 
   /// Probes `rt`'s index with the current row's values of `keys`; null
   /// when a key is NULL.
@@ -310,7 +301,6 @@ class GmdjScan {
 
   const GmdjEvalInput* in_ = nullptr;
   // Hot-path copies of `in_` fields.
-  bool compiled_ = false;
   const GmdjCondRuntime* runtimes_ = nullptr;
   size_t num_runtimes_ = 0;
   size_t total_aggs_ = 0;
@@ -346,7 +336,6 @@ class GmdjScan {
 
 void GmdjScan::Init(const GmdjEvalInput& in) {
   in_ = &in;
-  compiled_ = in.compiled;
   runtimes_ = in.runtimes->data();
   num_runtimes_ = in.runtimes->size();
   total_aggs_ = in.total_aggs;
@@ -382,19 +371,6 @@ void GmdjScan::BeginChunk(size_t begin, size_t rows) {
     std::vector<uint8_t>& mask = pass_[ci];
     mask.assign(rows, 1);
     masks_[ci] = mask.data();
-    if (!compiled_) {
-      for (size_t i = 0; i < rows; ++i) {
-        SetRow(i);
-        for (const Expr* e : rt.analysis->detail_only) {
-          predicate_evals += 1;
-          if (!IsTrue(e->EvalPred(ectx_))) {
-            mask[i] = 0;
-            break;
-          }
-        }
-      }
-      continue;
-    }
     for (const ExprProgram& prog : rt.progs->detail_only) {
       // Short-circuit bookkeeping first; the batch kernels evaluate every
       // lane (dead-lane results are discarded by the mask AND, and ops are
@@ -518,10 +494,10 @@ void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
       !per_pair && freeze == 0 && rt.action == CompletionAction::kNone;
   auto flush = [&] {
     matches_.Seal();
-    FoldMatches(*rt.cond, progs(rt), rt.agg_offset, matches_);
+    FoldMatches(*rt.cond, *rt.progs, rt.agg_offset, matches_);
     if (rt.pair_cmp != nullptr) {
       pair_matches_.Seal();
-      FoldMatches(*rt.pair_cond, pair_progs(rt), rt.pair_agg_offset,
+      FoldMatches(*rt.pair_cond, *rt.pair_progs, rt.pair_agg_offset,
                   pair_matches_);
     }
     matches_.Clear();
@@ -601,7 +577,7 @@ void GmdjScan::AntiProbe(size_t ci, size_t rows, Completion* done) {
 }
 
 void GmdjScan::FoldMatches(const GmdjCondition& cond,
-                           const GmdjCondPrograms* progs, size_t agg_offset,
+                           const GmdjCondPrograms& progs, size_t agg_offset,
                            const Matches& matches) {
   if (matches.rows.empty()) return;
   for (size_t a = 0; a < cond.aggs.size(); ++a) {
@@ -616,7 +592,7 @@ void GmdjScan::FoldMatches(const GmdjCondition& cond,
       continue;
     }
     TypedArg arg;
-    if (progs != nullptr && ResolveArg(*progs, a, agg_offset + a, &arg)) {
+    if (ResolveArg(progs, a, agg_offset + a, &arg)) {
       if (arg.i64 != nullptr) {
         FoldTyped(agg.kind, arg.i64, arg.null, matches, col, total_aggs_);
       } else {
@@ -625,15 +601,13 @@ void GmdjScan::FoldMatches(const GmdjCondition& cond,
       continue;
     }
     // Per-pair Value fold: strings, base-reading arguments, interpret mode.
-    const ExprProgram* prog =
-        progs != nullptr ? progs->agg_args[a].get() : nullptr;
+    const ExprProgram& prog = *progs.agg_args[a];
     for (size_t k = 0; k < matches.rows.size(); ++k) {
       SetRow(matches.rows[k]);
       for (const uint32_t b : matches.bases[k]) {
         ectx_.SetRow(0, b);
         col[static_cast<size_t>(b) * total_aggs_].Update(
-            agg.kind, prog != nullptr ? prog->Eval(ectx_, &scratch_)
-                                      : agg.arg->Eval(ectx_));
+            agg.kind, prog.Eval(ectx_, &scratch_));
       }
     }
   }
@@ -678,26 +652,16 @@ bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,
 
 bool GmdjScan::ResidualMatches(const GmdjCondRuntime& rt, uint32_t b) {
   ectx_.SetRow(0, b);
-  if (const GmdjCondPrograms* p = progs(rt); p != nullptr) {
-    for (const ExprProgram& prog : p->residual) {
-      predicate_evals += 1;
-      if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) return false;
-    }
-    return true;
-  }
-  for (const Expr* e : rt.analysis->residual) {
+  for (const ExprProgram& prog : rt.progs->residual) {
     predicate_evals += 1;
-    if (!IsTrue(e->EvalPred(ectx_))) return false;
+    if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) return false;
   }
   return true;
 }
 
 bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
   predicate_evals += 1;
-  const GmdjCondPrograms* p = progs(rt);
-  return IsTrue(p != nullptr && p->pair_cmp != nullptr
-                    ? p->pair_cmp->EvalPred(ectx_, &scratch_)
-                    : rt.pair_cmp->EvalPred(ectx_));
+  return IsTrue(rt.progs->pair_cmp->EvalPred(ectx_, &scratch_));
 }
 
 const std::vector<uint32_t>* GmdjScan::ProbeHash(

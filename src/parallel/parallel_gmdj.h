@@ -24,10 +24,11 @@ enum class AggFold : unsigned char {
   kValue,      // Per-pair Value: strings, base-reading arguments, interpret.
 };
 
-/// Compiled expression programs of one GMDJ condition (expr/program.h).
-/// Built by GmdjNode::CompileRuntimes unless the evaluation mode or the
-/// "gmdj/expr-compile" fault point forces the tree interpreter. Programs
-/// borrow the condition's bound expression trees, which outlive execution.
+/// Expression programs of one GMDJ condition (expr/program.h), built by
+/// GmdjNode::PrepareRuntimes: typed register programs, or one kInterpret
+/// op per tree when the evaluation mode or the "gmdj/expr-compile" fault
+/// point asks for the tree interpreter. Programs borrow the condition's
+/// bound expression trees, which outlive execution.
 struct GmdjCondPrograms {
   std::vector<ExprProgram> detail_only;  // Aligned with analysis->detail_only.
   std::vector<ExprProgram> residual;     // Aligned with analysis->residual.
@@ -36,12 +37,13 @@ struct GmdjCondPrograms {
   std::vector<std::unique_ptr<ExprProgram>> agg_args;
   /// Aligned with cond->aggs: the fold each aggregate takes.
   std::vector<AggFold> agg_folds;
-  /// Every program above lowered without a kInterpret fallback op.
+  /// Every program above lowered without a kInterpret op (never true in
+  /// interpreted mode).
   bool fully_compiled = false;
 };
 
-/// Compiled runtime form of one GMDJ condition: dispatch strategy plus
-/// completion wiring. Built once per Execute by GmdjNode and shared
+/// Runtime form of one GMDJ condition: dispatch strategy plus completion
+/// wiring, with indexes over one base range. Built by GmdjNode and shared
 /// read-only by the sequential and morsel-parallel evaluators.
 ///
 /// Candidate base tuples are located per *binding*, not per condition:
@@ -62,9 +64,9 @@ struct GmdjCondRuntime {
   const GmdjCondition* pair_cond = nullptr;
   bool skip = false;  // Filtered half of a fused pair.
   std::shared_ptr<HashIndex> hash;
-  /// Unboxed probe fast path, built only in compiled mode for conditions
-  /// with exactly one int64 = int64 equality binding: the probe reads the
-  /// detail key column in place. Null = probe through `hash`.
+  /// Unboxed probe fast path for conditions with exactly one int64 =
+  /// int64 equality binding: the probe reads the detail key column in
+  /// place. Null = probe through `hash`.
   std::shared_ptr<Int64HashIndex> typed_hash;
   std::shared_ptr<IntervalIndex> interval;
   /// Binding group of a kHash/kInterval condition; -1 for scan dispatch
@@ -79,9 +81,9 @@ struct GmdjCondRuntime {
   /// Anti-probe: base tuples with a NULL key, which no ψ accepts.
   std::vector<uint32_t> anti_null_bases;
   uint64_t freeze_bit = 0;  // Nonzero for kSatisfyOnMatch conditions.
-  /// Compiled programs for this condition (null = tree interpreter).
-  /// `pair_progs` holds the fused pair's *filtered* condition programs,
-  /// whose agg_args run after a TRUE pair comparison.
+  /// Programs for this condition. `pair_progs` holds the fused pair's
+  /// *filtered* condition programs, whose agg_args run after a TRUE pair
+  /// comparison.
   const GmdjCondPrograms* progs = nullptr;
   const GmdjCondPrograms* pair_progs = nullptr;
 };
@@ -98,10 +100,6 @@ struct GmdjEvalInput {
   /// Lifecycle governance of the enclosing query; null = ungoverned.
   /// Workers poll it at every morsel boundary.
   QueryContext* query = nullptr;
-  /// True when the runtimes carry compiled programs; evaluators then run
-  /// the typed register programs over the detail table's columns, in
-  /// place, instead of the tree interpreter.
-  bool compiled = false;
   /// Optional |B| x |runtimes| match counters (base-major, then condition)
   /// — the observed RNG(b, R, θ) range sizes EXPLAIN ANALYZE reports as a
   /// histogram. Null (the default) skips collection entirely. Sized and

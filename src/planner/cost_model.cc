@@ -12,7 +12,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Weight of one aggregate update relative to one probe/scan row op.
 /// Only charged when statistics expose the RNG fan-out; without stats the
-/// term is zero and the model reproduces the stat-free advisor exactly.
+/// term is zero (the stat-free estimates).
 constexpr double kAggUpdateWeight = 0.1;
 
 /// Expected matches per probe of an eq-correlated condition: the inner

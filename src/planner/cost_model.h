@@ -10,8 +10,6 @@
 namespace gmdj {
 
 /// One strategy's estimated cost for a query, in abstract row operations.
-/// (Lives in the top-level namespace for source compatibility with the
-/// original engine/advisor.h definition.)
 struct StrategyCostEstimate {
   Strategy strategy = Strategy::kGmdj;
   double cost = 0.0;        // +inf encodes "outside the supported fragment".
@@ -20,15 +18,16 @@ struct StrategyCostEstimate {
 
 namespace planner {
 
-/// Cost model over query shapes — the cardinality-backed successor of the
-/// StrategyAdvisor heuristics (engine/advisor.h now delegates here).
+/// Cost model over query shapes: the paper's closing suggestion that a
+/// cost-based optimizer "select between a rich set of alternatives (joins,
+/// set-division and GMDJs)", backed by cardinalities when statistics are
+/// available.
 ///
 /// The model charges each strategy in abstract row operations:
 ///
 ///   * scans and hash builds cost |R|; probes cost 1 + the expected match
 ///     fan-out per probe (|R| / NDV(correlation column) when statistics
-///     are available, 1 otherwise — the stat-free charge reproduces the
-///     original advisor's numbers exactly),
+///     are available, 1 otherwise),
 ///   * tuple iteration costs |B|·|R| with an early-termination discount
 ///     for EXISTS/SOME/ALL under "smart" evaluation,
 ///   * non-indexable GMDJ conditions (and NL joins) cost |B|·|R|,

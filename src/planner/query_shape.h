@@ -52,8 +52,8 @@ struct QueryShape {
 /// With a StatsCatalog attached, table cardinalities come from fresh
 /// statistics (version-checked, so post-INSERT row counts are current)
 /// and equality correlations carry the NDV of both sides; without one,
-/// row counts come straight from the catalog and NDVs stay unknown —
-/// reproducing the original StrategyAdvisor heuristics exactly.
+/// row counts come straight from the catalog and NDVs stay unknown (the
+/// stat-free estimates, the original heuristic advisor's).
 class ShapeCollector {
  public:
   ShapeCollector(const Catalog* catalog, stats::StatsCatalog* stats)

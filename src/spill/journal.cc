@@ -180,16 +180,16 @@ Status JournalWriter::AppendRecord(const std::string& payload) {
   return Status::OK();
 }
 
-Status JournalWriter::AppendRows(const std::string& table, const Row* rows,
-                                 size_t num_rows, size_t num_cols) {
+Status JournalWriter::AppendRows(const std::string& table, const Table& rows) {
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("journal/append"));
   std::string payload;
   payload.push_back(static_cast<char>(kOpAppendRows));
   PutU32(static_cast<uint32_t>(table.size()), &payload);
   payload += table;
-  for (size_t off = 0; off < num_rows; off += kJournalBlockRows) {
-    const size_t chunk = std::min(kJournalBlockRows, num_rows - off);
-    GMDJ_RETURN_IF_ERROR(EncodeBlock(rows + off, chunk, num_cols, &payload));
+  const size_t n = rows.num_rows();
+  for (size_t off = 0; off < n; off += kJournalBlockRows) {
+    GMDJ_RETURN_IF_ERROR(EncodeBlock(
+        rows, off, std::min(kJournalBlockRows, n - off), &payload));
   }
   return AppendRecord(payload);
 }
@@ -217,16 +217,24 @@ Status JournalWriter::Truncate() {
 
 namespace {
 
+/// One SPB1 block of a record, pointing into the journal bytes.
+struct RawBlock {
+  BlockHeader header;
+  const char* payload = nullptr;
+};
+
 struct PendingMutation {
   std::string table;
-  std::vector<Row> rows;
+  std::vector<RawBlock> blocks;
   size_t num_cols = 0;
   // SnapshotMarker records carry only an id; they stage no rows.
   bool is_marker = false;
   uint64_t marker_id = 0;
 };
 
-// Parses one checksummed payload into a staged mutation (or marker).
+// Parses one checksummed payload into a staged mutation (or marker),
+// checking every block's frame and checksum; the blocks are decoded only
+// once replay knows which records the restored snapshot already covers.
 Status ParsePayload(const char* data, size_t size, PendingMutation* out) {
   size_t pos = 0;
   if (size < 1) return Status::DataLoss("journal record too short");
@@ -266,12 +274,11 @@ Status ParsePayload(const char* data, size_t size, PendingMutation* out) {
     if (header.num_cols != out->num_cols) {
       return Status::DataLoss("journal record mixes row widths");
     }
-    const Status decoded =
-        DecodeBlockPayload(header, data + pos, &out->rows);
-    if (!decoded.ok()) {
-      return Status::DataLoss("journal record block corrupt: " +
-                              decoded.message());
+    if (Fnv1a64(data + pos, header.payload_size) != header.checksum) {
+      return Status::DataLoss(
+          "journal record block corrupt: spill block checksum mismatch");
     }
+    out->blocks.push_back(RawBlock{header, data + pos});
     pos += header.payload_size;
   }
   return Status::OK();
@@ -361,9 +368,11 @@ Result<JournalReplayStats> ReplayJournal(const std::string& path,
     }
   }
 
-  // Validate every staged mutation against the catalog before applying
-  // any, so a bad record never leaves a half-replayed catalog. Skipped
-  // records are not validated: they describe the pre-snapshot catalog.
+  // Decode every staged mutation into its table's typed columns before
+  // applying any, so a bad record never leaves a half-replayed catalog.
+  // Skipped records are not decoded: they describe the pre-snapshot
+  // catalog.
+  std::vector<std::vector<std::vector<Column>>> decoded(staged.size());
   for (size_t i = first_uncovered; i < staged.size(); ++i) {
     const PendingMutation& mutation = staged[i];
     if (mutation.is_marker) continue;
@@ -372,16 +381,18 @@ Result<JournalReplayStats> ReplayJournal(const std::string& path,
       return Status::DataLoss("journal references unknown table '" +
                               mutation.table + "' (snapshot mismatch?)");
     }
-    if (!mutation.rows.empty() &&
-        mutation.num_cols != (*table)->schema().num_fields()) {
+    const Schema& schema = (*table)->schema();
+    if (!mutation.blocks.empty() && mutation.num_cols != schema.num_fields()) {
       return Status::DataLoss("journal rows for '" + mutation.table +
                               "' have width " +
                               std::to_string(mutation.num_cols) +
                               ", table has " +
-                              std::to_string((*table)->schema().num_fields()));
+                              std::to_string(schema.num_fields()));
     }
-    for (const Row& row : mutation.rows) {
-      const Status typed = (*table)->CheckRow(row);
+    for (const RawBlock& block : mutation.blocks) {
+      std::vector<Column>& columns = decoded[i].emplace_back();
+      const Status typed =
+          DecodeBlockPayload(block.header, block.payload, schema, &columns);
       if (!typed.ok()) {
         return Status::DataLoss("journal rows for '" + mutation.table +
                                 "' do not fit the table: " + typed.message());
@@ -389,13 +400,15 @@ Result<JournalReplayStats> ReplayJournal(const std::string& path,
     }
   }
   for (size_t i = first_uncovered; i < staged.size(); ++i) {
-    PendingMutation& mutation = staged[i];
+    const PendingMutation& mutation = staged[i];
     if (mutation.is_marker) continue;
     GMDJ_ASSIGN_OR_RETURN(Table * table,
                           catalog->GetMutableTable(mutation.table));
-    stats.rows_applied += mutation.rows.size();
-    // Each record's rows go into the columns and are released at once.
-    GMDJ_RETURN_IF_ERROR(table->AppendRows(std::exchange(mutation.rows, {})));
+    // Each record's columns are appended and released at once.
+    for (std::vector<Column>& columns : std::exchange(decoded[i], {})) {
+      stats.rows_applied += columns.empty() ? 0 : columns[0].size();
+      GMDJ_RETURN_IF_ERROR(table->AppendColumns(std::move(columns)));
+    }
     ++stats.records_applied;
   }
   return stats;

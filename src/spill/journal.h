@@ -7,7 +7,7 @@
 
 #include "common/status.h"
 #include "storage/catalog.h"
-#include "types/row.h"
+#include "storage/table.h"
 
 namespace gmdj {
 namespace spill {
@@ -65,12 +65,11 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Appends one AppendRows record (rows of width `num_cols` destined
-  /// for table `table`) and fsyncs. The caller applies the mutation in
-  /// memory only after this returns OK — on failure the journal may hold
-  /// a torn tail, which recovery drops.
-  Status AppendRows(const std::string& table, const Row* rows,
-                    size_t num_rows, size_t num_cols);
+  /// Appends one AppendRows record (the rows of `rows`, staged as typed
+  /// columns under table `table`'s schema) and fsyncs. The caller applies
+  /// the mutation in memory only after this returns OK — on failure the
+  /// journal may hold a torn tail, which recovery drops.
+  Status AppendRows(const std::string& table, const Table& rows);
 
   /// Appends one SnapshotMarker record carrying `snapshot_id` and
   /// fsyncs. Called *before* the snapshot with that id publishes; see
@@ -108,9 +107,10 @@ struct JournalReplayStats {
   uint64_t torn_bytes = 0;
 };
 
-/// Replays every intact record in `path` against `catalog` (applied only
-/// after the whole file parses, so a mid-file kDataLoss never leaves a
-/// half-replayed catalog). A missing file is an empty journal. Returns
+/// Replays every intact record in `path` against `catalog`. Every record
+/// to apply is decoded into typed columns of its table before any is
+/// applied, so a mid-file kDataLoss or a record that does not fit its
+/// table never leaves a half-replayed catalog. A missing file is an empty journal. Returns
 /// kDataLoss for mid-file corruption, an unknown op, or a record naming
 /// a table the catalog does not hold (snapshot/journal mismatch).
 ///

@@ -40,7 +40,6 @@ SpillWriter::SpillWriter(std::string path, std::FILE* file, size_t block_rows,
       block_rows_(block_rows == 0 ? 1 : block_rows),
       scope_(scope) {
   std::setvbuf(file_, io_buffer_.get(), _IOFBF, kIoBufferBytes);
-  buffer_.reserve(block_rows_);
 }
 
 Result<std::unique_ptr<SpillWriter>> SpillWriter::Open(std::string path,
@@ -67,45 +66,7 @@ void SpillWriter::Close() {
   }
 }
 
-Status SpillWriter::Append(Row row) {
-  if (num_cols_ == 0) num_cols_ = row.size();
-  GMDJ_CHECK(row.size() == num_cols_);
-  buffer_.push_back(std::move(row));
-  if (buffer_.size() >= block_rows_) return WriteBlock();
-  return Status::OK();
-}
-
-Status SpillWriter::Flush() {
-  if (buffer_.empty()) return Status::OK();
-  return WriteBlock();
-}
-
-Status SpillWriter::WriteBlock() {
-  GMDJ_CHECK(file_ != nullptr);
-  {
-    Status gate = GMDJ_FAULT_POINT("spill/disk-full");
-    if (gate.ok()) gate = GMDJ_FAULT_POINT("spill/write");
-    GMDJ_RETURN_IF_ERROR(gate);
-  }
-  GMDJ_RETURN_IF_ERROR(WriteRows(buffer_.data(), buffer_.size()));
-  buffer_.clear();
-  return Status::OK();
-}
-
-Status SpillWriter::WriteRows(const Row* rows, size_t num_rows) {
-  std::string block;
-  const Status encoded = EncodeBlock(rows, num_rows, num_cols_, &block);
-  if (!encoded.ok()) {
-    if (num_rows <= 1) return encoded;
-    const size_t half = num_rows / 2;
-    GMDJ_RETURN_IF_ERROR(WriteRows(rows, half));
-    return WriteRows(rows + half, num_rows - half);
-  }
-  return WriteEncoded(block, num_rows);
-}
-
 Status SpillWriter::AppendTable(const Table& table) {
-  GMDJ_RETURN_IF_ERROR(Flush());
   if (num_cols_ == 0) num_cols_ = table.num_columns();
   GMDJ_CHECK(table.num_columns() == num_cols_);
   for (size_t begin = 0; begin < table.num_rows(); begin += block_rows_) {
@@ -146,7 +107,6 @@ Status SpillWriter::WriteEncoded(const std::string& block, size_t num_rows) {
 }
 
 Status SpillWriter::Finish() {
-  GMDJ_RETURN_IF_ERROR(Flush());
   if (std::fflush(file_) != 0 || std::ferror(file_) != 0) {
     return ErrnoStatus("flush", path_);
   }
@@ -222,30 +182,20 @@ Status SpillReader::ReadRawBlock(BlockHeader* header, bool* eof) {
   return Status::OK();
 }
 
-Status SpillReader::ReadBlock(std::vector<Row>* out, bool* eof) {
+Status SpillReader::ReadBlock(const Schema& schema, std::vector<Column>* out,
+                              bool* eof) {
   BlockHeader header;
   GMDJ_RETURN_IF_ERROR(ReadRawBlock(&header, eof));
   if (*eof) return Status::OK();
-  return DecodeBlockPayload(header, payload_.data(), out);
-}
-
-Status SpillReader::ReadAll(std::vector<Row>* out) {
-  bool eof = false;
-  while (!eof) {
-    GMDJ_RETURN_IF_ERROR(ReadBlock(out, &eof));
-  }
-  return Status::OK();
+  return DecodeBlockPayload(header, payload_.data(), schema, out);
 }
 
 Status SpillReader::ReadInto(Table* out) {
   std::vector<Column> block;
   while (true) {
-    BlockHeader header;
     bool eof = false;
-    GMDJ_RETURN_IF_ERROR(ReadRawBlock(&header, &eof));
+    GMDJ_RETURN_IF_ERROR(ReadBlock(out->schema(), &block, &eof));
     if (eof) return Status::OK();
-    GMDJ_RETURN_IF_ERROR(
-        DecodeBlockPayload(header, payload_.data(), out->schema(), &block));
     GMDJ_RETURN_IF_ERROR(out->AppendColumns(std::move(block)));
   }
 }

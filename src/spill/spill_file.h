@@ -9,16 +9,16 @@
 
 #include "common/status.h"
 #include "spill/spill_format.h"
-#include "types/row.h"
+#include "storage/table.h"
 
 namespace gmdj {
 namespace spill {
 
 class SpillScope;
 
-/// Sequential block writer over one spill file. Rows are buffered until
-/// `block_rows` accumulate, then encoded (spill_format.h) and written in
-/// one large sequential write through a megabyte-sized stdio buffer.
+/// Sequential block writer over one spill file. Tables are encoded from
+/// their columns in blocks of `block_rows` rows (spill_format.h) and
+/// written sequentially through a megabyte-sized stdio buffer.
 /// When attached to a SpillScope the writer draws a file handle from the
 /// manager's handle budget, charges every block against the spill byte
 /// budget, and feeds the `spill.*` metrics; a null scope (snapshots) does
@@ -35,19 +35,12 @@ class SpillWriter {
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
 
-  /// Buffers one row; flushes a block when `block_rows` accumulate. Every
-  /// row must have the width of the first.
-  Status Append(Row row);
-
   /// Writes every row of `table` in blocks of `block_rows`, encoded from
-  /// its columns in place (after flushing any buffered rows).
+  /// its columns in place. Every table must have the width of the first.
   Status AppendTable(const Table& table);
 
-  /// Encodes and writes any buffered rows as a (possibly short) block.
-  Status Flush();
-
-  /// Flush + fflush + stream error check. Must be called before reading
-  /// the file back; the destructor only closes.
+  /// fflush + stream error check. Must be called before reading the file
+  /// back; the destructor only closes.
   Status Finish();
 
   uint64_t bytes_written() const { return bytes_written_; }
@@ -58,13 +51,10 @@ class SpillWriter {
  private:
   SpillWriter(std::string path, std::FILE* file, size_t block_rows,
               SpillScope* scope);
-  Status WriteBlock();
-  /// Encodes and writes `rows[0..num_rows)`, halving the range when the
-  /// encoded block would exceed a format bound (kMaxPayload — e.g. a few
-  /// thousand rows of very large strings). A single row that still
-  /// exceeds the cap is a hard error.
-  Status WriteRows(const Row* rows, size_t num_rows);
-  /// Same for rows [begin, begin + num_rows) of `table`.
+  /// Encodes and writes rows [begin, begin + num_rows) of `table`, halving
+  /// the range when the encoded block would exceed a format bound
+  /// (kMaxPayload — e.g. a few thousand rows of very large strings). A
+  /// single row that still exceeds the cap is a hard error.
   Status WriteTableRows(const Table& table, size_t begin, size_t num_rows);
   /// Writes one encoded block of `num_rows` rows.
   Status WriteEncoded(const std::string& block, size_t num_rows);
@@ -75,7 +65,6 @@ class SpillWriter {
   std::unique_ptr<char[]> io_buffer_;
   size_t block_rows_;
   size_t num_cols_ = 0;
-  std::vector<Row> buffer_;
   SpillScope* scope_;
   uint64_t bytes_written_ = 0;
   uint64_t blocks_written_ = 0;
@@ -85,7 +74,7 @@ class SpillWriter {
 /// Sequential block reader over a finished spill file. Open advises the
 /// kernel the read is sequential (posix_fadvise read-ahead) and streams
 /// blocks through the same large stdio buffer; every block's checksum is
-/// verified before its rows are returned.
+/// verified before its columns are returned.
 ///
 /// Fault sites: "spill/read", "spill/checksum".
 class SpillReader {
@@ -96,12 +85,10 @@ class SpillReader {
   SpillReader(const SpillReader&) = delete;
   SpillReader& operator=(const SpillReader&) = delete;
 
-  /// Appends the next block's rows to `out`; sets `*eof` (and appends
-  /// nothing) at end of file.
-  Status ReadBlock(std::vector<Row>* out, bool* eof);
-
-  /// Reads every remaining block.
-  Status ReadAll(std::vector<Row>* out);
+  /// Decodes the next block into `out`, one typed column per field of
+  /// `schema` (replacing its contents); sets `*eof` (and leaves `out`
+  /// alone) at end of file. Internal when the block does not fit `schema`.
+  Status ReadBlock(const Schema& schema, std::vector<Column>* out, bool* eof);
 
   /// Reads every remaining block straight into `out`'s columns, which
   /// must match the blocks' width and value types.

@@ -163,9 +163,9 @@ Result<ValueType> TypeFromByte(uint8_t b) {
   }
 }
 
-/// Encodes one block column whose cell i is `cells[i]`.
-template <typename CellFn>
-void EncodeColumn(size_t num_rows, const CellFn& cells, std::string* out) {
+/// Encodes one block column whose cells are `cells[0..num_rows)`, every
+/// non-NULL one of the same type (a table column's).
+void EncodeColumn(const Value* cells, size_t num_rows, std::string* out) {
   // Null bitmap (bit set = non-null) plus the non-null value list.
   const size_t bitmap_bytes = (num_rows + 7) / 8;
   const size_t bitmap_at = out->size();
@@ -173,7 +173,7 @@ void EncodeColumn(size_t num_rows, const CellFn& cells, std::string* out) {
   std::vector<const Value*> values;
   values.reserve(num_rows);
   for (size_t i = 0; i < num_rows; ++i) {
-    const Value& v = cells(i);
+    const Value& v = cells[i];
     if (v.is_null()) continue;
     (*out)[bitmap_at + i / 8] |= static_cast<char>(1u << (i % 8));
     values.push_back(&v);
@@ -186,22 +186,6 @@ void EncodeColumn(size_t num_rows, const CellFn& cells, std::string* out) {
   }
 
   const ValueType type = values[0]->type();
-  bool homogeneous = true;
-  for (const Value* v : values) {
-    if (v->type() != type) {
-      homogeneous = false;
-      break;
-    }
-  }
-  if (!homogeneous) {
-    out->push_back(static_cast<char>(ColumnEncoding::kTagged));
-    for (const Value* v : values) {
-      out->push_back(static_cast<char>(v->type()));
-      PutScalar(*v, out);
-    }
-    return;
-  }
-
   // Dictionary probe: bail as soon as the 255-entry budget is blown.
   std::unordered_map<Value, uint8_t, ValueHash> dict;
   std::vector<const Value*> dict_order;
@@ -412,18 +396,6 @@ uint64_t Fnv1a64(const char* data, size_t size) {
   return h;
 }
 
-Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
-                   std::string* out) {
-  GMDJ_RETURN_IF_ERROR(CheckGeometry(num_rows, num_cols));
-  std::string payload;
-  for (size_t c = 0; c < num_cols; ++c) {
-    EncodeColumn(
-        num_rows, [&](size_t i) -> const Value& { return rows[i][c]; },
-        &payload);
-  }
-  return AppendBlock(payload, num_rows, num_cols, out);
-}
-
 Status EncodeBlock(const Table& table, size_t begin, size_t num_rows,
                    std::string* out) {
   GMDJ_RETURN_IF_ERROR(CheckGeometry(num_rows, table.num_columns()));
@@ -432,9 +404,7 @@ Status EncodeBlock(const Table& table, size_t begin, size_t num_rows,
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& col = table.column(c);
     for (size_t i = 0; i < num_rows; ++i) cells[i] = col.Get(begin + i);
-    EncodeColumn(
-        num_rows, [&](size_t i) -> const Value& { return cells[i]; },
-        &payload);
+    EncodeColumn(cells.data(), num_rows, &payload);
   }
   return AppendBlock(payload, num_rows, table.num_columns(), out);
 }
@@ -453,22 +423,6 @@ Result<BlockHeader> ParseBlockHeader(const char* bytes) {
     return Status::Internal("spill block header out of bounds");
   }
   return header;
-}
-
-Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
-                          std::vector<Row>* out) {
-  const size_t first_row = out->size();
-  out->resize(first_row + header.num_rows, Row(header.num_cols));
-  return DecodePayload(header, payload, [&](ByteReader* reader) {
-    for (size_t c = 0; c < header.num_cols; ++c) {
-      GMDJ_RETURN_IF_ERROR(DecodeColumn(
-          reader, header.num_rows, [&](size_t i, Value v) {
-            (*out)[first_row + i][c] = std::move(v);
-            return Status::OK();
-          }));
-    }
-    return Status::OK();
-  });
 }
 
 Status DecodeBlockPayload(const BlockHeader& header, const char* payload,

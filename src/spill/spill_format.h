@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "storage/table.h"
-#include "types/row.h"
 
 namespace gmdj {
 namespace spill {
@@ -33,9 +32,10 @@ namespace spill {
 ///   kRle:    type byte, varint run count, then (scalar, varint length)
 ///            runs. Chosen when adjacent repetition halves the value
 ///            count and the dictionary did not already win.
-///   kTagged: per value, a type byte then the raw scalar — the fallback
-///            for columns whose non-null values mix types (legal in this
-///            engine's Value model, rare in practice).
+///   kTagged: per value, a type byte then the raw scalar. Decode only:
+///            it was the encoder's fallback for columns whose values mixed
+///            types, which a typed table column can no longer hold, and
+///            journals written before columns were typed still carry it.
 ///
 /// The encoding is chosen per column per block, so a sorted or
 /// low-cardinality stretch compresses even when the whole file does not.
@@ -68,16 +68,11 @@ struct BlockHeader {
   uint64_t checksum = 0;
 };
 
-/// Encodes `rows[0..num_rows)` — each of width `num_cols` — as one block
-/// appended to `out`. ResourceExhausted (with `out` unchanged) when the
-/// block would exceed a format bound (kMaxPayload / kMaxBlockRows /
-/// kMaxBlockCols); callers split the rows across smaller blocks
-/// (SpillWriter does) or surface the oversize row.
-Status EncodeBlock(const Row* rows, size_t num_rows, size_t num_cols,
-                   std::string* out);
-
-/// Encodes rows [begin, begin + num_rows) of `table` as one block, reading
-/// its columns in place; same bounds and errors as the row form.
+/// Encodes rows [begin, begin + num_rows) of `table` as one block appended
+/// to `out`, reading its columns in place. ResourceExhausted (with `out`
+/// unchanged) when the block would exceed a format bound (kMaxPayload /
+/// kMaxBlockRows / kMaxBlockCols); callers split the rows across smaller
+/// blocks (SpillWriter does) or surface the oversize row.
 Status EncodeBlock(const Table& table, size_t begin, size_t num_rows,
                    std::string* out);
 
@@ -85,14 +80,11 @@ Status EncodeBlock(const Table& table, size_t begin, size_t num_rows,
 /// bad magic or an implausible geometry.
 Result<BlockHeader> ParseBlockHeader(const char* bytes);
 
-/// Verifies the checksum and decodes the payload, appending the rows to
-/// `out`. Internal on checksum mismatch or a malformed payload.
-Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
-                          std::vector<Row>* out);
-
-/// Decodes a block straight into `out`: one typed column per field of
-/// `schema` (replacing its contents). Internal, as above, and when the
-/// block's width or a value's type does not fit `schema`.
+/// Verifies the checksum and decodes a block straight into `out`: one
+/// typed column per field of `schema` (replacing its contents). Internal
+/// on checksum mismatch, a malformed payload, and when the block's width
+/// or a value's type does not fit `schema` (an int64 widens into a double
+/// column).
 Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
                           const Schema& schema, std::vector<Column>* out);
 

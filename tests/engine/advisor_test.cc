@@ -1,6 +1,6 @@
-#include "engine/advisor.h"
-
 #include <cmath>
+
+#include "engine/olap_engine.h"
 
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
@@ -11,6 +11,7 @@ namespace gmdj {
 namespace {
 
 using testutil::MakeTable;
+using testutil::StatFreeEstimates;
 
 class AdvisorTest : public ::testing::Test {
  protected:
@@ -41,8 +42,7 @@ TEST_F(AdvisorTest, EstimatesCoverEveryStrategy) {
   q.source = From("B", "B");
   q.where = Exists(Sub(From("R", "R"),
                        WherePred(Eq(Col("R.k"), Col("B.k")))));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto estimates = advisor.EstimateAll(q);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
   ASSERT_TRUE(estimates.ok());
   EXPECT_EQ(estimates->size(), AllStrategies().size());
   // Sorted ascending.
@@ -56,8 +56,7 @@ TEST_F(AdvisorTest, NaiveNeverBeatsIndexedOnEqualityCorrelation) {
   q.source = From("B", "B");
   q.where = Exists(Sub(From("R", "R"),
                        WherePred(Eq(Col("R.k"), Col("B.k")))));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto estimates = advisor.EstimateAll(q);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
   ASSERT_TRUE(estimates.ok());
   EXPECT_LT(CostOf(*estimates, Strategy::kNativeIndexed),
             CostOf(*estimates, Strategy::kNativeNaive));
@@ -70,10 +69,9 @@ TEST_F(AdvisorTest, RecommendationActuallyRuns) {
   q.source = From("B", "B");
   q.where = Exists(Sub(From("R", "R"),
                        WherePred(Eq(Col("R.k"), Col("B.k")))));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto strategy = advisor.Recommend(q);
-  ASSERT_TRUE(strategy.ok());
-  const auto result = engine_.Execute(q, *strategy);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
+  ASSERT_TRUE(estimates.ok());
+  const auto result = engine_.Execute(q, estimates->front().strategy);
   ASSERT_TRUE(result.ok());
   const auto reference = engine_.Execute(q, Strategy::kNativeNaive);
   ASSERT_TRUE(reference.ok());
@@ -86,8 +84,7 @@ TEST_F(AdvisorTest, DisjunctiveSubqueryDisqualifiesUnnesting) {
   q.where = OrP(Exists(Sub(From("R", "R"),
                            WherePred(Eq(Col("R.k"), Col("B.k"))))),
                 WherePred(Gt(Col("B.x"), Lit(100))));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto estimates = advisor.EstimateAll(q);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
   ASSERT_TRUE(estimates.ok());
   EXPECT_TRUE(std::isinf(CostOf(*estimates, Strategy::kUnnest)));
   EXPECT_TRUE(std::isinf(CostOf(*estimates, Strategy::kUnnestNoIndex)));
@@ -102,8 +99,7 @@ TEST_F(AdvisorTest, NonNeighboringDisqualifiesUnnesting) {
       AndP(WherePred(Eq(Col("R.k"), Col("B.k"))),
            NotExists(Sub(From("S", "S"),
                          WherePred(Eq(Col("S.k"), Col("B.x"))))))));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto estimates = advisor.EstimateAll(q);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
   ASSERT_TRUE(estimates.ok());
   EXPECT_TRUE(std::isinf(CostOf(*estimates, Strategy::kUnnest)));
   // The GMDJ pays for a join but stays finite.
@@ -118,8 +114,7 @@ TEST_F(AdvisorTest, NonEquiCorrelationFavorsCompletion) {
   q.source = From("B", "B");
   q.where = AllSub(Col("B.x"), CompareOp::kNe,
                    SubSelect(From("R", "R"), Col("R.y"), nullptr));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto estimates = advisor.EstimateAll(q);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
   ASSERT_TRUE(estimates.ok());
   EXPECT_LT(CostOf(*estimates, Strategy::kGmdjOptimized),
             CostOf(*estimates, Strategy::kGmdj));
@@ -136,9 +131,8 @@ TEST_F(AdvisorTest, CoalescingDiscountForSameTableSubqueries) {
                         WherePred(Eq(Col("R2.k"), Col("B.k"))))));
     return q;
   };
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto same = advisor.EstimateAll(make("R"));
-  const auto diff = advisor.EstimateAll(make("S"));
+  const auto same = StatFreeEstimates(*engine_.catalog(), make("R"));
+  const auto diff = StatFreeEstimates(*engine_.catalog(), make("S"));
   ASSERT_TRUE(same.ok() && diff.ok());
   // Same-table subqueries coalesce: one scan of R instead of two.
   const double same_opt = CostOf(*same, Strategy::kGmdjOptimized);
@@ -149,8 +143,7 @@ TEST_F(AdvisorTest, CoalescingDiscountForSameTableSubqueries) {
 TEST_F(AdvisorTest, UnknownTableFailsBinding) {
   NestedSelect q;
   q.source = From("Nope", "N");
-  StrategyAdvisor advisor(engine_.catalog());
-  EXPECT_FALSE(advisor.EstimateAll(q).ok());
+  EXPECT_FALSE(StatFreeEstimates(*engine_.catalog(), q).ok());
 }
 
 TEST_F(AdvisorTest, RationaleIsHumanReadable) {
@@ -158,8 +151,7 @@ TEST_F(AdvisorTest, RationaleIsHumanReadable) {
   q.source = From("B", "B");
   q.where = Exists(Sub(From("R", "R"),
                        WherePred(Eq(Col("R.k"), Col("B.k")))));
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto estimates = advisor.EstimateAll(q);
+  const auto estimates = StatFreeEstimates(*engine_.catalog(), q);
   ASSERT_TRUE(estimates.ok());
   for (const auto& e : *estimates) {
     EXPECT_FALSE(e.rationale.empty()) << StrategyToString(e.strategy);

@@ -1,5 +1,5 @@
 // End-to-end surface integration: query results exported to CSV and read
-// back byte-faithfully; the optimizer pass is idempotent; the advisor,
+// back byte-faithfully; the optimizer pass is idempotent; the cost model,
 // translator, and renderer compose on the same query object.
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 #include "core/optimizer.h"
 #include "core/to_sql.h"
 #include "core/translate.h"
-#include "engine/advisor.h"
 #include "engine/olap_engine.h"
 #include "gtest/gtest.h"
 #include "sql/parser.h"
@@ -80,11 +79,12 @@ TEST_F(ResultsRoundtripTest, FullSurfaceComposition) {
   auto parsed = ParseQuery(sql);
   ASSERT_TRUE(parsed.ok());
 
-  StrategyAdvisor advisor(engine_.catalog());
-  const auto strategy = advisor.Recommend(**parsed);
-  ASSERT_TRUE(strategy.ok());
+  const auto estimates =
+      testutil::StatFreeEstimates(*engine_.catalog(), **parsed);
+  ASSERT_TRUE(estimates.ok());
 
-  const Result<Table> recommended = engine_.Execute(**parsed, *strategy);
+  const Result<Table> recommended =
+      engine_.Execute(**parsed, estimates->front().strategy);
   ASSERT_TRUE(recommended.ok());
   const Result<Table> reference =
       engine_.Execute(**parsed, Strategy::kNativeNaive);

@@ -12,6 +12,7 @@
 #include "common/fault_injection.h"
 #include "engine/olap_engine.h"
 #include "gtest/gtest.h"
+#include "spill/spill_format.h"
 #include "test_util.h"
 
 namespace gmdj {
@@ -38,6 +39,11 @@ void FillCatalog(Catalog* catalog) {
   catalog->PutTable("t", testutil::MakeTable({"t.a:i", "t.b:d", "t.c:s"}, {}));
 }
 
+/// `rows` staged as typed columns of "t", as an INSERT journals them.
+Table RowsOfT(const std::vector<Row>& rows) {
+  return testutil::MakeTable({"t.a:i", "t.b:d", "t.c:s"}, rows);
+}
+
 long FileSize(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return -1;
@@ -57,9 +63,9 @@ TEST(JournalTest, RoundTripsAppendsThroughReplay) {
                                     MakeRow(2, 1.5, "y")};
     const std::vector<Row> second = {MakeRow(3, 2.5, "z")};
     ASSERT_TRUE(
-        journal->AppendRows("t", first.data(), first.size(), 3).ok());
+        journal->AppendRows("t", RowsOfT(first)).ok());
     ASSERT_TRUE(
-        journal->AppendRows("t", second.data(), second.size(), 3).ok());
+        journal->AppendRows("t", RowsOfT(second)).ok());
   }
 
   Catalog catalog;
@@ -77,6 +83,46 @@ TEST(JournalTest, RoundTripsAppendsThroughReplay) {
   EXPECT_EQ(t->row(2)[2].str(), "z");
 }
 
+// A journal written before table columns were typed: the record of
+// `INSERT INTO T VALUES (1), (2.5)` into a DOUBLE column, whose block
+// stored the int64 and the double of one column with the kTagged
+// encoding. The encoder no longer emits kTagged, but journals on disk
+// hold it, so replay must still decode it (widening the int64).
+TEST(JournalTest, TaggedBlockFromOlderJournalStillReplays) {
+  const unsigned char kTaggedJournal[] = {
+      0x47, 0x4d, 0x44, 0x4a, 0x57, 0x41, 0x4c, 0x31, 0x2b, 0x00, 0x00,
+      0x00, 0x16, 0xd6, 0x24, 0xc4, 0x0a, 0xd5, 0x8b, 0xb1, 0x01, 0x01,
+      0x00, 0x00, 0x00, 0x54, 0x53, 0x50, 0x42, 0x31, 0x02, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0xae, 0x8a,
+      0xed, 0x55, 0x35, 0x4d, 0x22, 0xdc, 0x03, 0x03, 0x01, 0x02, 0x02,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40};
+  static_assert(sizeof(kTaggedJournal) == 63);
+  // Byte 51 is the column's encoding tag: kTagged.
+  ASSERT_EQ(kTaggedJournal[51],
+            static_cast<unsigned char>(ColumnEncoding::kTagged));
+  const std::string path = TestPath("tagged-golden");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(kTaggedJournal, 1, sizeof(kTaggedJournal), f),
+              sizeof(kTaggedJournal));
+    std::fclose(f);
+  }
+
+  Catalog catalog;
+  catalog.PutTable("T", testutil::MakeTable({"T.d:d"}, {}));
+  auto stats_or = ReplayJournal(path, &catalog);
+  ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
+  EXPECT_EQ(stats_or->records_applied, 1u);
+  EXPECT_EQ(stats_or->rows_applied, 2u);
+  EXPECT_EQ(stats_or->valid_bytes, sizeof(kTaggedJournal));
+  const Table* t = *catalog.GetTable("T");
+  ASSERT_EQ(t->num_rows(), 2u);
+  ASSERT_EQ(t->column(0).type(), ValueType::kDouble);
+  EXPECT_EQ(t->column(0).dbl(0), 1.0);
+  EXPECT_EQ(t->column(0).dbl(1), 2.5);
+}
+
 TEST(JournalTest, MissingFileReplaysAsEmpty) {
   Catalog catalog;
   FillCatalog(&catalog);
@@ -91,7 +137,7 @@ TEST(JournalTest, TornTailIsDroppedAndTruncatedByReopen) {
   {
     auto journal = std::move(JournalWriter::Open(path, 0)).ValueOrDie();
     const std::vector<Row> rows = {MakeRow(1, 0.5, "x")};
-    ASSERT_TRUE(journal->AppendRows("t", rows.data(), 1, 3).ok());
+    ASSERT_TRUE(journal->AppendRows("t", RowsOfT(rows)).ok());
   }
   const long good = FileSize(path);
   ASSERT_GT(good, 8);
@@ -123,7 +169,7 @@ TEST(JournalTest, TornTailIsDroppedAndTruncatedByReopen) {
             .ValueOrDie();
     EXPECT_EQ(static_cast<long>(journal->bytes()), good);
     const std::vector<Row> rows = {MakeRow(2, 1.5, "y")};
-    ASSERT_TRUE(journal->AppendRows("t", rows.data(), 1, 3).ok());
+    ASSERT_TRUE(journal->AppendRows("t", RowsOfT(rows)).ok());
   }
   Catalog catalog2;
   FillCatalog(&catalog2);
@@ -138,8 +184,8 @@ TEST(JournalTest, MidFileCorruptionIsTypedDataLoss) {
   {
     auto journal = std::move(JournalWriter::Open(path, 0)).ValueOrDie();
     const std::vector<Row> rows = {MakeRow(1, 0.5, "x")};
-    ASSERT_TRUE(journal->AppendRows("t", rows.data(), 1, 3).ok());
-    ASSERT_TRUE(journal->AppendRows("t", rows.data(), 1, 3).ok());
+    ASSERT_TRUE(journal->AppendRows("t", RowsOfT(rows)).ok());
+    ASSERT_TRUE(journal->AppendRows("t", RowsOfT(rows)).ok());
   }
   // Flip a payload byte of the *first* record: corruption followed by an
   // intact record is rot, not a torn append, and must not be "recovered"
@@ -168,8 +214,8 @@ TEST(JournalTest, UnknownTableIsDataLossAndNothingApplies) {
   {
     auto journal = std::move(JournalWriter::Open(path, 0)).ValueOrDie();
     const std::vector<Row> rows = {MakeRow(1, 0.5, "x")};
-    ASSERT_TRUE(journal->AppendRows("t", rows.data(), 1, 3).ok());
-    ASSERT_TRUE(journal->AppendRows("nope", rows.data(), 1, 3).ok());
+    ASSERT_TRUE(journal->AppendRows("t", RowsOfT(rows)).ok());
+    ASSERT_TRUE(journal->AppendRows("nope", RowsOfT(rows)).ok());
   }
   Catalog catalog;
   FillCatalog(&catalog);
@@ -243,7 +289,7 @@ TEST(JournalTest, OpenRefusesTruncatingJournalWithRecords) {
   {
     auto journal = std::move(JournalWriter::Open(path, 0)).ValueOrDie();
     const std::vector<Row> rows = {MakeRow(1, 0.5, "x")};
-    ASSERT_TRUE(journal->AppendRows("t", rows.data(), 1, 3).ok());
+    ASSERT_TRUE(journal->AppendRows("t", RowsOfT(rows)).ok());
   }
   const long size = FileSize(path);
   ASSERT_GT(size, 8);

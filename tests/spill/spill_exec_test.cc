@@ -140,6 +140,40 @@ TEST(SpillExecTest, ForcedSpillMatchesInMemoryAcrossStrategies) {
   EXPECT_GT(snapshot.counters["spill.bytes_written"], 0u);
 }
 
+TEST(SpillExecTest, AmpleBudgetStaysResident) {
+  // A spill scope alone never spills: with nothing forced and a budget
+  // the whole input fits, every operator runs as one resident range and
+  // writes no spill file.
+  OlapEngine plain;
+  OlapEngine scoped;
+  PopulateTables(plain.catalog(), 500, 300);
+  PopulateTables(scoped.catalog(), 500, 300);
+  spill::SpillConfig config;
+  config.dir = TestDir("ample");
+  scoped.EnableSpill(config);
+  QueryLimits limits;
+  limits.mem_budget_bytes = 64 << 20;
+
+  const Strategy strategies[] = {Strategy::kGmdjOptimized, Strategy::kGmdj,
+                                 Strategy::kUnnest};
+  for (const NestedSelect& query : AllQueries()) {
+    for (const Strategy strategy : strategies) {
+      const std::string context = std::string(StrategyToString(strategy)) +
+                                  " / " + query.ToString();
+      const Result<Table> expected = plain.Execute(query, strategy);
+      ASSERT_TRUE(expected.ok()) << context << ": "
+                                 << expected.status().ToString();
+      const Result<Table> actual = scoped.Execute(query, strategy, limits);
+      ASSERT_TRUE(actual.ok()) << context << ": "
+                               << actual.status().ToString();
+      ExpectSameTableOrdered(*actual, *expected, context);
+      EXPECT_EQ(scoped.last_stats().spill_passes, 0u) << context;
+      EXPECT_EQ(scoped.last_stats().spill_bytes_written, 0u) << context;
+    }
+  }
+  EXPECT_EQ(scoped.SnapshotMetrics().counters["spill.files_created"], 0u);
+}
+
 TEST(SpillExecTest, BudgetPressureDegradesInsteadOfAborting) {
   // Big base: the GMDJ's per-base-row aggregate state dominates, so a
   // budget below the full state still admits a fraction of the base rows
@@ -232,6 +266,9 @@ TEST(SpillExecTest, ExplainAnalyzeShowsSpillCounters) {
   OlapEngine engine;
   PopulateTables(engine.catalog(), 500, 300);
   engine.EnableSpill(ForcedSpillConfig("explain", 4));
+  ExecConfig exec = engine.exec_config();
+  exec.expr_eval_mode = ExprEvalMode::kCompiled;
+  engine.set_exec_config(exec);
   AnalyzeRenderOptions options;
   options.include_timings = false;
   const Result<std::string> rendered =
@@ -240,6 +277,12 @@ TEST(SpillExecTest, ExplainAnalyzeShowsSpillCounters) {
   ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
   EXPECT_NE(rendered->find("spill:"), std::string::npos) << *rendered;
   EXPECT_NE(rendered->find("passes="), std::string::npos) << *rendered;
+  // The node's condition counts are per execution, not per pass: four
+  // passes still report the one condition and its one aggregate.
+  EXPECT_NE(rendered->find("gmdj: conditions=1 compiled=1 fallbacks=0"),
+            std::string::npos)
+      << *rendered;
+  EXPECT_NE(rendered->find("typed_aggs=1/1"), std::string::npos) << *rendered;
 }
 
 TEST(SpillExecTest, SpillEventInTracer) {

@@ -4,32 +4,52 @@
 
 #include "spill/spill_format.h"
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "types/value.h"
 
 namespace gmdj {
 namespace spill {
 namespace {
 
-std::vector<Row> RoundTrip(const std::vector<Row>& rows, size_t num_cols) {
+using testutil::MakeTable;
+
+/// `table`'s rows encoded as one block.
+std::string Encode(const Table& table) {
   std::string block;
-  const Status encoded = EncodeBlock(rows.data(), rows.size(), num_cols,
-                                     &block);
+  const Status encoded = EncodeBlock(table, 0, table.num_rows(), &block);
   EXPECT_TRUE(encoded.ok()) << encoded.ToString();
+  return block;
+}
+
+/// Decodes `block` (header included) into typed columns of `schema`.
+Status Decode(const std::string& block, const Schema& schema,
+              std::vector<Column>* out) {
+  GMDJ_ASSIGN_OR_RETURN(const BlockHeader header,
+                        ParseBlockHeader(block.data()));
+  return DecodeBlockPayload(header, block.data() + kBlockHeaderSize, schema,
+                            out);
+}
+
+/// Encodes `table` as one block and decodes it back under its schema.
+std::vector<Row> RoundTrip(const Table& table) {
+  const std::string block = Encode(table);
   EXPECT_GE(block.size(), kBlockHeaderSize);
   auto header = ParseBlockHeader(block.data());
   EXPECT_TRUE(header.ok()) << header.status().ToString();
-  EXPECT_EQ(header->num_rows, rows.size());
-  EXPECT_EQ(header->num_cols, num_cols);
+  EXPECT_EQ(header->num_rows, table.num_rows());
+  EXPECT_EQ(header->num_cols, table.num_columns());
   EXPECT_EQ(kBlockHeaderSize + header->payload_size, block.size());
-  std::vector<Row> out;
-  const Status status =
-      DecodeBlockPayload(*header, block.data() + kBlockHeaderSize, &out);
+  std::vector<Column> columns;
+  const Status status = Decode(block, table.schema(), &columns);
   EXPECT_TRUE(status.ok()) << status.ToString();
-  return out;
+  Result<Table> out = Table::FromColumns(table.schema(), std::move(columns));
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::vector<Row>(out->rows()) : std::vector<Row>();
 }
 
 void ExpectSameRows(const std::vector<Row>& actual,
@@ -63,20 +83,20 @@ TEST(SpillFormatTest, RoundTripsMixedTypesAndNulls) {
     row.push_back(Value("name-" + std::to_string(i % 3)));
     rows.push_back(std::move(row));
   }
-  ExpectSameRows(RoundTrip(rows, 3), rows);
+  ExpectSameRows(RoundTrip(MakeTable({"a", "b:d", "c:s"}, rows)), rows);
 }
 
 TEST(SpillFormatTest, EmptyBlockAndEmptyStrings) {
-  ExpectSameRows(RoundTrip({}, 2), {});
+  ExpectSameRows(RoundTrip(MakeTable({"a:s", "b:s"}, {})), {});
   std::vector<Row> rows = {{Value(""), Value::Null()},
                            {Value(""), Value("x")}};
-  ExpectSameRows(RoundTrip(rows, 2), rows);
+  ExpectSameRows(RoundTrip(MakeTable({"a:s", "b:s"}, rows)), rows);
 }
 
 TEST(SpillFormatTest, AllNullColumn) {
   std::vector<Row> rows;
   for (int i = 0; i < 10; ++i) rows.push_back({Value::Null(), Value(1)});
-  ExpectSameRows(RoundTrip(rows, 2), rows);
+  ExpectSameRows(RoundTrip(MakeTable({"a", "b"}, rows)), rows);
 }
 
 TEST(SpillFormatTest, LowCardinalityCompresses) {
@@ -89,11 +109,10 @@ TEST(SpillFormatTest, LowCardinalityCompresses) {
     rows.push_back({Value(names[i % 3])});
     raw_bytes += names[i % 3].size() + 1;
   }
-  std::string block;
-  ASSERT_TRUE(EncodeBlock(rows.data(), rows.size(), 1, &block).ok());
-  EXPECT_LT(block.size(), raw_bytes / 2)
+  const Table table = MakeTable({"a:s"}, rows);
+  EXPECT_LT(Encode(table).size(), raw_bytes / 2)
       << "low-cardinality column did not compress";
-  ExpectSameRows(RoundTrip(rows, 1), rows);
+  ExpectSameRows(RoundTrip(table), rows);
 }
 
 TEST(SpillFormatTest, RunsCompress) {
@@ -102,26 +121,66 @@ TEST(SpillFormatTest, RunsCompress) {
   // per row.
   std::vector<Row> rows;
   for (int i = 0; i < 4096; ++i) rows.push_back({Value(int64_t{i / 16})});
-  std::string block;
-  ASSERT_TRUE(EncodeBlock(rows.data(), rows.size(), 1, &block).ok());
-  EXPECT_LT(block.size(), rows.size() / 2);
-  ExpectSameRows(RoundTrip(rows, 1), rows);
+  const Table table = MakeTable({"a"}, rows);
+  EXPECT_LT(Encode(table).size(), rows.size() / 2);
+  ExpectSameRows(RoundTrip(table), rows);
 }
 
-TEST(SpillFormatTest, MixedTypeColumnFallsBackToTagged) {
-  // A column whose non-null values mix types is legal in this Value
-  // model; the tagged fallback must preserve each value's type.
-  std::vector<Row> rows = {{Value(int64_t{1})},
-                           {Value(2.5)},
-                           {Value("three")},
-                           {Value::Null()}};
-  ExpectSameRows(RoundTrip(rows, 1), rows);
+/// A one-column block of the decode-only kTagged encoding, as blocks
+/// written before table columns were typed hold it: `values` in rows
+/// 0.., then one NULL row.
+std::string TaggedBlock(const std::vector<Value>& values) {
+  const size_t num_rows = values.size() + 1;
+  std::string payload((num_rows + 7) / 8, '\0');  // Null bitmap.
+  for (size_t i = 0; i < values.size(); ++i) {
+    payload[i / 8] = static_cast<char>(payload[i / 8] | (1 << (i % 8)));
+  }
+  payload.push_back(static_cast<char>(ColumnEncoding::kTagged));
+  for (const Value& v : values) {
+    payload.push_back(static_cast<char>(v.type()));
+    if (v.type() == ValueType::kInt64) {
+      payload.push_back(static_cast<char>(v.int64() << 1));  // Zigzag, small.
+    } else {
+      const double d = v.dbl();
+      char bits[8];
+      std::memcpy(bits, &d, 8);  // Little-endian host.
+      payload.append(bits, 8);
+    }
+  }
+  std::string block(kBlockMagic, 4);
+  const auto put_u32 = [&block](uint32_t v) {
+    for (int i = 0; i < 4; ++i) block.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  put_u32(static_cast<uint32_t>(num_rows));
+  put_u32(1);
+  put_u32(static_cast<uint32_t>(payload.size()));
+  const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
+  for (int i = 0; i < 8; ++i) block.push_back(static_cast<char>(checksum >> (8 * i)));
+  return block + payload;
+}
+
+TEST(SpillFormatTest, TaggedColumnDecodesIntoTypedColumn) {
+  // The encoder no longer emits kTagged (a typed column never mixes
+  // types), but the decoder still reads it: an int64 and a double into a
+  // DOUBLE column widen the int64...
+  std::vector<Column> columns;
+  const Status widened =
+      Decode(TaggedBlock({Value(int64_t{1}), Value(2.5)}),
+             MakeTable({"a:d"}, {}).schema(), &columns);
+  ASSERT_TRUE(widened.ok()) << widened.ToString();
+  ASSERT_EQ(columns.size(), 1u);
+  ASSERT_EQ(columns[0].size(), 3u);
+  EXPECT_EQ(columns[0].dbl(0), 1.0);
+  EXPECT_EQ(columns[0].dbl(1), 2.5);
+  EXPECT_TRUE(columns[0].is_null(2));
+  // ...and a double into an INT64 column is refused.
+  const Status refused = Decode(TaggedBlock({Value(int64_t{1}), Value(2.5)}),
+                                MakeTable({"a"}, {}).schema(), &columns);
+  EXPECT_EQ(refused.code(), StatusCode::kInternal) << refused.ToString();
 }
 
 TEST(SpillFormatTest, BadMagicRejected) {
-  std::vector<Row> rows = {{Value(1)}, {Value(2)}};
-  std::string block;
-  ASSERT_TRUE(EncodeBlock(rows.data(), rows.size(), 1, &block).ok());
+  std::string block = Encode(MakeTable({"a"}, {{Value(1)}, {Value(2)}}));
   block[0] = 'X';
   EXPECT_FALSE(ParseBlockHeader(block.data()).ok());
 }
@@ -131,27 +190,22 @@ TEST(SpillFormatTest, CorruptionAnywhereIsDetected) {
   for (int64_t i = 0; i < 64; ++i) {
     rows.push_back({Value(i), Value("payload-" + std::to_string(i))});
   }
-  std::string block;
-  ASSERT_TRUE(EncodeBlock(rows.data(), rows.size(), 2, &block).ok());
+  const Table table = MakeTable({"a", "b:s"}, rows);
+  const std::string block = Encode(table);
   // Flip one byte at a time across the payload; every corruption must be
   // caught by the checksum (the header keeps its own plausibility check).
   for (size_t at = kBlockHeaderSize; at < block.size(); at += 7) {
     std::string corrupt = block;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0x40);
-    auto header = ParseBlockHeader(corrupt.data());
-    ASSERT_TRUE(header.ok());
-    std::vector<Row> out;
-    EXPECT_FALSE(DecodeBlockPayload(*header, corrupt.data() + kBlockHeaderSize,
-                                    &out)
-                     .ok())
+    ASSERT_TRUE(ParseBlockHeader(corrupt.data()).ok());
+    std::vector<Column> out;
+    EXPECT_FALSE(Decode(corrupt, table.schema(), &out).ok())
         << "flipped byte at " << at << " went undetected";
   }
 }
 
 TEST(SpillFormatTest, TruncatedGeometryRejected) {
-  std::vector<Row> rows = {{Value(1)}};
-  std::string block;
-  ASSERT_TRUE(EncodeBlock(rows.data(), rows.size(), 1, &block).ok());
+  const std::string block = Encode(MakeTable({"a"}, {{Value(1)}}));
   // An absurd row count must fail header plausibility, not allocate.
   std::string corrupt = block;
   corrupt[4] = '\xff';
@@ -165,9 +219,12 @@ TEST(SpillFormatTest, OversizeGeometryRefusedAtEncode) {
   // Write-side enforcement mirrors the read-side plausibility check: a
   // block the header cannot represent must fail at encode time, leaving
   // `out` untouched, instead of emitting bytes that can never be read.
+  Schema wide;
+  for (size_t c = 0; c <= kMaxBlockCols; ++c) {
+    wide.AddField(Field{std::to_string(c), ValueType::kInt64, "t"});
+  }
   std::string block;
-  EXPECT_FALSE(
-      EncodeBlock(nullptr, 0, size_t{kMaxBlockCols} + 1, &block).ok());
+  EXPECT_FALSE(EncodeBlock(Table(wide), 0, 0, &block).ok());
   EXPECT_TRUE(block.empty());
 }
 
@@ -198,8 +255,10 @@ TEST(SpillFormatTest, RleRunLengthOverflowRejected) {
   header.num_cols = 1;
   header.payload_size = static_cast<uint32_t>(payload.size());
   header.checksum = Fnv1a64(payload.data(), payload.size());
-  std::vector<Row> out;
-  EXPECT_FALSE(DecodeBlockPayload(header, payload.data(), &out).ok());
+  std::vector<Column> out;
+  EXPECT_FALSE(DecodeBlockPayload(header, payload.data(),
+                                  MakeTable({"a"}, {}).schema(), &out)
+                   .ok());
 }
 
 TEST(Fnv1aTest, KnownVector) {

@@ -12,6 +12,7 @@
 #include "common/fault_injection.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "types/value.h"
 
 namespace gmdj {
@@ -27,10 +28,11 @@ std::string TestDir(const std::string& name) {
   return ::testing::TempDir() + "/gmdj_spill_manager_test_" + name;
 }
 
-std::vector<Row> MakeRows(int n) {
-  std::vector<Row> rows;
+Table MakeRows(int n) {
+  Table rows = testutil::MakeTable({"a", "b:s"}, {});
   for (int i = 0; i < n; ++i) {
-    rows.push_back({Value(i), Value("row-" + std::to_string(i))});
+    EXPECT_TRUE(rows.AppendRow({Value(i), Value("row-" + std::to_string(i))})
+                    .ok());
   }
   return rows;
 }
@@ -45,10 +47,8 @@ TEST(SpillManagerTest, WriterReaderRoundTripThroughScope) {
   auto writer_or = scope->NewWriter("part");
   ASSERT_TRUE(writer_or.ok()) << writer_or.status().ToString();
   auto writer = std::move(writer_or).ValueOrDie();
-  const std::vector<Row> rows = MakeRows(100);
-  for (const Row& row : rows) {
-    ASSERT_TRUE(writer->Append(row).ok());
-  }
+  const Table rows = MakeRows(100);
+  ASSERT_TRUE(writer->AppendTable(rows).ok());
   ASSERT_TRUE(writer->Finish().ok());
   EXPECT_EQ(writer->rows_written(), 100u);
   EXPECT_GE(writer->blocks_written(), 100u / 16u);
@@ -57,11 +57,11 @@ TEST(SpillManagerTest, WriterReaderRoundTripThroughScope) {
 
   auto reader_or = scope->OpenReader(writer->path());
   ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
-  std::vector<Row> read_back;
-  ASSERT_TRUE((*reader_or)->ReadAll(&read_back).ok());
-  ASSERT_EQ(read_back.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(read_back[i] == rows[i]) << "row " << i;
+  Table read_back(rows.schema());
+  ASSERT_TRUE((*reader_or)->ReadInto(&read_back).ok());
+  ASSERT_EQ(read_back.num_rows(), rows.num_rows());
+  for (size_t i = 0; i < rows.num_rows(); ++i) {
+    EXPECT_TRUE(read_back.row(i) == rows.row(i)) << "row " << i;
   }
   EXPECT_EQ(scope->bytes_read(), scope->bytes_written());
 }
@@ -75,7 +75,7 @@ TEST(SpillManagerTest, ScopeDestructionRemovesFilesAndReleasesBytes) {
   {
     auto scope = manager.CreateScope("q1");
     auto writer = std::move(scope->NewWriter("part")).ValueOrDie();
-    for (const Row& row : MakeRows(10)) ASSERT_TRUE(writer->Append(row).ok());
+    ASSERT_TRUE(writer->AppendTable(MakeRows(10)).ok());
     ASSERT_TRUE(writer->Finish().ok());
     file_path = writer->path();
     scope_dir = scope->dir();
@@ -98,11 +98,7 @@ TEST(SpillManagerTest, ByteBudgetRejectsLikeFullDisk) {
   SpillManager manager(config, &metrics);
   auto scope = manager.CreateScope("q1");
   auto writer = std::move(scope->NewWriter("part")).ValueOrDie();
-  Status status = Status::OK();
-  for (const Row& row : MakeRows(1000)) {
-    status = writer->Append(row);
-    if (!status.ok()) break;
-  }
+  Status status = writer->AppendTable(MakeRows(1000));
   if (status.ok()) status = writer->Finish();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
@@ -137,10 +133,11 @@ TEST(SpillManagerTest, MetricsFeedRegistry) {
   SpillManager manager(config, &metrics);
   auto scope = manager.CreateScope("q1");
   auto writer = std::move(scope->NewWriter("part")).ValueOrDie();
-  for (const Row& row : MakeRows(32)) ASSERT_TRUE(writer->Append(row).ok());
+  const Table rows = MakeRows(32);
+  ASSERT_TRUE(writer->AppendTable(rows).ok());
   ASSERT_TRUE(writer->Finish().ok());
-  std::vector<Row> out;
-  ASSERT_TRUE((*scope->OpenReader(writer->path()))->ReadAll(&out).ok());
+  Table out(rows.schema());
+  ASSERT_TRUE((*scope->OpenReader(writer->path()))->ReadInto(&out).ok());
   scope->NoteSpill(/*partitions=*/4, /*passes=*/4);
   scope->NoteSpill(/*partitions=*/2, /*passes=*/2);
 
@@ -178,11 +175,7 @@ TEST(SpillManagerTest, DiskFullFaultSurfacesAsResourceExhausted) {
   FaultSpec spec;
   spec.kind = FaultKind::kAllocFail;
   FaultInjector::Global()->Arm("spill/disk-full", spec);
-  Status status = Status::OK();
-  for (const Row& row : MakeRows(64)) {
-    status = writer->Append(row);
-    if (!status.ok()) break;
-  }
+  Status status = writer->AppendTable(MakeRows(64));
   if (status.ok()) status = writer->Finish();
   FaultInjector::Global()->Reset();
   ASSERT_FALSE(status.ok());
@@ -196,15 +189,16 @@ TEST(SpillManagerTest, ChecksumFaultSurfacesOnRead) {
   SpillManager manager(config);
   auto scope = manager.CreateScope("q1");
   auto writer = std::move(scope->NewWriter("part")).ValueOrDie();
-  for (const Row& row : MakeRows(8)) ASSERT_TRUE(writer->Append(row).ok());
+  const Table rows = MakeRows(8);
+  ASSERT_TRUE(writer->AppendTable(rows).ok());
   ASSERT_TRUE(writer->Finish().ok());
   FaultSpec spec;
   spec.kind = FaultKind::kError;
   spec.code = StatusCode::kInternal;
   spec.message = "injected checksum mismatch";
   FaultInjector::Global()->Arm("spill/checksum", spec);
-  std::vector<Row> out;
-  const Status status = (*scope->OpenReader(writer->path()))->ReadAll(&out);
+  Table out(rows.schema());
+  const Status status = (*scope->OpenReader(writer->path()))->ReadInto(&out);
   FaultInjector::Global()->Reset();
   EXPECT_FALSE(status.ok());
 }

@@ -1,6 +1,7 @@
 #include "test_util.h"
 
 #include "common/str_util.h"
+#include "planner/query_shape.h"
 
 namespace gmdj {
 namespace testutil {
@@ -100,6 +101,16 @@ Table ExpectAllStrategiesAgree(OlapEngine* engine, const NestedSelect& query,
         << " disagrees with native-naive\nquery: " << query.ToString();
   }
   return std::move(*reference);
+}
+
+Result<std::vector<StrategyCostEstimate>> StatFreeEstimates(
+    const Catalog& catalog, const NestedSelect& query) {
+  std::unique_ptr<NestedSelect> bound = query.Clone();
+  GMDJ_RETURN_IF_ERROR(bound->Bind(catalog, {}));
+  planner::ShapeCollector collector(&catalog, /*stats=*/nullptr);
+  GMDJ_ASSIGN_OR_RETURN(const planner::QueryShape shape,
+                        collector.Collect(*bound));
+  return planner::EstimateStrategies(shape);
 }
 
 }  // namespace testutil

@@ -8,6 +8,8 @@
 #include "engine/olap_engine.h"
 #include "exec/plan.h"
 #include "gtest/gtest.h"
+#include "nested/nested_ast.h"
+#include "planner/cost_model.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
 
@@ -40,6 +42,12 @@ void LoadPaperTables(OlapEngine* engine);
 /// result. `context` labels failures.
 Table ExpectAllStrategiesAgree(OlapEngine* engine, const NestedSelect& query,
                                const std::string& context);
+
+/// The planner's cost model without statistics: binds a clone of `query`
+/// against `catalog` and estimates every strategy from catalog row counts
+/// alone, cheapest first. Fails when the query does not bind.
+Result<std::vector<StrategyCostEstimate>> StatFreeEstimates(
+    const Catalog& catalog, const NestedSelect& query);
 
 }  // namespace testutil
 }  // namespace gmdj
