@@ -5,12 +5,12 @@
 // when the previous response lands). Every response is checked for
 // row-equality against a local engine holding the same seeded warehouse,
 // so a run doubles as an end-to-end correctness sweep — the server's
-// batched/cached path must answer byte-identically to a direct
-// OlapEngine::Execute.
+// admitted path (with or without the MQO cache) must answer
+// byte-identically to a direct OlapEngine::Execute.
 //
 // Output: one JSON line per run,
 //   {"bench": "serve_load", "clients": 16, "mqo_cache": "on",
-//    "batch_window_us": 200, "requests": 1234, "errors": 0,
+//    "requests": 1234, "errors": 0,
 //    "mismatches": 0, "throttled": 0, "qps": 410.2, "p50_us": ...,
 //    "p99_us": ..., "p999_us": ...}
 //
@@ -20,7 +20,6 @@
 //                                  per client, overriding --seconds)
 //   --mqo-cache=on|off             POST /config before the run (default:
 //                                  leave the server's setting alone)
-//   --batch-window-us=N            retune batching via /config
 //   --strategy=gmdj-optimized      X-Strategy on every request
 //   --warehouse-scale=X            must match the server's flag (local
 //                                  verification engine)
@@ -68,7 +67,6 @@ struct Args {
   double seconds = 5.0;
   int requests = 0;  // Per client; 0 = run for --seconds.
   std::string mqo_cache;  // "", "on", "off".
-  int64_t batch_window_us = -1;  // -1 = leave alone.
   std::string strategy = "gmdj-optimized";
   double warehouse_scale = 1.0;
   bool check = true;
@@ -93,8 +91,6 @@ Args ParseArgs(int argc, char** argv) {
       args.requests = std::atoi(arg + 11);
     } else if (std::strncmp(arg, "--mqo-cache=", 12) == 0) {
       args.mqo_cache = arg + 12;
-    } else if (std::strncmp(arg, "--batch-window-us=", 18) == 0) {
-      args.batch_window_us = std::atoll(arg + 18);
     } else if (std::strncmp(arg, "--strategy=", 11) == 0) {
       args.strategy = arg + 11;
     } else if (std::strncmp(arg, "--warehouse-scale=", 18) == 0) {
@@ -117,8 +113,8 @@ Args ParseArgs(int argc, char** argv) {
 }
 
 /// The replayed mix: plain filtered selects over both warehouse schemas.
-/// All are batchable GMDJ subquery shapes except the last (a bare scan),
-/// so a multi-client run exercises cross-client coalescing, the MQO
+/// All are GMDJ subquery shapes except the last (a bare scan), so a
+/// multi-client run exercises concurrent GMDJ execution, the MQO
 /// cache, and the single-query path at once.
 std::vector<std::string> QueryMix() {
   return {
@@ -349,21 +345,15 @@ int Run(const Args& args) {
 
   // Optional /config round (idle server assumed — do this before load).
   std::string config_echo;
-  if (!args.mqo_cache.empty() || args.batch_window_us >= 0) {
+  if (!args.mqo_cache.empty()) {
     server::HttpClient admin;
     if (!admin.Connect(args.host, args.port).ok()) {
       std::fprintf(stderr, "cannot connect to %s:%d\n", args.host.c_str(),
                    args.port);
       return 2;
     }
-    std::vector<std::pair<std::string, std::string>> headers;
-    if (!args.mqo_cache.empty()) {
-      headers.emplace_back("X-Mqo-Cache", args.mqo_cache);
-    }
-    if (args.batch_window_us >= 0) {
-      headers.emplace_back("X-Batch-Window-Us",
-                           std::to_string(args.batch_window_us));
-    }
+    std::vector<std::pair<std::string, std::string>> headers = {
+        {"X-Mqo-Cache", args.mqo_cache}};
     const int status =
         Post(&admin, args, "/config", headers, "", &config_echo);
     if (status != 200) {
@@ -408,14 +398,14 @@ int Run(const Args& args) {
 
   std::printf(
       "{\"bench\": \"serve_load\", \"clients\": %d, \"seconds\": %.2f, "
-      "\"mqo_cache\": \"%s\", \"batch_window_us\": %lld, "
+      "\"mqo_cache\": \"%s\", "
       "\"strategy\": \"%s\", \"check\": %s, \"requests\": %llu, "
       "\"errors\": %llu, \"mismatches\": %llu, \"throttled\": %llu, "
       "\"qps\": %.1f, \"p50_us\": %llu, \"p99_us\": %llu, "
       "\"p999_us\": %llu}\n",
       args.clients, wall_s,
       args.mqo_cache.empty() ? "keep" : args.mqo_cache.c_str(),
-      static_cast<long long>(args.batch_window_us), args.strategy.c_str(),
+      args.strategy.c_str(),
       args.check ? "true" : "false",
       static_cast<unsigned long long>(requests),
       static_cast<unsigned long long>(errors),

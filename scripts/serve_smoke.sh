@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end server smoke: boot gmdj_serve, run the closed-loop load
-# driver against it (16 clients, row-equality checked against a local
-# engine over the same deterministic warehouse), verify /health, then
-# exercise graceful shutdown and insist the server exits 0.
+# End-to-end server smoke: check that gmdj_serve refuses a batching
+# window, boot it, run the closed-loop load driver against it (16
+# clients, row-equality checked against a local engine over the same
+# deterministic warehouse), verify /health, then exercise graceful
+# shutdown and insist the server exits 0.
 #
 #   serve_smoke.sh <gmdj_serve> <serve_load> [port]
 #
@@ -16,10 +17,25 @@ load_bin=$2
 port=${3:-18123}
 
 log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+
+# Server batching was removed: a nonzero window is refused at flag
+# parsing (exit 2, before the warehouse loads or a port is bound).
+rc=0
+timeout 30 "$serve_bin" --port="$port" --batch-window-us=200 >"$log" 2>&1 || rc=$?
+if [ "$rc" -ne 2 ] || grep -q "listening on" "$log" ||
+   ! grep -q "server batching was removed" "$log"; then
+  echo "error: --batch-window-us=200 should exit 2 unbound (rc=$rc)" >&2
+  cat "$log" >&2
+  exit 1
+fi
+
 # Spill directory in a mktemp -d, trap-cleaned so failed runs leave no
-# litter; the tiny cap exercises the spill byte-budget path too.
+# litter; the tiny cap exercises the spill byte-budget path too. The
+# batching flags are the benchmark's launch line, accepted as no-ops.
 spill_dir=$(mktemp -d)
 "$serve_bin" --port="$port" --warehouse-scale=0.25 \
+  --batch-window-us=0 --max-batch=1 \
   --spill-dir="$spill_dir" --spill-max-bytes=256mb >"$log" 2>&1 &
 server_pid=$!
 trap 'kill -9 $server_pid 2>/dev/null || true; rm -f "$log"; rm -rf "$spill_dir"' EXIT

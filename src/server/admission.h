@@ -6,18 +6,16 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 namespace gmdj {
 namespace server {
 
-/// Bounded MPMC admission queue with a batching window — the server's
-/// back-pressure point. Connection threads TryPush parsed requests
-/// (rejection → 503, the client's signal to back off); worker threads
-/// PopBatch: block for the first item, then keep the batch open for a
-/// short window so concurrent requests coalesce into one ExecuteBatch
-/// call — the cross-client sharing opportunity the MQO cache feeds on.
+/// Bounded MPMC admission queue — the server's back-pressure point.
+/// Connection threads TryPush parsed requests (rejection → 503, the
+/// client's signal to back off); worker threads Pop one job at a time.
 ///
 /// Overload protection: every entry carries a priority (higher = more
 /// important, default 0). A push against a full queue evicts the newest
@@ -31,7 +29,7 @@ namespace server {
 ///
 /// Close() drains cooperatively: pushes start failing immediately, pops
 /// keep returning queued items until the queue is empty, then return
-/// empty batches. Items must be movable; the queue never copies.
+/// nothing. Items must be movable; the queue never copies.
 template <typename T>
 class AdmissionQueue {
  public:
@@ -74,43 +72,16 @@ class AdmissionQueue {
     return true;
   }
 
-  /// Blocks until at least one item (or close), then collects up to
-  /// `max_batch` items arriving within `window`: a first-item-anchored
-  /// batching window, so an idle server adds at most `window` of latency
-  /// and a busy one fills batches without waiting at all. An empty result
-  /// means closed-and-drained: the worker should exit.
-  std::vector<T> PopBatch(std::chrono::microseconds window, size_t max_batch) {
-    std::vector<T> batch;
-    if (max_batch == 0) max_batch = 1;
+  /// Blocks until an item is queued (or the queue closes) and takes the
+  /// oldest one. An empty result means closed-and-drained: the worker
+  /// should exit.
+  std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return batch;  // Closed and drained.
-    batch.push_back(TakeLocked());
-    const auto deadline = std::chrono::steady_clock::now() + window;
-    while (batch.size() < max_batch) {
-      if (items_.empty()) {
-        if (closed_ || std::chrono::steady_clock::now() >= deadline) break;
-        if (!ready_.wait_until(lock, deadline, [&] {
-              return closed_ || !items_.empty();
-            })) {
-          break;  // Window expired.
-        }
-        if (items_.empty()) break;  // Woken by close.
-      }
-      // The window is a hard bound anchored at the first item: past the
-      // deadline, drain what is queued right now (the lock is held, so
-      // nothing can slip in) and ship, instead of re-checking the
-      // condition and letting a trickle of pushes extend batch assembly
-      // arbitrarily. Items already buffered cost no extra latency.
-      if (std::chrono::steady_clock::now() >= deadline) {
-        while (batch.size() < max_batch && !items_.empty()) {
-          batch.push_back(TakeLocked());
-        }
-        break;
-      }
-      batch.push_back(TakeLocked());
-    }
-    return batch;
+    if (items_.empty()) return std::nullopt;  // Closed and drained.
+    T item = std::move(items_.front().item);
+    items_.pop_front();
+    return item;
   }
 
   /// Removes and returns every entry that has been queued longer than
@@ -164,12 +135,6 @@ class AdmissionQueue {
     int priority = 0;
     std::chrono::steady_clock::time_point enqueued;
   };
-
-  T TakeLocked() {
-    T item = std::move(items_.front().item);
-    items_.pop_front();
-    return item;
-  }
 
   const size_t capacity_;
   mutable std::mutex mu_;

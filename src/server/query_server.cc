@@ -14,12 +14,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-#include <unordered_map>
 
 #include "common/byte_size.h"
-#include "engine/batch_planner.h"
 #include "server/wire.h"
-#include "sql/parser.h"
 
 namespace gmdj {
 namespace server {
@@ -72,18 +69,11 @@ bool PeerClosed(int fd) {
 
 bool ParseStrategyName(const std::string& name, Strategy* out) {
   // Delegates to the canonical parser (planner/strategy.h), which also
-  // accepts "auto" — the cost-based planner picks per query. kAuto is not
-  // a GMDJ strategy for batching purposes (the planner may resolve
-  // different queries to different strategies), so auto jobs run singly.
+  // accepts "auto" — the cost-based planner picks per query.
   const std::optional<Strategy> parsed = StrategyFromName(name);
   if (!parsed.has_value()) return false;
   *out = *parsed;
   return true;
-}
-
-bool IsGmdjStrategy(Strategy s) {
-  return s == Strategy::kGmdjNaive || s == Strategy::kGmdj ||
-         s == Strategy::kGmdjOptimized;
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
@@ -131,14 +121,12 @@ std::string PlanTableToText(const Table& table) {
 QueryServer::QueryServer(OlapEngine* engine, ServerConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      queue_(config_.queue_capacity),
-      batch_window_us_(config_.batch_window_us) {
+      queue_(config_.queue_capacity) {
   obs::MetricRegistry* reg = engine_->metrics();
   m_accepted_ = reg->GetCounter("server.requests_accepted");
   m_rejected_ = reg->GetCounter("server.requests_rejected");
   m_bytes_in_ = reg->GetCounter("server.bytes_in");
   m_bytes_out_ = reg->GetCounter("server.bytes_out");
-  m_batches_ = reg->GetCounter("server.batches_executed");
   m_disconnect_cancels_ = reg->GetCounter("server.disconnect_cancels");
   m_inserts_ = reg->GetCounter("server.rows_inserted");
   m_shed_ = reg->GetCounter("server.jobs_shed");
@@ -146,7 +134,6 @@ QueryServer::QueryServer(OlapEngine* engine, ServerConfig config)
   m_breaker_trips_ = reg->GetCounter("server.breaker_trips");
   g_in_flight_ = reg->GetGauge("server.in_flight");
   g_open_connections_ = reg->GetGauge("server.open_connections");
-  h_batch_size_ = reg->GetHistogram("server.batch_size");
   h_query_us_ = reg->GetHistogram("server.query_us");
   h_explain_us_ = reg->GetHistogram("server.explain_us");
   h_health_us_ = reg->GetHistogram("server.health_us");
@@ -247,13 +234,12 @@ void QueryServer::Wait() {
           static_cast<int64_t>(config_.drain_deadline_ms * 1000.0));
   {
     // `pending_` covers queued, popped-but-unregistered, and executing
-    // jobs, so the loop cannot exit while a worker holds a batch it has
+    // jobs, so the loop cannot exit while a worker holds a job it has
     // not yet surfaced in active_jobs_.
     std::unique_lock<std::mutex> lock(active_mu_);
     while (pending_.load() > 0) {
       if (std::chrono::steady_clock::now() >= deadline) {
         for (Job* job : active_jobs_) job->limits.cancel.Cancel();
-        for (CancellationToken& token : active_batch_tokens_) token.Cancel();
         active_cv_.wait_for(lock, std::chrono::milliseconds(kPollMs));
       } else {
         active_cv_.wait_until(lock, deadline);
@@ -579,7 +565,7 @@ HttpResponse QueryServer::HandleQuery(Conn* conn, const HttpRequest& request,
   // INSERT executes inline on the connection thread: it takes the
   // engine's exclusive catalog lock for a row append (cheap), is
   // journaled before it is applied when the engine has a WAL attached,
-  // and must not ride the batching queue built for reads.
+  // and must not wait in the admission queue behind reads.
   if (statement.kind == SqlStatement::Kind::kInsert) {
     const size_t inserted = statement.insert_rows.size();
     const std::string table = statement.insert_table;
@@ -605,8 +591,8 @@ HttpResponse QueryServer::HandleQuery(Conn* conn, const HttpRequest& request,
   // Over the network that is an unauthenticated file-I/O primitive plus
   // a use-after-free, so they are local-surface only (shell, ExecuteSql,
   // gmdj_serve --restore at boot).
-  // ANALYZE rides the normal single-query path below (no `select`, so it
-  // runs through ExecuteSql): a bounded statistics scan, safe to serve.
+  // ANALYZE rides the normal query path below: a bounded statistics
+  // scan, safe to serve.
   if (statement.kind != SqlStatement::Kind::kSelect &&
       statement.kind != SqlStatement::Kind::kAnalyze) {
     m_rejected_->Add(1);
@@ -618,20 +604,11 @@ HttpResponse QueryServer::HandleQuery(Conn* conn, const HttpRequest& request,
   }
 
   auto job = std::make_shared<Job>();
-  job->sql = std::move(sql);
+  job->statement = std::move(statement);
   job->strategy = strategy;
   job->limits = session->defaults().Overridden(LimitsFromHeaders(request));
   job->explain = explain;
   job->session = session;
-  // Plain filtered selects on a GMDJ strategy are batchable: workers
-  // coalesce them across clients into one ExecuteBatch (MQO sharing).
-  // Everything else (EXPLAIN, projections, select-list subqueries,
-  // native strategies) runs singly through ExecuteSql.
-  if (!explain && statement.explain == SqlStatement::ExplainMode::kNone &&
-      statement.projections.empty() && statement.select_subqueries.empty() &&
-      IsGmdjStrategy(strategy)) {
-    job->select = std::move(statement.select);
-  }
 
   // Shedding rank: a full queue evicts the newest strictly-lower-priority
   // queued job to admit this one, and workers shed overdue lower-priority
@@ -649,10 +626,10 @@ HttpResponse QueryServer::HandleQuery(Conn* conn, const HttpRequest& request,
     // Under the config gate, so /config's idle check can exclude
     // admissions; `pending_` is bumped before the gate is released.
     // The per-tenant in-flight count is bumped before the push too —
-    // FinishJob's decrement can land as soon as a worker can pop, so
+    // ExecuteJob's decrement can land as soon as a worker can pop, so
     // incrementing after would let the gauge transiently read -1.
     std::lock_guard<std::mutex> gate(config_mu_);
-    session->in_flight.fetch_add(1);  // Dropped by FinishJob/ShedJob.
+    session->in_flight.fetch_add(1);  // Dropped by ExecuteJob/ShedJob.
     admitted = queue_.TryPush(job, priority, &evicted);
     if (admitted) {
       pending_.fetch_add(1);
@@ -736,8 +713,8 @@ HttpResponse QueryServer::HandleQuery(Conn* conn, const HttpRequest& request,
     response.content_type = "text/tab-separated-values";
     response.body = TableToTsv(result.ValueOrDie());
   } else {
-    response.body = TableToJson(result.ValueOrDie(), job->elapsed_ms,
-                                StrategyToString(job->strategy), job->batched);
+    response.body = TableToJson(result.ValueOrDie(), job->run.elapsed_ms,
+                                StrategyToString(job->strategy));
   }
   return response;
 }
@@ -769,8 +746,8 @@ HttpResponse QueryServer::HandleSession(Conn* conn,
 }
 
 HttpResponse QueryServer::HandleConfig(const HttpRequest& request) {
-  // Cache and batching toggles are admin knobs for A/B runs (the load
-  // driver flips them between sweeps); they must not race live queries.
+  // The cache toggle is an admin knob for A/B runs (the load driver
+  // flips it between sweeps); it must not race live queries.
   // Holding the admission gate for the whole handler blocks new /query
   // admissions, and `pending_` covers queued + executing jobs, so the
   // idle check cannot race an admission on another connection.
@@ -798,16 +775,9 @@ HttpResponse QueryServer::HandleConfig(const HttpRequest& request) {
                                     "X-Mqo-Cache must be 'on' or 'off'"));
     }
   }
-  const std::string window = request.Header("x-batch-window-us");
-  if (!window.empty()) {
-    batch_window_us_.store(std::strtoull(window.c_str(), nullptr, 10));
-  }
   HttpResponse response;
-  response.body =
-      std::string("{\"status\": \"ok\", \"mqo_cache\": ") +
-      (engine_->agg_cache() != nullptr ? "true" : "false") +
-      ", \"batch_window_us\": " + std::to_string(batch_window_us_.load()) +
-      "}";
+  response.body = std::string("{\"status\": \"ok\", \"mqo_cache\": ") +
+                  (engine_->agg_cache() != nullptr ? "true" : "false") + "}";
   return response;
 }
 
@@ -902,102 +872,31 @@ void QueryServer::WorkerLoop() {
                     "ms behind higher-priority work"));
       }
     }
-    std::vector<std::shared_ptr<Job>> jobs = queue_.PopBatch(
-        std::chrono::microseconds(batch_window_us_.load()), config_.max_batch);
-    if (jobs.empty()) return;  // Closed and drained.
-    ExecuteJobs(std::move(jobs));
+    std::optional<std::shared_ptr<Job>> job = queue_.Pop();
+    if (!job.has_value()) return;  // Closed and drained.
+    ExecuteJob(*job);
   }
 }
 
-void QueryServer::ExecuteJobs(std::vector<std::shared_ptr<Job>> jobs) {
+void QueryServer::ExecuteJob(const std::shared_ptr<Job>& job) {
   {
     std::lock_guard<std::mutex> lock(active_mu_);
-    for (const auto& job : jobs) active_jobs_.insert(job.get());
-    in_flight_.fetch_add(jobs.size());
+    active_jobs_.insert(job.get());
+    in_flight_.fetch_add(1);
     g_in_flight_->Set(static_cast<int64_t>(in_flight_.load()));
   }
 
-  // Coalesce batchable jobs per strategy (ExecuteBatch wants one); run
-  // the rest singly. A group of one skips batch admission overhead —
-  // the plain Execute path probes the same MQO cache.
-  std::unordered_map<int, std::vector<std::shared_ptr<Job>>> groups;
-  std::vector<std::shared_ptr<Job>> singles;
-  for (auto& job : jobs) {
-    if (job->select != nullptr) {
-      groups[static_cast<int>(job->strategy)].push_back(std::move(job));
-    } else {
-      singles.push_back(std::move(job));
-    }
-  }
+  job->result = engine_->ExecuteStatement(std::move(job->statement),
+                                          job->strategy, job->limits,
+                                          &job->run);
 
-  for (auto& [strategy_key, group] : groups) {
-    if (group.size() == 1) {
-      singles.push_back(std::move(group.front()));
-      continue;
-    }
-    BatchOptions options;
-    options.strategy = static_cast<Strategy>(strategy_key);
-    options.coalesce_across_queries = true;
-    // Shared prewarm runs under batch-level limits, not any one query's;
-    // register a batch token so the drain watchdog can cancel it too.
-    std::list<CancellationToken>::iterator batch_token;
-    {
-      std::lock_guard<std::mutex> lock(active_mu_);
-      batch_token =
-          active_batch_tokens_.emplace(active_batch_tokens_.end());
-    }
-    options.limits.cancel = *batch_token;
-    std::vector<const NestedSelect*> queries;
-    queries.reserve(group.size());
-    for (const auto& job : group) {
-      queries.push_back(job->select.get());
-      options.per_query_limits.push_back(job->limits.ToQueryLimits());
-    }
-    BatchResult batch = engine_->ExecuteBatch(queries, options);
-    {
-      std::lock_guard<std::mutex> lock(active_mu_);
-      active_batch_tokens_.erase(batch_token);
-    }
-    m_batches_->Add(1);
-    h_batch_size_->Record(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      auto& job = group[i];
-      if (!batch.status.ok()) {
-        job->result = batch.status;
-      } else {
-        job->result = std::move(batch.results[i]);
-      }
-      job->elapsed_ms = batch.elapsed_ms;  // Whole-batch wall time.
-      job->batched = true;
-      FinishJob(job);
-    }
-  }
-
-  for (auto& job : singles) {
-    if (job->select != nullptr) {
-      job->result = engine_->Execute(*job->select, job->strategy, job->limits,
-                                     &job->run);
-    } else {
-      job->result = engine_->ExecuteSql(job->sql, job->strategy, job->limits,
-                                        &job->run);
-    }
-    job->elapsed_ms = job->run.elapsed_ms;
-    FinishJob(job);
-  }
-}
-
-void QueryServer::ShedJob(const std::shared_ptr<Job>& job, Status status) {
-  // The job never reached ExecuteJobs: undo only the admission
-  // accounting (session in-flight + pending_), not in_flight_, which is
-  // bumped when a worker surfaces a batch. The connection thread reads
-  // `result`/`shed` only after observing `done` under job->mu, so the
-  // unguarded writes here are ordered by that acquire.
-  job->result = std::move(status);
-  job->shed = true;
   if (job->session != nullptr) job->session->in_flight.fetch_sub(1);
   {
     std::lock_guard<std::mutex> lock(active_mu_);
+    active_jobs_.erase(job.get());
+    in_flight_.fetch_sub(1);
     pending_.fetch_sub(1);
+    g_in_flight_->Set(static_cast<int64_t>(in_flight_.load()));
     active_cv_.notify_all();
   }
   {
@@ -1007,14 +906,18 @@ void QueryServer::ShedJob(const std::shared_ptr<Job>& job, Status status) {
   job->cv.notify_one();
 }
 
-void QueryServer::FinishJob(const std::shared_ptr<Job>& job) {
+void QueryServer::ShedJob(const std::shared_ptr<Job>& job, Status status) {
+  // The job never reached ExecuteJob: undo only the admission
+  // accounting (session in-flight + pending_), not in_flight_, which is
+  // bumped when a worker takes the job. The connection thread reads
+  // `result`/`shed` only after observing `done` under job->mu, so the
+  // unguarded writes here are ordered by that acquire.
+  job->result = std::move(status);
+  job->shed = true;
   if (job->session != nullptr) job->session->in_flight.fetch_sub(1);
   {
     std::lock_guard<std::mutex> lock(active_mu_);
-    active_jobs_.erase(job.get());
-    in_flight_.fetch_sub(1);
     pending_.fetch_sub(1);
-    g_in_flight_->Set(static_cast<int64_t>(in_flight_.load()));
     active_cv_.notify_all();
   }
   {

@@ -17,6 +17,7 @@
 #include "server/admission.h"
 #include "server/http.h"
 #include "server/session.h"
+#include "sql/parser.h"
 
 namespace gmdj {
 namespace server {
@@ -32,11 +33,6 @@ struct ServerConfig {
   size_t workers = 0;
   /// Bounded admission queue; a full queue answers 503.
   size_t queue_capacity = 256;
-  /// Batching window: after popping a request, a worker holds the batch
-  /// open this long so concurrent queries coalesce into one ExecuteBatch
-  /// (shared-condition prewarm + MQO cache hits). 0 = no coalescing.
-  uint64_t batch_window_us = 200;
-  size_t max_batch = 16;
   /// Concurrent connections; excess connections are refused with 503.
   size_t max_connections = 128;
   size_t max_body_bytes = 1 << 20;
@@ -93,7 +89,7 @@ struct ServerConfig {
 ///                   session's standing defaults -> {"session": "s-1"}.
 ///                   With X-Session: replace that session's defaults.
 ///   POST /config    Idle-only admin: X-Mqo-Cache on|off toggles the MQO
-///                   aggregate cache, X-Batch-Window-Us retunes batching.
+///                   aggregate cache.
 ///   POST /shutdown  Begin graceful drain (also SIGTERM in the binary).
 ///   GET  /health    {"status": "ok"|"draining", in-flight/queue depths}.
 ///   GET  /metrics   Engine MetricRegistry snapshot as JSON — includes
@@ -135,20 +131,16 @@ class QueryServer {
   /// (executes + signals).
   struct Job {
     // Inputs.
-    std::string sql;
+    SqlStatement statement;  // Parsed by the connection thread.
     Strategy strategy = Strategy::kGmdjOptimized;
     SessionLimits limits;  // Session defaults + request overrides.
     bool explain = false;  // /explain endpoint (plan text result).
-    /// Set for coalescable plain selects: parsed form for ExecuteBatch.
-    std::unique_ptr<NestedSelect> select;
     std::shared_ptr<Session> session;
 
     // Outputs.
     std::optional<Result<Table>> result;
     QueryRun run;
-    double elapsed_ms = 0.0;
-    bool batched = false;  // Shared an ExecuteBatch with other requests.
-    bool shed = false;     // Dropped by overload shedding/eviction, not run.
+    bool shed = false;  // Dropped by overload shedding/eviction, not run.
 
     // Completion latch.
     std::mutex mu;
@@ -190,10 +182,8 @@ class QueryServer {
   HttpResponse HandleHealth();
   HttpResponse HandleMetrics();
 
-  /// Executes a popped batch: coalesces batchable jobs per strategy into
-  /// ExecuteBatch calls, runs the rest singly, signals every job.
-  void ExecuteJobs(std::vector<std::shared_ptr<Job>> jobs);
-  void FinishJob(const std::shared_ptr<Job>& job);
+  /// Runs one popped job through the engine and signals it.
+  void ExecuteJob(const std::shared_ptr<Job>& job);
 
   /// Completes a job that was dropped without executing (evicted by a
   /// higher-priority push or shed by a worker): records `status`, undoes
@@ -214,14 +204,13 @@ class QueryServer {
   const ServerConfig config_;
   SessionManager sessions_;
   AdmissionQueue<std::shared_ptr<Job>> queue_;
-  std::atomic<uint64_t> batch_window_us_;
 
   /// Admission gate: /query pushes onto the queue (and bumps `pending_`)
   /// while holding this, and /config holds it for the whole config
-  /// change. `pending_` counts jobs from admission to FinishJob, so
-  /// `pending_ == 0` under the gate means no query is queued or
-  /// executing — and none can be admitted — for the duration of the
-  /// change (no check-then-act window).
+  /// change. `pending_` counts jobs from admission until ExecuteJob or
+  /// ShedJob completes them, so `pending_ == 0` under the gate means no
+  /// query is queued or executing — and none can be admitted — for the
+  /// duration of the change (no check-then-act window).
   std::mutex config_mu_;
   std::atomic<size_t> pending_{0};
 
@@ -238,14 +227,10 @@ class QueryServer {
   std::atomic<size_t> open_connections_{0};
 
   /// Jobs currently executing, so the drain watchdog can cancel their
-  /// tokens past the deadline. `active_batch_tokens_` holds one
-  /// batch-level token per in-flight ExecuteBatch — the handle that lets
-  /// the watchdog also stop shared prewarm work, which runs under batch
-  /// (not per-query) limits.
+  /// tokens past the deadline.
   std::mutex active_mu_;
   std::condition_variable active_cv_;
   std::unordered_set<Job*> active_jobs_;
-  std::list<CancellationToken> active_batch_tokens_;
   std::atomic<size_t> in_flight_{0};
 
   /// Sessions whose per-id gauge series exist in the registry. Expired
@@ -262,7 +247,6 @@ class QueryServer {
   obs::Counter* m_rejected_;
   obs::Counter* m_bytes_in_;
   obs::Counter* m_bytes_out_;
-  obs::Counter* m_batches_;
   obs::Counter* m_disconnect_cancels_;
   obs::Counter* m_inserts_;
   obs::Counter* m_shed_;
@@ -270,7 +254,6 @@ class QueryServer {
   obs::Counter* m_breaker_trips_;
   obs::Gauge* g_in_flight_;
   obs::Gauge* g_open_connections_;
-  obs::Histogram* h_batch_size_;
   obs::Histogram* h_query_us_;
   obs::Histogram* h_explain_us_;
   obs::Histogram* h_health_us_;

@@ -62,8 +62,7 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--host=127.0.0.1] [--port=8080] [--workers=N]\n"
-      "  [--queue-capacity=N] [--batch-window-us=N] [--max-batch=N]\n"
-      "  [--max-connections=N] [--drain-deadline-ms=N]\n"
+      "  [--queue-capacity=N] [--max-connections=N] [--drain-deadline-ms=N]\n"
       "  [--mqo-cache=on|off] [--cache-mb=N] [--mem-budget-mb=N|64mb|1gb]\n"
       "  [--threads=N] [--warehouse-scale=X]\n"
       "  [--spill-dir=DIR] [--spill-max-bytes=N|512mb] [--restore=DIR]\n"
@@ -86,11 +85,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->server.workers = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "queue-capacity", &value)) {
       flags->server.queue_capacity = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "batch-window-us", &value)) {
-      flags->server.batch_window_us = std::strtoull(value.c_str(), nullptr,
-                                                    10);
-    } else if (ParseFlag(arg, "max-batch", &value)) {
-      flags->server.max_batch = std::strtoull(value.c_str(), nullptr, 10);
+    } else if ((ParseFlag(arg, "batch-window-us", &value) && value == "0") ||
+               (ParseFlag(arg, "max-batch", &value) && value == "1")) {
+      // Every job already runs alone; older launch lines still pass these.
+    } else if (ParseFlag(arg, "batch-window-us", &value) ||
+               ParseFlag(arg, "max-batch", &value)) {
+      std::fprintf(stderr, "%s: server batching was removed\n", arg.c_str());
+      return false;
     } else if (ParseFlag(arg, "max-connections", &value)) {
       flags->server.max_connections = std::strtoull(value.c_str(), nullptr,
                                                     10);

@@ -57,7 +57,7 @@ void AppendCellJson(const Column& col, size_t r, std::string* out) {
 }  // namespace
 
 std::string TableToJson(const Table& table, double elapsed_ms,
-                        const std::string& strategy, bool batched) {
+                        const std::string& strategy) {
   std::string out = "{\"status\": \"ok\", \"columns\": [";
   for (size_t i = 0; i < table.schema().num_fields(); ++i) {
     if (i > 0) out += ", ";
@@ -80,9 +80,7 @@ std::string TableToJson(const Table& table, double elapsed_ms,
                 "], \"num_rows\": %zu, \"elapsed_ms\": %.3f, ",
                 table.num_rows(), elapsed_ms);
   out += tail;
-  out += "\"strategy\": \"" + JsonEscape(strategy) + "\", \"batched\": ";
-  out += batched ? "true" : "false";
-  out += '}';
+  out += "\"strategy\": \"" + JsonEscape(strategy) + "\"}";
   return out;
 }
 

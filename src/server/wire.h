@@ -14,12 +14,11 @@ std::string JsonEscape(const std::string& raw);
 
 /// Result table as the protocol's JSON success envelope:
 ///   {"status": "ok", "columns": ["c_name", ...], "rows": [[...], ...],
-///    "num_rows": 3, "elapsed_ms": 1.25, "strategy": "gmdj-optimized",
-///    "batched": true}
+///    "num_rows": 3, "elapsed_ms": 1.25, "strategy": "gmdj-optimized"}
 /// Values render as native JSON where possible: INT64/DOUBLE bare, NULL as
 /// null, strings escaped.
 std::string TableToJson(const Table& table, double elapsed_ms,
-                        const std::string& strategy, bool batched);
+                        const std::string& strategy);
 
 /// Deterministic text rendering shared by the server ("X-Format: tsv")
 /// and the load driver's row-equality check: one header line of qualified

@@ -392,8 +392,6 @@ TEST_F(ServerFaultTest, HigherPriorityPushEvictsQueuedLowerPriority) {
   config.port = 0;
   config.workers = 1;
   config.queue_capacity = 1;
-  config.batch_window_us = 0;
-  config.max_batch = 1;
   QueryServer server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
 
@@ -451,8 +449,6 @@ TEST_F(ServerFaultTest, OverdueLowerPriorityJobsAreShed) {
   config.port = 0;
   config.workers = 1;
   config.queue_capacity = 8;
-  config.batch_window_us = 0;
-  config.max_batch = 1;
   config.shed_after_ms = 50;
   QueryServer server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
@@ -530,7 +526,6 @@ TEST_F(ServerFaultTest, GracefulDrainRacingSpillingQueryLeavesSpillDirEmpty) {
   ServerConfig config;
   config.port = 0;
   config.workers = 1;
-  config.batch_window_us = 0;
   QueryServer server(&engine, config);
   ASSERT_TRUE(server.Start().ok());
 

@@ -1,6 +1,6 @@
 // End-to-end server tests: an in-process QueryServer on an ephemeral
 // port, driven through the real HTTP client. Covers row-equality against
-// direct engine execution (including the coalesced multi-client path),
+// direct engine execution (including concurrent clients),
 // structured errors with SQL offsets, per-session governance isolation,
 // admin endpoints, and graceful shutdown.
 
@@ -90,6 +90,10 @@ TEST_F(ServerIntegrationTest, QueryJsonEnvelopeCarriesStrategyAndRows) {
   EXPECT_NE(response.body.find("\"strategy\": \"gmdj-optimized\""),
             std::string::npos);
   EXPECT_NE(response.body.find("\"num_rows\": 3"), std::string::npos);
+  EXPECT_EQ(response.body.find("\"batched\""), std::string::npos);
+  auto metrics = client_.Request("GET", "/metrics", {}, "");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(metrics->body.find("server.batch_size"), std::string::npos);
 }
 
 TEST_F(ServerIntegrationTest, ParseErrorIs400WithByteOffset) {

@@ -46,7 +46,7 @@ TEST(SessionLimitsTest, ToQueryLimitsCopiesGovernanceFields) {
   SessionLimits session;
   session.deadline_ms = 123.0;
   session.mem_budget_bytes = 456;
-  session.num_threads = 3;  // Must survive: the batched path reads it.
+  session.num_threads = 3;  // Must survive: QueryLimits carries it.
   const QueryLimits limits = session.ToQueryLimits();
   EXPECT_EQ(limits.deadline_ms, 123.0);
   EXPECT_EQ(limits.mem_budget_bytes, 456u);
