@@ -108,11 +108,6 @@ int Run(const Args& args) {
     }
     for (int rep = 0; rep < args.reps; ++rep) {
       BatchResult batch = engine.ExecuteBatch(mix);
-      if (!batch.status.ok()) {
-        std::fprintf(stderr, "batch failed: %s\n",
-                     batch.status.message().c_str());
-        return 1;
-      }
       for (const Result<Table>& result : batch.results) {
         if (!result.ok()) {
           std::fprintf(stderr, "query failed: %s\n",
