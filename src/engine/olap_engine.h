@@ -240,9 +240,9 @@ class OlapEngine {
   double last_elapsed_ms() const { return last_elapsed_ms_; }
 
   /// Execution knobs applied to every plan the engine runs. With
-  /// `num_threads` > 1 large GMDJ evaluations and hash-index builds use
-  /// the shared morsel pool; `num_threads == 1` reproduces the exact
-  /// sequential behavior. 0 (default) means hardware concurrency.
+  /// `num_threads` > 1 large GMDJ evaluations use the shared morsel
+  /// pool; `num_threads == 1` reproduces the exact sequential behavior.
+  /// 0 (default) means hardware concurrency.
   void set_exec_config(ExecConfig config) { exec_config_ = config; }
   const ExecConfig& exec_config() const { return exec_config_; }
 

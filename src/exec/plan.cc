@@ -157,6 +157,9 @@ void RenderAnalyzed(const PlanNode& node, const obs::PlanProfile& profile,
                   std::to_string(stats->interpreter_fallbacks));
       out->append(" typed_aggs=" + std::to_string(stats->typed_aggs) + "/" +
                   std::to_string(stats->aggs));
+      out->append(" slot_path=" +
+                  std::to_string(stats->slot_path_conditions) + "/" +
+                  std::to_string(stats->coalesced_conditions));
       out->append(" discards=" + std::to_string(stats->completion_discards));
       out->append(" freezes=" + std::to_string(stats->completion_freezes));
       out->append(std::string(" cache=") +

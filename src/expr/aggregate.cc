@@ -1,5 +1,7 @@
 #include "expr/aggregate.h"
 
+#include <type_traits>
+
 #include "common/check.h"
 
 namespace gmdj {
@@ -170,6 +172,124 @@ Value AggState::Finalize(AggKind kind, ValueType arg_type) const {
       return extreme;  // NULL when no inputs: MIN/MAX of nothing is NULL.
   }
   return Value::Null();
+}
+
+TypedAggColumn::TypedAggColumn(AggKind kind, ValueType arg_type, size_t n)
+    : kind_(kind), is_double_(arg_type == ValueType::kDouble) {
+  GMDJ_CHECK(kind != AggKind::kCountStar);
+  GMDJ_CHECK(arg_type == ValueType::kInt64 || arg_type == ValueType::kDouble);
+  const bool extreme = kind == AggKind::kMin || kind == AggKind::kMax;
+  if (!extreme) counts_.assign(n, 0);
+  if (extreme) has_.assign(n, 0);
+  if (kind != AggKind::kCount) {
+    if (is_double_) {
+      values_d_.assign(n, 0.0);
+    } else {
+      values_i_.assign(n, 0);
+    }
+  }
+}
+
+void TypedAggColumn::Add(size_t g, const Value& v) {
+  if (v.is_null()) return;
+  // An int64-typed argument only yields int64 values; a double-typed one
+  // may yield an int64 (a CASE branch), which folds as its double.
+  GMDJ_CHECK(is_double_ || v.type() == ValueType::kInt64);
+  const auto fold = [&](auto k) {
+    constexpr AggKind K = decltype(k)::value;
+    if (is_double_) {
+      Add<K>(g, v.AsDouble());
+    } else {
+      Add<K>(g, v.int64());
+    }
+  };
+  switch (kind_) {
+    case AggKind::kCount:
+      fold(std::integral_constant<AggKind, AggKind::kCount>());
+      return;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      fold(std::integral_constant<AggKind, AggKind::kSum>());
+      return;
+    case AggKind::kMin:
+      fold(std::integral_constant<AggKind, AggKind::kMin>());
+      return;
+    case AggKind::kMax:
+      fold(std::integral_constant<AggKind, AggKind::kMax>());
+      return;
+    case AggKind::kCountStar:
+      return;
+  }
+}
+
+void TypedAggColumn::Merge(size_t g, const TypedAggColumn& other,
+                           size_t other_g) {
+  switch (kind_) {
+    case AggKind::kCount:
+      counts_[g] += other.counts_[other_g];
+      return;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      counts_[g] += other.counts_[other_g];
+      if (is_double_) {
+        values_d_[g] += other.values_d_[other_g];
+      } else {
+        values_i_[g] += other.values_i_[other_g];
+      }
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      if (!other.has_[other_g]) return;
+      if (is_double_) {
+        const double v = other.values_d_[other_g];
+        kind_ == AggKind::kMin ? Add<AggKind::kMin>(g, v)
+                               : Add<AggKind::kMax>(g, v);
+      } else {
+        const int64_t v = other.values_i_[other_g];
+        kind_ == AggKind::kMin ? Add<AggKind::kMin>(g, v)
+                               : Add<AggKind::kMax>(g, v);
+      }
+      return;
+    case AggKind::kCountStar:
+      return;
+  }
+}
+
+Value TypedAggColumn::Finalize(size_t g, ValueType arg_type) const {
+  switch (kind_) {
+    case AggKind::kCount:
+      return Value(counts_[g]);
+    case AggKind::kSum:
+      if (counts_[g] == 0) return Value::Null();  // SUM of nothing is NULL.
+      if (is_double_) return Value(values_d_[g]);
+      if (arg_type == ValueType::kInt64) return Value(values_i_[g]);
+      return Value(static_cast<double>(values_i_[g]));
+    case AggKind::kAvg: {
+      if (counts_[g] == 0) return Value::Null();
+      const double total = is_double_ ? values_d_[g]
+                                      : static_cast<double>(values_i_[g]);
+      return Value(total / static_cast<double>(counts_[g]));
+    }
+    case AggKind::kMin:
+    case AggKind::kMax:
+      if (!has_[g]) return Value::Null();  // MIN/MAX of nothing is NULL.
+      return is_double_ ? Value(values_d_[g]) : Value(values_i_[g]);
+    case AggKind::kCountStar:
+      break;
+  }
+  return Value::Null();
+}
+
+size_t TypedAggColumn::BytesPerGroup(AggKind kind) {
+  switch (kind) {
+    case AggKind::kCount:
+      return sizeof(int64_t);
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return sizeof(int64_t) + sizeof(uint8_t);
+    default:
+      return 2 * sizeof(int64_t);
+  }
 }
 
 }  // namespace gmdj

@@ -64,8 +64,10 @@ AggSpec AvgOf(ExprPtr arg, std::string name);
 /// semantics: NULL inputs are skipped; sum/min/max/avg of an empty (or
 /// all-NULL) multiset is NULL; counts of it are 0.
 ///
-/// The struct is intentionally small and trivially copyable: the GMDJ
-/// evaluator keeps |B| x m of these inline in its base-result structure.
+/// The boxed form: its MIN/MAX extreme is a Value, so it folds strings and
+/// mixed-type inputs (about 64 bytes, with a heap string when the extreme
+/// is one). The GMDJ kernel keeps numeric aggregates in TypedAggColumn
+/// instead and uses this only for the rest.
 struct AggState {
   int64_t count = 0;       // Non-null inputs seen (or tuples for count(*)).
   double sum_d = 0.0;      // Running sum (double accumulation).
@@ -75,66 +77,6 @@ struct AggState {
 
   /// Folds `v` into the state for aggregate kind `kind`.
   void Update(AggKind kind, const Value& v);
-
-  /// Typed forms of Update for a non-NULL int64 / double input (callers
-  /// skip NULLs, as Update does): the resulting state is bit-identical to
-  /// Update(kind, Value(v)), including the int-to-double sum migration
-  /// and MIN/MAX against an extreme of another type. Not for kCountStar.
-  void UpdateInt64(AggKind kind, int64_t v) {
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        ++count;
-        if (sum_is_int) {
-          sum_i += v;
-        } else {
-          sum_d += static_cast<double>(v);
-        }
-        return;
-      case AggKind::kMin:
-      case AggKind::kMax:
-        ++count;
-        if (extreme.type() == ValueType::kInt64) {
-          if (kind == AggKind::kMin ? v < extreme.int64()
-                                    : v > extreme.int64()) {
-            extreme = Value(v);
-          }
-          return;
-        }
-        UpdateExtreme(kind, Value(v));
-        return;
-      default:
-        ++count;
-        return;
-    }
-  }
-  void UpdateDouble(AggKind kind, double v) {
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        ++count;
-        if (sum_is_int) {
-          sum_d = static_cast<double>(sum_i);
-          sum_is_int = false;
-        }
-        sum_d += v;
-        return;
-      case AggKind::kMin:
-      case AggKind::kMax:
-        ++count;
-        if (extreme.type() == ValueType::kDouble) {
-          if (kind == AggKind::kMin ? v < extreme.dbl() : v > extreme.dbl()) {
-            extreme = Value(v);
-          }
-          return;
-        }
-        UpdateExtreme(kind, Value(v));
-        return;
-      default:
-        ++count;
-        return;
-    }
-  }
 
   /// Folds another partial state into this one. All supported aggregates
   /// are commutative and associative over partials (counts and integer
@@ -155,6 +97,70 @@ struct AggState {
       extreme = v;
     }
   }
+};
+
+/// Running states of one count/sum/avg/min/max aggregate over `n` groups,
+/// as struct-of-arrays: a count per group (count, sum, avg), an int64 or
+/// double value per group (the sum, or the min/max), and a has-value byte
+/// per group (min, max). The argument has one static numeric type, int64
+/// or double, so there is no type tag per group. 8 to 16 bytes per group,
+/// against AggState's 64.
+///
+/// Folding a group's inputs in one order gives the same Finalize as
+/// AggState::Update over the same inputs, bit for bit: an int64 argument
+/// sums exactly, a double one from 0.0 in fold order.
+class TypedAggColumn {
+ public:
+  TypedAggColumn(AggKind kind, ValueType arg_type, size_t n);
+
+  AggKind kind() const { return kind_; }
+  bool is_double() const { return is_double_; }
+
+  /// Folds a non-NULL input into group `g`; `K` is kind().
+  template <AggKind K>
+  void Add(size_t g, int64_t v) {
+    Fold<K>(g, v, values_i_.data());
+  }
+  template <AggKind K>
+  void Add(size_t g, double v) {
+    Fold<K>(g, v, values_d_.data());
+  }
+  /// Folds `v` into group `g`, skipping NULL: the per-row path for inputs
+  /// that arrive boxed.
+  void Add(size_t g, const Value& v);
+
+  /// Folds group `other_g` of `other` (same kind and type) into group `g`.
+  void Merge(size_t g, const TypedAggColumn& other, size_t other_g);
+
+  /// Group `g`'s final value, as AggState::Finalize(kind(), arg_type).
+  Value Finalize(size_t g, ValueType arg_type) const;
+
+  /// Bytes per group for an aggregate of `kind`.
+  static size_t BytesPerGroup(AggKind kind);
+
+ private:
+  template <AggKind K, typename T>
+  void Fold(size_t g, T v, T* values) {
+    if constexpr (K == AggKind::kCount) {
+      ++counts_[g];
+    } else if constexpr (K == AggKind::kSum || K == AggKind::kAvg) {
+      ++counts_[g];
+      values[g] += v;
+    } else {
+      static_assert(K == AggKind::kMin || K == AggKind::kMax);
+      if (!has_[g] || (K == AggKind::kMin ? v < values[g] : v > values[g])) {
+        values[g] = v;
+        has_[g] = 1;
+      }
+    }
+  }
+
+  AggKind kind_;
+  bool is_double_;
+  std::vector<int64_t> counts_;   // count, sum, avg.
+  std::vector<int64_t> values_i_;  // Sum or extreme, int64 argument.
+  std::vector<double> values_d_;   // Sum or extreme, double argument.
+  std::vector<uint8_t> has_;       // min, max: the group saw an input.
 };
 
 }  // namespace gmdj

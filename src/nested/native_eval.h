@@ -3,13 +3,14 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/plan.h"
 #include "nested/nested_ast.h"
-#include "storage/hash_index.h"
+#include "storage/key_index.h"
 
 namespace gmdj {
 
@@ -56,8 +57,12 @@ class NativeEvaluator {
  private:
   struct SubState {
     Table table;  // Materialized subquery source.
-    std::unique_ptr<HashIndex> index;        // Over local equality columns.
+    std::unique_ptr<KeyIndex> index;         // Over local equality columns.
     std::vector<const Expr*> probe_exprs;    // Outer-side key expressions.
+    // One cell per key expression: the probe key of the current tuple.
+    // Mutable: Candidates overwrites the cells for each probe.
+    mutable std::vector<Column> probe_cells;
+    mutable std::vector<const Column*> probe_cols;
     size_t frame = 0;                        // The block's frame index.
   };
 
@@ -94,9 +99,9 @@ class NativeEvaluator {
 
   /// Row indices of `state.table` to visit for the current outer tuples
   /// (all rows, or an index probe when available).
-  const std::vector<uint32_t>* Candidates(const SubState& state,
-                                          EvalContext* ctx,
-                                          std::vector<uint32_t>* scratch);
+  std::span<const uint32_t> Candidates(const SubState& state,
+                                       EvalContext* ctx,
+                                       std::vector<uint32_t>* scratch);
 
   const Catalog* catalog_;
   NativeOptions options_;

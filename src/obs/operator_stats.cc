@@ -22,6 +22,7 @@ void OperatorStats::MergeFrom(const OperatorStats& other) {
   interpreter_fallbacks += other.interpreter_fallbacks;
   typed_aggs += other.typed_aggs;
   aggs += other.aggs;
+  slot_path_conditions += other.slot_path_conditions;
   if (other.cache_outcome != CacheOutcome::kNotProbed) {
     cache_outcome = other.cache_outcome;
   }

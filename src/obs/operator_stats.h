@@ -56,6 +56,7 @@ struct OperatorStats {
   uint64_t interpreter_fallbacks = 0;
   uint64_t typed_aggs = 0;  // Aggregates folded by typed loops...
   uint64_t aggs = 0;        // ...out of all aggregates evaluated.
+  uint64_t slot_path_conditions = 0;  // Conditions folded by slot vector.
   CacheOutcome cache_outcome = CacheOutcome::kNotProbed;
   HistogramData rng_sizes;  // |RNG(b, R, theta)| per (base row, condition).
 

@@ -184,23 +184,49 @@ struct Matches {
   }
 };
 
-/// Folds `matches` into one aggregate whose argument is the typed array
-/// `vals` (NULL where `null`): `col[b * stride]` is base b's state.
-template <typename T>
-void FoldTyped(AggKind kind, const T* vals, const uint8_t* null,
-               const Matches& matches, AggState* col, size_t stride) {
-  for (size_t k = 0; k < matches.rows.size(); ++k) {
-    const uint32_t i = matches.rows[k];
-    if (null[i]) continue;
-    const T v = vals[i];
-    for (const uint32_t b : matches.bases[k]) {
-      if constexpr (std::is_same_v<T, int64_t>) {
-        col[static_cast<size_t>(b) * stride].UpdateInt64(kind, v);
-      } else {
-        col[static_cast<size_t>(b) * stride].UpdateDouble(kind, v);
-      }
-    }
+/// No candidate: a slot-vector entry of a row without a match.
+constexpr uint32_t kNoBase = UINT32_MAX;
+
+/// Calls `fn` with the kind constant typed aggregates fold by (AVG folds
+/// as SUM).
+template <typename Fn>
+void WithFoldKind(AggKind kind, const Fn& fn) {
+  switch (kind) {
+    case AggKind::kCount:
+      return fn(std::integral_constant<AggKind, AggKind::kCount>());
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      return fn(std::integral_constant<AggKind, AggKind::kSum>());
+    case AggKind::kMin:
+      return fn(std::integral_constant<AggKind, AggKind::kMin>());
+    case AggKind::kMax:
+      return fn(std::integral_constant<AggKind, AggKind::kMax>());
+    case AggKind::kCountStar:
+      return;
   }
+}
+
+/// How a condition consumes its candidates (fixed per scan).
+enum class Route : unsigned char {
+  kSpan,      // Walks candidate spans, builds Matches.
+  kScatter,   // Slot path: folds by scatter over the slot vector.
+  kComplete,  // Slot path: completion per row on its slot.
+};
+
+Route ChooseRoute(const GmdjCondRuntime& rt) {
+  if (rt.group < 0 || rt.analysis->strategy != CondStrategy::kHash ||
+      rt.index == nullptr || !rt.index->unique() ||
+      !rt.analysis->residual.empty() || rt.pair_cmp != nullptr) {
+    return Route::kSpan;
+  }
+  if (rt.action == CompletionAction::kNone) return Route::kScatter;
+  if (rt.action == CompletionAction::kDiscardOnMatch) return Route::kComplete;
+  // Satisfy-on-match folds its one match's aggregates, unless every one
+  // is count(*), which the match count serves.
+  for (const AggSpec& agg : rt.cond->aggs) {
+    if (agg.kind != AggKind::kCountStar) return Route::kSpan;
+  }
+  return Route::kComplete;
 }
 
 /// Working state of one pass over detail rows — the sequential pass, or
@@ -209,30 +235,33 @@ void FoldTyped(AggKind kind, const T* vals, const uint8_t* null,
 /// the detail table's columns, read in place, then takes the conditions
 /// in runtime order:
 ///  - a binding group runs one probe or stab per row that passes at least
-///    one member's mask (hash candidates are spans into the index; stab
-///    output fills a capped buffer, flushed by row sub-range), then each
-///    member walks those candidates in row order;
+///    one member's mask, then each member consumes the candidates. Over a
+///    unique index a row has at most one candidate, kept in the slot
+///    vector `slot_`; members on the slot path (UsesSlotPath) fold by
+///    scatter over it or run their completion per row. Otherwise hash
+///    candidates are spans into the index and stab output fills a capped
+///    buffer, flushed by row sub-range;
 ///  - a scan condition walks the live base tuples per passing row;
 ///  - an anti-probe discards each passing row's violators.
-/// Walking a condition's candidates applies its completion checks and
-/// residual and records the matches per row, which its aggregates then
-/// fold one aggregate at a time with typed loops; a condition with nothing
-/// of its own to check takes its candidate lists as its matches. Completion decisions go
-/// through the policy (LocalCompletion or SharedCompletion). Per (base,
-/// aggregate) the fold order is detail-row order, so sequential double
-/// sums match a row-at-a-time fold bit for bit.
+/// A member on the span path applies its completion checks and residual
+/// to each candidate and records the matches per row, which its
+/// aggregates then fold one aggregate at a time with typed loops; a
+/// member with nothing of its own to check takes its candidate lists as
+/// its matches. Every match bumps the condition's match count, which is
+/// also its count(*). Completion decisions go through the policy
+/// (LocalCompletion or SharedCompletion). Per (base, aggregate) the fold
+/// order is detail-row order, so sequential double sums match a
+/// row-at-a-time fold bit for bit.
 class GmdjScan {
  public:
   /// Sizes the state for `in`, which must outlive the scan.
   void Init(const GmdjEvalInput& in);
   bool initialized() const { return in_ != nullptr; }
 
-  /// Evaluates detail rows [begin, begin+rows) into `states` (|B| x
-  /// total_aggs) and, when non-null, the |B| x |runtimes| match counters
-  /// `rng`.
+  /// Evaluates detail rows [begin, begin+rows) into `out`.
   template <typename Completion>
   void RunChunk(size_t begin, size_t rows, Completion* done,
-                AggState* states, uint32_t* rng);
+                GmdjResults* out);
 
   /// Anti-probe runtime `ci`: θ-passing detail rows seen so far.
   uint32_t anti_seen(size_t ci) const { return anti_seen_[ci]; }
@@ -266,18 +295,33 @@ class GmdjScan {
   ColumnVector DetailColumn(size_t col) const {
     return ColumnVector::Of(in_->detail->column(col), chunk_begin_);
   }
-  /// Runs binding group `g`'s lookups for rows [r0, rows) into `cands_`,
-  /// stopping early when the stab buffer fills; returns the end row.
+  /// Runs binding group `g`'s lookups for rows [r0, rows) into `slot_`
+  /// (unique index) or `cands_`, stopping early when the stab buffer
+  /// fills; returns the end row.
   size_t CollectCandidates(size_t g, size_t r0, size_t rows);
+  /// Probes hash group `g`'s index for rows [r0, rows); `put(i, found)`
+  /// records row i's candidates.
+  template <typename Put>
+  void ProbeRows(size_t g, size_t r0, size_t rows, const Put& put);
   /// Walks runtime `ci`'s candidates over rows [r0, r1) and folds its
   /// matches (`cands(i)` = candidates of row i).
   template <typename Completion, typename CandFn>
   void FoldCondition(size_t ci, size_t r0, size_t r1, Completion* done,
                      const CandFn& cands);
+  /// Slot path, unfiltered runtime `ci`: scatter over rows [r0, r1).
+  void ScatterCondition(size_t ci, size_t r0, size_t r1);
+  /// Slot path, completion runtime `ci`: rows [r0, r1) in row order.
+  template <typename Completion>
+  void CompleteCondition(size_t ci, size_t r0, size_t r1, Completion* done);
   /// Anti-probe runtime `ci` over the chunk's rows.
   template <typename Completion>
   void AntiProbe(size_t ci, size_t rows, Completion* done);
-  /// Folds `matches` into `cond`'s aggregates at flat offset `agg_offset`.
+  /// Folds `cond`'s aggregates (flat offset `agg_offset`) over the
+  /// (row, base) pairs `each(fn)` passes to `fn`, in row order.
+  template <typename Each>
+  void FoldAggs(const GmdjCondition& cond, const GmdjCondPrograms& progs,
+                size_t agg_offset, const Each& each);
+  /// FoldAggs over `matches`.
   void FoldMatches(const GmdjCondition& cond, const GmdjCondPrograms& progs,
                    size_t agg_offset, const Matches& matches);
   /// Resolves aggregate `a` of `progs` (flat slot `flat`) to typed arrays
@@ -289,21 +333,14 @@ class GmdjScan {
   bool ResidualMatches(const GmdjCondRuntime& rt, uint32_t b);
   /// Evaluates a fused ALL pair's comparison ψ on the current pair.
   bool PairMatches(const GmdjCondRuntime& rt);
-
-  /// Probes `rt`'s index with the current row's values of `keys`; null
-  /// when a key is NULL.
-  const std::vector<uint32_t>* ProbeHash(std::span<const EqBinding> keys,
-                                         const GmdjCondRuntime& rt);
-  const std::vector<uint32_t>* ProbeBoxed(std::span<const EqBinding> keys,
-                                          const HashIndex& hash);
   /// Appends the current row's stab of `rt`'s interval index to `out`.
   void Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out);
 
   const GmdjEvalInput* in_ = nullptr;
   // Hot-path copies of `in_` fields.
   const GmdjCondRuntime* runtimes_ = nullptr;
+  const GmdjResultLayout* layout_ = nullptr;
   size_t num_runtimes_ = 0;
-  size_t total_aggs_ = 0;
   EvalContext ectx_;
   ExprScratch scratch_;
   ExprVecScratch vec_scratch_;
@@ -311,16 +348,25 @@ class GmdjScan {
   // (null when the runtime has no detail-only conjunct).
   std::vector<std::vector<uint8_t>> pass_;
   std::vector<const uint8_t*> masks_;
+  // Per runtime: its route, and whether its aggregates fold at all
+  // (false when every one, its pair's too, is count(*)).
+  std::vector<Route> routes_;
+  std::vector<uint8_t> folds_;
   size_t chunk_begin_ = 0;
   size_t chunk_rows_ = 0;
   uint64_t chunk_seq_ = 0;
   size_t detail_row_ = 0;  // The current detail row.
-  Row probe_key_;
-  // Binding groups: member runtimes in runtime order.
+  // Binding groups: member runtimes in runtime order, whether the group's
+  // index is unique, and its detail key columns.
   std::vector<std::vector<uint32_t>> groups_;
-  // The current group's candidates per chunk row, the rows any member
-  // wants looked up, and the stab buffer (row i's stab is
-  // stab_buf_[stab_off_[i], stab_off_[i + 1])).
+  std::vector<uint8_t> group_unique_;
+  std::vector<std::vector<const Column*>> group_keys_;
+  // The current group's candidates per chunk row — the slot vector over a
+  // unique index, else spans — the rows any member wants looked up, and
+  // the stab buffer (row i's stab is stab_buf_[stab_off_[i],
+  // stab_off_[i + 1])).
+  std::vector<uint32_t> slot_;
+  std::vector<uint32_t> masked_slot_;  // slot_ under one member's mask.
   std::vector<Candidates> cands_;
   std::vector<uint8_t> want_;
   std::vector<uint32_t> stab_buf_;
@@ -329,30 +375,52 @@ class GmdjScan {
   Matches pair_matches_;  // Of those, the fused pair's ψ-passing ones.
   std::vector<BatchArg> batch_args_;
   std::vector<uint32_t> anti_seen_;
-  // Destination of the chunk being run.
-  AggState* states_ = nullptr;
-  uint32_t* rng_ = nullptr;
+  GmdjResults* out_ = nullptr;  // Destination of the chunk being run.
 };
 
 void GmdjScan::Init(const GmdjEvalInput& in) {
   in_ = &in;
   runtimes_ = in.runtimes->data();
+  layout_ = in.layout;
   num_runtimes_ = in.runtimes->size();
-  total_aggs_ = in.total_aggs;
   ectx_.PushFrame(in.base);
   ectx_.PushFrame(in.detail);
   scratch_.batch_frame = 1;
   pass_.resize(num_runtimes_);
   masks_.assign(num_runtimes_, nullptr);
+  routes_.resize(num_runtimes_);
+  folds_.resize(num_runtimes_);
   for (size_t ci = 0; ci < num_runtimes_; ++ci) {
-    const int g = runtimes_[ci].group;
+    const GmdjCondRuntime& rt = runtimes_[ci];
+    routes_[ci] = ChooseRoute(rt);
+    const auto any_fold = [](const GmdjCondition* cond) {
+      if (cond == nullptr) return false;
+      for (const AggSpec& agg : cond->aggs) {
+        if (agg.kind != AggKind::kCountStar) return true;
+      }
+      return false;
+    };
+    folds_[ci] = any_fold(rt.cond) || any_fold(rt.pair_cond);
+    const int g = rt.group;
     if (g < 0) continue;
-    if (groups_.size() <= static_cast<size_t>(g)) groups_.resize(g + 1);
+    if (groups_.size() <= static_cast<size_t>(g)) {
+      groups_.resize(g + 1);
+      group_unique_.resize(g + 1);
+      group_keys_.resize(g + 1);
+    }
+    if (groups_[g].empty()) {
+      group_unique_[g] = rt.index != nullptr && rt.index->unique();
+      for (const EqBinding& eq : rt.analysis->eq_bindings) {
+        group_keys_[g].push_back(&in.detail->column(eq.detail_col));
+      }
+    }
     groups_[g].push_back(static_cast<uint32_t>(ci));
   }
+  slot_.resize(kChunkRows);
+  masked_slot_.resize(kChunkRows);
   cands_.resize(kChunkRows);
   stab_off_.resize(kChunkRows + 1);
-  batch_args_.resize(total_aggs_);
+  batch_args_.resize(layout_->homes.size());
   anti_seen_.assign(num_runtimes_, 0);
 }
 
@@ -395,9 +463,8 @@ void GmdjScan::BeginChunk(size_t begin, size_t rows) {
 
 template <typename Completion>
 void GmdjScan::RunChunk(size_t begin, size_t rows, Completion* done,
-                        AggState* states, uint32_t* rng) {
-  states_ = states;
-  rng_ = rng;
+                        GmdjResults* out) {
+  out_ = out;
   BeginChunk(begin, rows);
   for (size_t ci = 0; ci < num_runtimes_; ++ci) {
     const GmdjCondRuntime& rt = runtimes_[ci];
@@ -417,8 +484,24 @@ void GmdjScan::RunChunk(size_t begin, size_t rows, Completion* done,
     for (size_t r0 = 0; r0 < rows;) {
       const size_t r1 = CollectCandidates(g, r0, rows);
       for (const uint32_t m : groups_[g]) {
-        FoldCondition(m, r0, r1, done,
-                      [this](size_t i) { return cands_[i]; });
+        switch (routes_[m]) {
+          case Route::kScatter:
+            ScatterCondition(m, r0, r1);
+            break;
+          case Route::kComplete:
+            CompleteCondition(m, r0, r1, done);
+            break;
+          case Route::kSpan:
+            if (group_unique_[g]) {
+              FoldCondition(m, r0, r1, done, [this](size_t i) {
+                return Candidates(&slot_[i], slot_[i] != kNoBase ? 1 : 0);
+              });
+            } else {
+              FoldCondition(m, r0, r1, done,
+                            [this](size_t i) { return cands_[i]; });
+            }
+            break;
+        }
       }
       r0 = r1;
     }
@@ -440,23 +523,13 @@ size_t GmdjScan::CollectCandidates(size_t g, size_t r0, size_t rows) {
   }
 
   if (rt.analysis->strategy == CondStrategy::kHash) {
-    const std::span<const EqBinding> keys = rt.analysis->eq_bindings;
-    if (rt.typed_hash != nullptr) {
-      const ColumnVector key = DetailColumn(keys[0].detail_col);
-      for (size_t i = r0; i < rows; ++i) {
-        cands_[i] = {};
-        if (!want_[i] || key.null[i]) continue;  // NULL key: no match.
-        hash_probes += 1;
-        cands_[i] = rt.typed_hash->Probe(key.i64[i]);
-      }
-      return rows;
-    }
-    for (size_t i = r0; i < rows; ++i) {
-      cands_[i] = {};
-      if (!want_[i]) continue;
-      SetRow(i);
-      const std::vector<uint32_t>* found = ProbeBoxed(keys, *rt.hash);
-      if (found != nullptr) cands_[i] = *found;
+    if (group_unique_[g]) {
+      ProbeRows(g, r0, rows, [this](size_t i, KeyIndex::Rows found) {
+        slot_[i] = found.empty() ? kNoBase : found[0];
+      });
+    } else {
+      ProbeRows(g, r0, rows,
+                [this](size_t i, KeyIndex::Rows found) { cands_[i] = found; });
     }
     return rows;
   }
@@ -478,6 +551,37 @@ size_t GmdjScan::CollectCandidates(size_t g, size_t r0, size_t rows) {
   return end;
 }
 
+template <typename Put>
+void GmdjScan::ProbeRows(size_t g, size_t r0, size_t rows, const Put& put) {
+  const KeyIndex& index = *runtimes_[groups_[g].front()].index;
+  const std::vector<const Column*>& keys = group_keys_[g];
+  if (index.direct() && keys[0]->type() == ValueType::kInt64) {
+    // One dense int64 key read in place: the common correlation shape.
+    const ColumnVector key = ColumnVector::Of(*keys[0], chunk_begin_);
+    for (size_t i = r0; i < rows; ++i) {
+      KeyIndex::Rows found;
+      if (want_[i] && !key.null[i]) {  // NULL key: no match.
+        hash_probes += 1;
+        found = index.ProbeDirect(key.i64[i]);
+      }
+      put(i, found);
+    }
+    return;
+  }
+  for (size_t i = r0; i < rows; ++i) {
+    KeyIndex::Rows found;
+    const size_t row = chunk_begin_ + i;
+    const bool has_null =
+        std::any_of(keys.begin(), keys.end(),
+                    [row](const Column* key) { return key->is_null(row); });
+    if (want_[i] && !has_null) {
+      hash_probes += 1;
+      found = index.Probe(keys, row);
+    }
+    put(i, found);
+  }
+}
+
 template <typename Completion, typename CandFn>
 void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
                              Completion* done, const CandFn& cands) {
@@ -492,6 +596,12 @@ void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
   // discarded still gets folded; discarded tuples are never emitted.)
   const bool unfiltered =
       !per_pair && freeze == 0 && rt.action == CompletionAction::kNone;
+  uint32_t* count = out_->counts(layout_->count_of[ci]);
+  const bool owner = layout_->counts_owner[ci] != 0;
+  uint32_t* pair_count = rt.pair_cmp != nullptr
+                             ? out_->counts(layout_->pair_count_of[ci])
+                             : nullptr;
+  const bool fold = folds_[ci] != 0;
   auto flush = [&] {
     matches_.Seal();
     FoldMatches(*rt.cond, *rt.progs, rt.agg_offset, matches_);
@@ -509,10 +619,12 @@ void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
     if (candidates.empty()) continue;
     const uint32_t row = static_cast<uint32_t>(i);
     if (unfiltered) {
-      matches_.rows.push_back(row);
-      matches_.bases.push_back(candidates);
-      if (rng_ != nullptr) {
-        for (const uint32_t b : candidates) ++rng_[b * num_runtimes_ + ci];
+      if (owner) {
+        for (const uint32_t b : candidates) ++count[b];
+      }
+      if (fold) {
+        matches_.rows.push_back(row);
+        matches_.bases.push_back(candidates);
       }
       continue;
     }
@@ -521,35 +633,85 @@ void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
       if (done->Discarded(b)) continue;
       if (freeze != 0 && done->Frozen(b, freeze)) continue;
       if (per_pair && !ResidualMatches(rt, b)) continue;
-      uint32_t* rng = rng_ != nullptr ? &rng_[b * num_runtimes_ + ci] : nullptr;
       if (rt.action == CompletionAction::kDiscardOnMatch) {
-        if (rng != nullptr) ++*rng;
+        ++count[b];
         done->Discard(b);
         continue;
       }
       if (rt.pair_cmp != nullptr && !PairMatches(rt)) {
         // The ALL quantifier is violated; counts diverge forever.
-        if (rng != nullptr) ++*rng;
+        ++count[b];
         done->Discard(b);
         continue;
       }
       // Satisfy-on-match: whoever sets the bit counts the one match.
       if (freeze != 0 && !done->Freeze(b, freeze)) continue;
-      if (rng != nullptr) ++*rng;
+      ++count[b];
+      if (rt.pair_cmp != nullptr) ++pair_count[b];
+      if (!fold) continue;
       matches_.buf.push_back(b);
       if (rt.pair_cmp != nullptr) pair_matches_.buf.push_back(b);
     }
+    if (!fold) continue;
     matches_.EndRow(row);
     if (rt.pair_cmp != nullptr) pair_matches_.EndRow(row);
     if (matches_.buf.size() >= kPairCap) flush();
   }
-  flush();
+  if (fold) flush();
+}
+
+void GmdjScan::ScatterCondition(size_t ci, size_t r0, size_t r1) {
+  const GmdjCondRuntime& rt = runtimes_[ci];
+  const uint8_t* mask = masks_[ci];
+  const uint32_t* slot = slot_.data();
+  if (mask != nullptr) {
+    for (size_t i = r0; i < r1; ++i) {
+      masked_slot_[i] = mask[i] ? slot_[i] : kNoBase;
+    }
+    slot = masked_slot_.data();
+  }
+  if (layout_->counts_owner[ci]) {
+    uint32_t* count = out_->counts(layout_->count_of[ci]);
+    for (size_t i = r0; i < r1; ++i) {
+      if (slot[i] != kNoBase) ++count[slot[i]];
+    }
+  }
+  if (!folds_[ci]) return;
+  FoldAggs(*rt.cond, *rt.progs, rt.agg_offset, [&](const auto& fn) {
+    for (size_t i = r0; i < r1; ++i) {
+      if (slot[i] != kNoBase) fn(static_cast<uint32_t>(i), slot[i]);
+    }
+  });
+}
+
+template <typename Completion>
+void GmdjScan::CompleteCondition(size_t ci, size_t r0, size_t r1,
+                                 Completion* done) {
+  const GmdjCondRuntime& rt = runtimes_[ci];
+  const uint8_t* mask = masks_[ci];
+  uint32_t* count = out_->counts(layout_->count_of[ci]);
+  const uint64_t freeze = rt.freeze_bit;
+  for (size_t i = r0; i < r1; ++i) {
+    if (mask != nullptr && !mask[i]) continue;
+    const uint32_t b = slot_[i];
+    if (b == kNoBase || done->Discarded(b)) continue;
+    if (freeze == 0) {  // Discard-on-match.
+      ++count[b];
+      done->Discard(b);
+      continue;
+    }
+    // Satisfy-on-match: whoever sets the bit counts the one match.
+    if (done->Frozen(b, freeze) || !done->Freeze(b, freeze)) continue;
+    ++count[b];
+  }
 }
 
 template <typename Completion>
 void GmdjScan::AntiProbe(size_t ci, size_t rows, Completion* done) {
   const GmdjCondRuntime& rt = runtimes_[ci];
   const uint8_t* mask = masks_[ci];
+  const Column* key = &in_->detail->column(rt.anti_key->detail_col);
+  uint32_t* count = out_->counts(layout_->count_of[ci]);
   for (size_t i = 0; i < rows; ++i) {
     if (done->AllDecided()) return;
     if (mask != nullptr && !mask[i]) continue;
@@ -558,21 +720,65 @@ void GmdjScan::AntiProbe(size_t ci, size_t rows, Completion* done) {
     // detail key, NULL base keys on the first row).
     const uint32_t seen = ++anti_seen_[ci];
     auto violate = [&](uint32_t b) {
-      if (done->Discard(b) && rng_ != nullptr) {
-        rng_[b * num_runtimes_ + ci] = seen;
-      }
+      if (done->Discard(b)) count[b] = seen;
     };
     if (seen == 1) {
       for (const uint32_t b : rt.anti_null_bases) violate(b);
     }
-    SetRow(i);
-    const std::vector<uint32_t>* violators =
-        ProbeHash(std::span<const EqBinding>(&*rt.anti_key, 1), rt);
-    if (violators != nullptr) {
-      for (const uint32_t b : *violators) violate(b);
-    } else {
+    const size_t row = chunk_begin_ + i;
+    if (key->is_null(row)) {
       for (const uint32_t b : done->Active()) violate(b);
+      continue;
     }
+    hash_probes += 1;
+    for (const uint32_t b : rt.index->Probe(std::span(&key, 1), row)) {
+      violate(b);
+    }
+  }
+}
+
+template <typename Each>
+void GmdjScan::FoldAggs(const GmdjCondition& cond,
+                        const GmdjCondPrograms& progs, size_t agg_offset,
+                        const Each& each) {
+  for (size_t a = 0; a < cond.aggs.size(); ++a) {
+    const size_t flat = agg_offset + a;
+    const GmdjResultLayout::Home home = layout_->homes[flat];
+    if (home.store == GmdjResultLayout::Store::kMatchCount) continue;
+    const ExprProgram& prog = *progs.agg_args[a];
+    if (home.store == GmdjResultLayout::Store::kBoxed) {
+      // Per-pair Value fold: strings, base-reading arguments, interpret.
+      AggState* col = out_->boxed(home.index);
+      const AggKind kind = cond.aggs[a].kind;
+      each([&](uint32_t i, uint32_t b) {
+        SetRow(i);
+        ectx_.SetRow(0, b);
+        col[b].Update(kind, prog.Eval(ectx_, &scratch_));
+      });
+      continue;
+    }
+    TypedAggColumn& col = out_->typed(home.index);
+    TypedArg arg;
+    if (!ResolveArg(progs, a, flat, &arg)) {
+      // A disqualified batch: the same arrays, from per-row Values.
+      each([&](uint32_t i, uint32_t b) {
+        SetRow(i);
+        col.Add(b, prog.Eval(ectx_, &scratch_));
+      });
+      continue;
+    }
+    WithFoldKind(col.kind(), [&](auto k) {
+      constexpr AggKind K = decltype(k)::value;
+      if (arg.i64 != nullptr) {
+        each([&](uint32_t i, uint32_t b) {
+          if (!arg.null[i]) col.Add<K>(b, arg.i64[i]);
+        });
+      } else {
+        each([&](uint32_t i, uint32_t b) {
+          if (!arg.null[i]) col.Add<K>(b, arg.dbl[i]);
+        });
+      }
+    });
   }
 }
 
@@ -580,37 +786,11 @@ void GmdjScan::FoldMatches(const GmdjCondition& cond,
                            const GmdjCondPrograms& progs, size_t agg_offset,
                            const Matches& matches) {
   if (matches.rows.empty()) return;
-  for (size_t a = 0; a < cond.aggs.size(); ++a) {
-    const AggSpec& agg = cond.aggs[a];
-    AggState* col = states_ + agg_offset + a;
-    if (agg.kind == AggKind::kCountStar) {
-      for (const Candidates bases : matches.bases) {
-        for (const uint32_t b : bases) {
-          ++col[static_cast<size_t>(b) * total_aggs_].count;
-        }
-      }
-      continue;
-    }
-    TypedArg arg;
-    if (ResolveArg(progs, a, agg_offset + a, &arg)) {
-      if (arg.i64 != nullptr) {
-        FoldTyped(agg.kind, arg.i64, arg.null, matches, col, total_aggs_);
-      } else {
-        FoldTyped(agg.kind, arg.dbl, arg.null, matches, col, total_aggs_);
-      }
-      continue;
-    }
-    // Per-pair Value fold: strings, base-reading arguments, interpret mode.
-    const ExprProgram& prog = *progs.agg_args[a];
+  FoldAggs(cond, progs, agg_offset, [&](const auto& fn) {
     for (size_t k = 0; k < matches.rows.size(); ++k) {
-      SetRow(matches.rows[k]);
-      for (const uint32_t b : matches.bases[k]) {
-        ectx_.SetRow(0, b);
-        col[static_cast<size_t>(b) * total_aggs_].Update(
-            agg.kind, prog.Eval(ectx_, &scratch_));
-      }
+      for (const uint32_t b : matches.bases[k]) fn(matches.rows[k], b);
     }
-  }
+  });
 }
 
 bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,
@@ -664,17 +844,6 @@ bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
   return IsTrue(rt.progs->pair_cmp->EvalPred(ectx_, &scratch_));
 }
 
-const std::vector<uint32_t>* GmdjScan::ProbeHash(
-    std::span<const EqBinding> keys, const GmdjCondRuntime& rt) {
-  if (rt.typed_hash != nullptr) {
-    const Column& key = in_->detail->column(keys[0].detail_col);
-    if (key.is_null(detail_row_)) return nullptr;  // NULL: no match.
-    hash_probes += 1;
-    return &rt.typed_hash->Probe(key.i64(detail_row_));
-  }
-  return ProbeBoxed(keys, *rt.hash);
-}
-
 void GmdjScan::Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out) {
   const Column& key = in_->detail->column(rt.analysis->interval->detail_col);
   if (key.is_null(detail_row_)) return;
@@ -684,38 +853,41 @@ void GmdjScan::Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out) {
                     out);
 }
 
-const std::vector<uint32_t>* GmdjScan::ProbeBoxed(
-    std::span<const EqBinding> keys, const HashIndex& hash) {
-  probe_key_.clear();
-  for (const EqBinding& eq : keys) {
-    const Column& key = in_->detail->column(eq.detail_col);
-    if (key.is_null(detail_row_)) return nullptr;
-    probe_key_.push_back(key.Get(detail_row_));
+}  // namespace
+
+template <typename Keep>
+void GmdjResults::Merge(const GmdjResults& other, const Keep& keep) {
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  for (size_t b = 0; b < n_; ++b) {
+    if (!keep(b)) continue;
+    for (size_t t = 0; t < typed_.size(); ++t) {
+      typed_[t].Merge(b, other.typed_[t], b);
+    }
+    for (size_t v = 0; v < layout_->boxed_kinds.size(); ++v) {
+      boxed_[v * n_ + b].Merge(layout_->boxed_kinds[v],
+                               other.boxed_[v * n_ + b]);
+    }
   }
-  hash_probes += 1;
-  return &hash.Probe(probe_key_);
 }
+
+namespace {
 
 /// Thread-local evaluation state of one ParallelFor slot. A slot is
 /// pinned to one thread for the whole loop, so nothing here needs locks.
 struct SlotState {
-  std::vector<AggState> states;  // |B| x total_aggs partial aggregates.
+  GmdjResults partial;           // This slot's base-results table.
   std::vector<uint32_t> active;  // Non-discarded bases for kScan dispatch.
   size_t active_rebuild_mark = 0;  // num_discarded at last rebuild.
   GmdjScan scan;  // The kernel's buffers and morsel-local work counters.
-  std::vector<uint32_t> rng;  // |B| x |runtimes| when in.rng_counts set.
   std::vector<MorselTiming> timings;
 };
 
 void InitSlot(SlotState* slot, const GmdjEvalInput& in) {
   const size_t n = in.base->num_rows();
-  slot->states.resize(n * in.total_aggs);
+  slot->partial.Init(*in.layout, n);
   slot->active.resize(n);
   std::iota(slot->active.begin(), slot->active.end(), 0);
   slot->scan.Init(in);
-  if (in.rng_counts != nullptr) {
-    slot->rng.assign(n * in.runtimes->size(), 0);
-  }
 }
 
 /// Processes detail rows [begin, end) through the chunk kernel, with
@@ -745,7 +917,6 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
   // failure or this query's cancellation stops the scan within a chunk,
   // not a whole morsel.
   SharedCompletion done(shared, &slot->active);
-  uint32_t* rng = slot->rng.empty() ? nullptr : slot->rng.data();
   for (size_t chunk = begin; chunk < end; chunk += kChunkRows) {
     if (done.AllDecided()) return Status::OK();
     if (chunk != begin) {
@@ -755,7 +926,7 @@ Status ProcessMorsel(const GmdjEvalInput& in, size_t begin, size_t end,
       if (in.query != nullptr) GMDJ_RETURN_IF_ERROR(in.query->CheckAlive());
     }
     slot->scan.RunChunk(chunk, std::min(kChunkRows, end - chunk), &done,
-                        slot->states.data(), rng);
+                        &slot->partial);
   }
   return Status::OK();
 }
@@ -766,8 +937,9 @@ Status ExecuteGmdjSequential(ExecContext* ctx, const GmdjEvalInput& in,
                              GmdjEvalResult* out) {
   GMDJ_RETURN_IF_ERROR(GMDJ_FAULT_POINT("gmdj/scan"));
   const std::vector<GmdjCondRuntime>& runtimes = *in.runtimes;
+  const GmdjResultLayout& layout = *in.layout;
   const size_t n = in.base->num_rows();
-  out->states.assign(n * in.total_aggs, AggState{});
+  out->table.Init(layout, n);
   LocalCompletion done(n, &out->discarded);
   GmdjScan scan;
   scan.Init(in);
@@ -778,7 +950,6 @@ Status ExecuteGmdjSequential(ExecContext* ctx, const GmdjEvalInput& in,
     scan.hash_probes = 0;
   };
 
-  uint32_t* rng = in.rng_counts != nullptr ? in.rng_counts->data() : nullptr;
   const size_t num_detail = in.detail->num_rows();
   for (size_t chunk = 0; chunk < num_detail; chunk += kChunkRows) {
     if (done.AllDecided()) break;  // Every base tuple is decided.
@@ -788,31 +959,122 @@ Status ExecuteGmdjSequential(ExecContext* ctx, const GmdjEvalInput& in,
     }
     out->batches += 1;
     scan.RunChunk(chunk, std::min(kChunkRows, num_detail - chunk), &done,
-                  out->states.data(), rng);
+                  &out->table);
   }
   flush_counters();
 
   // Anti-probe survivors matched θ on every θ-passing detail tuple and ψ
-  // never failed: both halves of the pair count all of those tuples.
+  // never failed: both halves of the pair (count(*) only) count all of
+  // those tuples.
   for (size_t ci = 0; ci < runtimes.size(); ++ci) {
-    const GmdjCondRuntime& rt = runtimes[ci];
-    if (!rt.anti_key.has_value()) continue;
+    if (!runtimes[ci].anti_key.has_value()) continue;
     const uint32_t seen = scan.anti_seen(ci);
+    uint32_t* count = out->table.counts(layout.count_of[ci]);
+    uint32_t* pair_count = out->table.counts(layout.pair_count_of[ci]);
     for (uint32_t b = 0; b < n; ++b) {
       if (done.Discarded(b)) continue;
-      AggState* entry = &out->states[b * in.total_aggs];
-      for (size_t a = 0; a < rt.cond->aggs.size(); ++a) {
-        entry[rt.agg_offset + a].count = seen;
-      }
-      for (size_t a = 0; a < rt.pair_cond->aggs.size(); ++a) {
-        entry[rt.pair_agg_offset + a].count = seen;
-      }
-      if (rng != nullptr) rng[b * runtimes.size() + ci] = seen;
+      count[b] = seen;
+      pair_count[b] = seen;
     }
   }
   out->num_discarded = done.num_discarded();
   out->num_freezes = done.num_freezes();
   return Status::OK();
+}
+
+bool UsesSlotPath(const GmdjCondRuntime& rt) {
+  return ChooseRoute(rt) != Route::kSpan;
+}
+
+GmdjResultLayout BuildResultLayout(
+    const std::vector<GmdjCondRuntime>& runtimes, size_t total_aggs) {
+  GmdjResultLayout layout;
+  const size_t r = runtimes.size();
+  layout.count_of.assign(r, 0);
+  layout.counts_owner.assign(r, 1);
+  layout.pair_count_of.assign(r, 0);
+  layout.homes.resize(total_aggs);
+  std::vector<int> shared_count;  // Per binding group; -1 = none yet.
+  for (size_t ci = 0; ci < r; ++ci) {
+    const GmdjCondRuntime& rt = runtimes[ci];
+    const bool shares = rt.group >= 0 && !rt.skip &&
+                        rt.analysis->residual.empty() &&
+                        rt.analysis->detail_only.empty() &&
+                        rt.pair_cmp == nullptr &&
+                        rt.action == CompletionAction::kNone;
+    if (shares) {
+      const size_t g = static_cast<size_t>(rt.group);
+      if (shared_count.size() <= g) shared_count.resize(g + 1, -1);
+      layout.counts_owner[ci] = shared_count[g] < 0;
+      if (shared_count[g] < 0) {
+        shared_count[g] = static_cast<int>(layout.num_counts++);
+      }
+      layout.count_of[ci] = static_cast<uint32_t>(shared_count[g]);
+    } else {
+      layout.count_of[ci] = static_cast<uint32_t>(layout.num_counts++);
+    }
+    for (size_t a = 0; a < rt.cond->aggs.size(); ++a) {
+      const AggKind kind = rt.cond->aggs[a].kind;
+      GmdjResultLayout::Home& home = layout.homes[rt.agg_offset + a];
+      if (kind == AggKind::kCountStar) {
+        home = {GmdjResultLayout::Store::kMatchCount, layout.count_of[ci]};
+      } else if (rt.progs->agg_folds[a] != AggFold::kValue) {
+        home = {GmdjResultLayout::Store::kTyped,
+                static_cast<uint32_t>(layout.typed_kinds.size())};
+        layout.typed_kinds.push_back(kind);
+        layout.typed_types.push_back(rt.progs->agg_args[a]->result_type());
+      } else {
+        home = {GmdjResultLayout::Store::kBoxed,
+                static_cast<uint32_t>(layout.boxed_kinds.size())};
+        layout.boxed_kinds.push_back(kind);
+      }
+    }
+  }
+  // A fused pair's filtered condition counts the pair's ψ-passing matches.
+  for (size_t ci = 0; ci < r; ++ci) {
+    for (size_t f = 0; f < r; ++f) {
+      if (runtimes[ci].pair_cond != nullptr &&
+          runtimes[f].cond == runtimes[ci].pair_cond) {
+        layout.pair_count_of[ci] = layout.count_of[f];
+      }
+    }
+  }
+  return layout;
+}
+
+size_t GmdjResultLayout::BytesPerBase() const {
+  size_t bytes = num_counts * sizeof(uint32_t) +
+                 boxed_kinds.size() * sizeof(AggState);
+  for (const AggKind kind : typed_kinds) {
+    bytes += TypedAggColumn::BytesPerGroup(kind);
+  }
+  return bytes;
+}
+
+void GmdjResults::Init(const GmdjResultLayout& layout, size_t n) {
+  layout_ = &layout;
+  n_ = n;
+  counts_.assign(layout.num_counts * n, 0);
+  typed_.clear();
+  typed_.reserve(layout.typed_kinds.size());
+  for (size_t t = 0; t < layout.typed_kinds.size(); ++t) {
+    typed_.emplace_back(layout.typed_kinds[t], layout.typed_types[t], n);
+  }
+  boxed_.assign(layout.boxed_kinds.size() * n, AggState{});
+}
+
+Value GmdjResults::Finalize(size_t b, size_t flat, ValueType arg_type) const {
+  const GmdjResultLayout::Home home = layout_->homes[flat];
+  switch (home.store) {
+    case GmdjResultLayout::Store::kMatchCount:
+      return Value(static_cast<int64_t>(counts(home.index)[b]));
+    case GmdjResultLayout::Store::kTyped:
+      return typed_[home.index].Finalize(b, arg_type);
+    case GmdjResultLayout::Store::kBoxed:
+      return boxed_[home.index * n_ + b].Finalize(
+          layout_->boxed_kinds[home.index], arg_type);
+  }
+  return Value::Null();
 }
 
 bool ParallelGmdjSupported(const std::vector<GmdjCondRuntime>& runtimes) {
@@ -839,7 +1101,6 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
                                  const ExecConfig& config, ExecStats* stats,
                                  GmdjEvalResult* out) {
   GMDJ_CHECK(ParallelGmdjSupported(*in.runtimes));
-  GMDJ_CHECK(in.agg_kinds.size() == in.total_aggs);
   const size_t n = in.base->num_rows();
   const size_t num_detail = in.detail->num_rows();
   const size_t morsel_rows = std::max<size_t>(1, config.morsel_rows);
@@ -861,13 +1122,13 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
     }
   }
 
-  // The dominant allocation: one |B| x total_aggs partial-aggregate table
-  // per slot, plus the shared completion flags. Charged against the query
+  // The dominant allocation: one partial base-results table per slot,
+  // plus the shared completion flags. Charged against the query
   // budget before any worker touches data, so an over-budget query aborts
   // here with ResourceExhausted instead of thrashing the machine.
   if (in.query != nullptr) {
     const size_t partials_bytes =
-        parallelism * n * in.total_aggs * sizeof(AggState);
+        parallelism * n * in.layout->BytesPerBase();
     const size_t flags_bytes = n * (sizeof(std::atomic<uint8_t>) +
                                     sizeof(std::atomic<uint64_t>));
     Status reserve = GMDJ_FAULT_POINT("parallel/alloc");
@@ -922,22 +1183,12 @@ Status ExecuteGmdjMorselParallel(const GmdjEvalInput& in,
 
   // ---- Merge thread-local partials (commutative, so slot order only
   // affects double-sum rounding, exactly as morsel order does). ----
-  out->states.assign(n * in.total_aggs, AggState{});
+  out->table.Init(*in.layout, n);
   for (const SlotState& slot : slots) {
     if (!slot.scan.initialized()) continue;
-    for (size_t b = 0; b < n; ++b) {
-      if (shared.discarded[b].load(std::memory_order_relaxed)) continue;
-      AggState* dst = &out->states[b * in.total_aggs];
-      const AggState* src = &slot.states[b * in.total_aggs];
-      for (size_t a = 0; a < in.total_aggs; ++a) {
-        dst[a].Merge(in.agg_kinds[a], src[a]);
-      }
-    }
-    if (in.rng_counts != nullptr && !slot.rng.empty()) {
-      for (size_t i = 0; i < slot.rng.size(); ++i) {
-        (*in.rng_counts)[i] += slot.rng[i];
-      }
-    }
+    out->table.Merge(slot.partial, [&shared](size_t b) {
+      return shared.discarded[b].load(std::memory_order_relaxed) == 0;
+    });
   }
   stats->predicate_evals += predicate_evals_counter.Total();
   stats->hash_probes += hash_probes_counter.Total();

@@ -10,18 +10,19 @@
 #include "expr/aggregate.h"
 #include "expr/program.h"
 #include "parallel/exec_config.h"
-#include "storage/hash_index.h"
 #include "storage/interval_index.h"
+#include "storage/key_index.h"
 #include "storage/table.h"
 
 namespace gmdj {
 
-/// How the chunk kernel folds one aggregate into its AggState.
+/// How the chunk kernel folds one aggregate.
 enum class AggFold : unsigned char {
   kCountStar,  // Increments the count; no argument.
   kColumn,     // Reads the int64/double argument column in place.
   kBatch,      // Detail-only argument, evaluated once per chunk (EvalBatch).
-  kValue,      // Per-pair Value: strings, base-reading arguments, interpret.
+  kValue,      // Per-pair Value into an AggState: strings, base-reading
+               // arguments, interpreted mode.
 };
 
 /// Expression programs of one GMDJ condition (expr/program.h), built by
@@ -63,11 +64,9 @@ struct GmdjCondRuntime {
   size_t pair_agg_offset = 0;
   const GmdjCondition* pair_cond = nullptr;
   bool skip = false;  // Filtered half of a fused pair.
-  std::shared_ptr<HashIndex> hash;
-  /// Unboxed probe fast path for conditions with exactly one int64 =
-  /// int64 equality binding: the probe reads the detail key column in
-  /// place. Null = probe through `hash`.
-  std::shared_ptr<Int64HashIndex> typed_hash;
+  /// Base index on the equality bindings' (or the anti-probe key's) base
+  /// columns, shared by every condition with the same key columns.
+  std::shared_ptr<KeyIndex> index;
   std::shared_ptr<IntervalIndex> interval;
   /// Binding group of a kHash/kInterval condition; -1 for scan dispatch
   /// and anti-probes.
@@ -75,7 +74,7 @@ struct GmdjCondRuntime {
   /// Anti-probe (set on the unfiltered half of a fused `<> ALL` pair
   /// whose θ never reads the base, ψ = `base.k <> detail.k`): a θ-passing
   /// detail tuple violates ψ exactly for the base tuples with
-  /// `base.k = detail.k` — one probe of `hash`/`typed_hash` on this key —
+  /// `base.k = detail.k` — one probe of `index` on this key —
   /// or for every base tuple when its key is NULL. Sequential only.
   std::optional<EqBinding> anti_key;
   /// Anti-probe: base tuples with a NULL key, which no ψ accepts.
@@ -88,33 +87,98 @@ struct GmdjCondRuntime {
   const GmdjCondPrograms* pair_progs = nullptr;
 };
 
+/// Whether runtime `rt` folds over its binding group's slot vector: the
+/// group's index is unique, so each detail row has at most one candidate
+/// base tuple, and `rt` has no residual or pair comparison to check per
+/// candidate. An unfiltered condition then scatters its aggregates by
+/// slot; a discard- or satisfy-on-match one (count(*) only) runs its
+/// completion per row. Every other condition walks candidate spans.
+bool UsesSlotPath(const GmdjCondRuntime& rt);
+
+/// Where the base-results table keeps each condition's match count and
+/// each flat aggregate's running state. Built from the runtimes of one
+/// node execution (BuildResultLayout).
+///
+/// A match count is one uint32 per base tuple: the observed RNG(b, R, θ)
+/// size EXPLAIN ANALYZE reports, and the value of every count(*) of the
+/// condition. The unfiltered members of a binding group without a
+/// detail-only mask of their own match the same rows, so they share one
+/// count; every other condition has its own. (Counts are "observed":
+/// completion may retire a base tuple before all its matches are seen.)
+struct GmdjResultLayout {
+  enum class Store : unsigned char { kMatchCount, kTyped, kBoxed };
+  struct Home {
+    Store store = Store::kMatchCount;
+    uint32_t index = 0;  // Match count, typed column or boxed column.
+  };
+
+  /// Per runtime: its match count, and whether it bumps it (false when
+  /// an earlier member of its binding group shares it).
+  std::vector<uint32_t> count_of;
+  std::vector<uint8_t> counts_owner;
+  /// Per runtime carrying a fused pair: the filtered condition's count.
+  std::vector<uint32_t> pair_count_of;
+  size_t num_counts = 0;
+  /// Per flat aggregate (condition-major order).
+  std::vector<Home> homes;
+  /// Per typed column: its kind and argument type.
+  std::vector<AggKind> typed_kinds;
+  std::vector<ValueType> typed_types;
+  /// Per boxed (AggState) column: its kind.
+  std::vector<AggKind> boxed_kinds;
+
+  /// Bytes of the base-results table per base tuple.
+  size_t BytesPerBase() const;
+};
+
+GmdjResultLayout BuildResultLayout(
+    const std::vector<GmdjCondRuntime>& runtimes, size_t total_aggs);
+
+/// The |B| x m base-results table of one pass (or one morsel slot's
+/// partial of it): match counts, typed struct-of-arrays columns for the
+/// aggregates folded by typed loops, and AggStates for kValue aggregates.
+class GmdjResults {
+ public:
+  void Init(const GmdjResultLayout& layout, size_t n);
+
+  uint32_t* counts(size_t k) { return counts_.data() + k * n_; }
+  const uint32_t* counts(size_t k) const { return counts_.data() + k * n_; }
+  TypedAggColumn& typed(size_t t) { return typed_[t]; }
+  AggState* boxed(size_t v) { return boxed_.data() + v * n_; }
+
+  /// Adds `other`'s match counts for every base tuple (they feed the RNG
+  /// histogram, discarded or not) and merges its aggregates for the base
+  /// tuples `keep(b)` accepts.
+  template <typename Keep>
+  void Merge(const GmdjResults& other, const Keep& keep);
+
+  /// Flat aggregate `flat` of base tuple `b`, as AggState::Finalize.
+  Value Finalize(size_t b, size_t flat, ValueType arg_type) const;
+
+ private:
+  const GmdjResultLayout* layout_ = nullptr;
+  size_t n_ = 0;
+  std::vector<uint32_t> counts_;  // num_counts x |B|.
+  std::vector<TypedAggColumn> typed_;
+  std::vector<AggState> boxed_;   // num_boxed x |B|.
+};
+
 /// Read-only inputs of one GMDJ evaluation pass over the detail relation.
 struct GmdjEvalInput {
   const Table* base = nullptr;
   const Table* detail = nullptr;
   const std::vector<GmdjCondRuntime>* runtimes = nullptr;
-  size_t total_aggs = 0;
-  /// Aggregate kind per flat slot (condition-major order); used to merge
-  /// thread-local partial states.
-  std::vector<AggKind> agg_kinds;
+  const GmdjResultLayout* layout = nullptr;
   /// Lifecycle governance of the enclosing query; null = ungoverned.
   /// Workers poll it at every morsel boundary.
   QueryContext* query = nullptr;
-  /// Optional |B| x |runtimes| match counters (base-major, then condition)
-  /// — the observed RNG(b, R, θ) range sizes EXPLAIN ANALYZE reports as a
-  /// histogram. Null (the default) skips collection entirely. Sized and
-  /// zeroed by the caller. Counts are "observed" sizes: completion may
-  /// retire a base tuple before all its matches are seen (a condition with
-  /// no residual, completion action or fused pair of its own keeps
-  /// counting a retired tuple's matches).
-  std::vector<uint32_t>* rng_counts = nullptr;
 };
 
 /// Per-base-tuple outcome of the detail pass, identical in layout between
 /// the sequential and parallel evaluators so GmdjNode emits output rows
 /// from either with the same code.
 struct GmdjEvalResult {
-  std::vector<AggState> states;    // |B| x total_aggs, condition-major.
+  GmdjResults table;
   std::vector<uint8_t> discarded;  // |B|; 1 = excluded from the output.
   size_t num_discarded = 0;
   size_t num_freezes = 0;   // Satisfy-on-match freeze bits set.
@@ -147,10 +211,10 @@ Status ExecuteGmdjSequential(ExecContext* ctx, const GmdjEvalInput& in,
 /// Morsel-driven parallel GMDJ evaluation (the tentpole of the parallel
 /// subsystem). Splits the detail relation into ExecConfig::morsel_rows
 /// chunks dispatched over a work-stealing loop; each slot accumulates
-/// into a thread-local |B| x total_aggs aggregate table, while base-tuple
-/// completion decisions (discard / satisfy-freeze) go through shared
-/// per-base atomic flags so they fire exactly once across threads.
-/// Thread-local partials are merged with the commutative AggState::Merge.
+/// into a thread-local base-results table, while base-tuple completion
+/// decisions (discard / satisfy-freeze) go through shared per-base atomic
+/// flags so they fire exactly once across threads. Thread-local partials
+/// are merged with the commutative GmdjResults::Merge.
 ///
 /// Precondition: ParallelGmdjSupported(runtimes). Produces the same
 /// GmdjEvalResult as the sequential pass for any thread count and any

@@ -117,7 +117,7 @@ TEST_F(ExplainAnalyzeTest, GoldenAnnotatedPlanOnPaperTables) {
       stats: rows_in=3 rows_out=3 batches=1 predicate_evals=3 hash_probes=0
     GMDJ[l1: (count(*) -> __cnt1) theta1: (((F1.StartTime >= H.StartInterval) AND (F1.StartTime < H.EndInterval)) AND (F1.Protocol = "HTTP")) {interval, shared probe ×2}; l2: (count(*) -> __cnt2) theta2: (((F1.StartTime >= H.StartInterval) AND (F1.StartTime < H.EndInterval)) AND (F1.DestIP = "167.167.167.0")) {interval, shared probe ×2}] +completion
         stats: rows_in=9 rows_out=3 batches=1 predicate_evals=12 hash_probes=0
-        gmdj: conditions=2 compiled=2 fallbacks=0 typed_aggs=2/2 discards=0 freezes=6 cache=not-probed
+        gmdj: conditions=2 compiled=2 fallbacks=0 typed_aggs=2/2 slot_path=0/2 discards=0 freezes=6 cache=not-probed
         rng: count=6 sum=6 min=1 p50=1 p90=1 max=1
       TableScan(Hours -> H)
           stats: rows_in=0 rows_out=3 batches=1 predicate_evals=0 hash_probes=0

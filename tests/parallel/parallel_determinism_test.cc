@@ -16,7 +16,6 @@
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 #include "parallel/exec_config.h"
-#include "storage/hash_index.h"
 #include "test_util.h"
 #include "workload/ipflow.h"
 #include "workload/paper_queries.h"
@@ -227,6 +226,49 @@ TEST_F(ParallelGmdjNodeTest, NullBearingDetailHashDispatch) {
   }
 }
 
+TEST_F(ParallelGmdjNodeTest, SlotPathOverUniqueAndDuplicatedKeys) {
+  // User names are unique keys: the binding group scatters over its slot
+  // vector (a masked member too). Every user listed twice makes the keys
+  // duplicated and the same conditions walk candidate spans. Either way
+  // every thread count and morsel order gives the sequential rows, and
+  // the duplicated base's rows are the unique base's, each twice.
+  const auto run = [&](const char* base, const ExecConfig& config) {
+    std::vector<GmdjCondition> conds;
+    conds.emplace_back(Eq(Col("H.IPAddress"), Col("F.SourceIP")), AllAggs());
+    std::vector<AggSpec> masked;
+    masked.push_back(CountStar("big"));
+    masked.push_back(SumOf(Col("F.NumBytes"), "bigb"));
+    conds.emplace_back(And(Eq(Col("H.IPAddress"), Col("F.SourceIP")),
+                           Gt(Col("F.NumBytes"), Lit(int64_t{5000}))),
+                       std::move(masked));
+    GmdjNode node(std::make_unique<TableScanNode>(base, "H"),
+                  std::make_unique<TableScanNode>("Flow", "F"),
+                  std::move(conds));
+    EXPECT_TRUE(node.Prepare(catalog_).ok());
+    ExecContext ctx(&catalog_, config);
+    Result<Table> result = node.Execute(&ctx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return std::move(*result);
+  };
+  const Table& users = **catalog_.GetTable("User");
+  std::vector<uint32_t> twice;
+  for (uint32_t r = 0; r < users.num_rows(); ++r) twice.push_back(r);
+  for (uint32_t r = 0; r < users.num_rows(); ++r) twice.push_back(r);
+  catalog_.PutTable("UserTwice", users.Gather(twice));
+
+  const Table unique = run("User", Sequential());
+  const Table duplicated = run("UserTwice", Sequential());
+  const Table doubled = unique.Gather(twice);
+  EXPECT_TRUE(SameRows(duplicated, doubled));
+  for (const ParallelCase& c : Sweep()) {
+    const ExecConfig config =
+        Parallel(c.threads, c.morsel_rows, c.shuffle_seed);
+    EXPECT_TRUE(SameRows(run("User", config), unique)) << CaseLabel(c);
+    EXPECT_TRUE(SameRows(run("UserTwice", config), duplicated))
+        << CaseLabel(c);
+  }
+}
+
 TEST_F(ParallelGmdjNodeTest, MorselTraceCoversEveryDetailRow) {
   std::vector<MorselTiming> trace;
   ExecConfig config = Parallel(4, 512, 0);
@@ -245,23 +287,6 @@ TEST_F(ParallelGmdjNodeTest, MorselTraceCoversEveryDetailRow) {
     covered += m.num_rows;
   }
   EXPECT_EQ(covered, detail_rows);
-}
-
-// ---- Parallel hash-index build. ----
-
-TEST(ParallelHashIndexTest, ParallelBuildMatchesSequentialProbes) {
-  IpFlowConfig config;
-  config.num_flows =
-      static_cast<int64_t>(HashIndex::kParallelBuildMinRows) + 7'000;
-  const Table flow = GenFlowTable(config);
-
-  const HashIndex seq(flow, {0}, /*build_threads=*/1);
-  const HashIndex par(flow, {0}, /*build_threads=*/8);
-  for (size_t r = 0; r < flow.num_rows(); ++r) {
-    const Row key = seq.ExtractKey(flow.row(r));
-    // Identical row lists in identical (ascending) order.
-    ASSERT_EQ(par.Probe(key), seq.Probe(key)) << "row " << r;
-  }
 }
 
 }  // namespace
