@@ -13,6 +13,7 @@
 #include <functional>
 
 #include "bench_util.h"
+#include "common/str_util.h"
 #include "core/gmdj.h"
 #include "exec/nodes.h"
 #include "expr/expr_builder.h"
@@ -28,11 +29,11 @@ PlanPtr MakeGmdj(int conditions, int aggs_per_condition) {
     c.theta = And(Eq(Col("C.c_custkey"), Col("O.o_custkey")),
                   Gt(Col("O.o_totalprice"),
                      Lit(50000.0 * static_cast<double>(i + 1))));
-    c.aggs.push_back(CountStar("c" + std::to_string(i)));
+    c.aggs.push_back(CountStar(StrCat({"c", std::to_string(i)})));
     for (int a = 1; a < aggs_per_condition; ++a) {
       c.aggs.push_back(SumOf(Col("O.o_totalprice"),
-                             "s" + std::to_string(i) + "_" +
-                                 std::to_string(a)));
+                             StrCat({"s", std::to_string(i), "_",
+                                     std::to_string(a)})));
     }
     conds.push_back(std::move(c));
   }

@@ -1,13 +1,13 @@
 // MQO repeat benchmark: the paper's Fig-2 (correlated EXISTS) and Fig-3
 // (correlated aggregate comparison) query mix submitted repeatedly — the
 // dashboard-refresh pattern the MQO subsystem targets — with the GMDJ
-// aggregate cache off vs on.
+// aggregate cache off vs on. Each repetition runs the two queries one at
+// a time through the governed `Execute` under `gmdj`, whose GMDJs probe
+// and store the cache (no base-tuple completion).
 //
 // With the cache off every repetition re-scans the detail relation per
-// GMDJ. With it on, the first batch pays the scans (plus prewarm, which
-// coalesces the two queries' conditions into one shared detail pass) and
-// every later repetition serves its aggregates from the cache, touching
-// only the base table.
+// GMDJ. With it on, the first repetition pays the scans and every later
+// one serves its aggregates from the cache, touching only the base table.
 //
 // Output: one JSON line per measured repetition,
 //   {"bench": "mqo_repeat/fig2+fig3", "threads": 1, "cache": "on",
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "engine/batch_planner.h"
 #include "engine/olap_engine.h"
 #include "workload/paper_queries.h"
 #include "workload/tpch_gen.h"
@@ -64,6 +63,26 @@ Args ParseArgs(int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// One repetition of the mix: each query's result, the summed stats.
+struct MixRun {
+  std::vector<Result<Table>> results;
+  ExecStats stats;
+  double elapsed_ms = 0.0;
+};
+
+MixRun RunMix(OlapEngine* engine, const std::vector<const NestedSelect*>& mix) {
+  MixRun out;
+  Stopwatch watch;
+  for (const NestedSelect* query : mix) {
+    QueryRun run;
+    out.results.push_back(
+        engine->Execute(*query, Strategy::kGmdj, SessionLimits(), &run));
+    out.stats.Add(run.stats);
+  }
+  out.elapsed_ms = watch.ElapsedMillis();
+  return out;
 }
 
 bool SameRows(const Table& a, const Table& b) {
@@ -107,8 +126,8 @@ int Run(const Args& args) {
       engine.DisableAggCache();
     }
     for (int rep = 0; rep < args.reps; ++rep) {
-      BatchResult batch = engine.ExecuteBatch(mix);
-      for (const Result<Table>& result : batch.results) {
+      MixRun run = RunMix(&engine, mix);
+      for (const Result<Table>& result : run.results) {
         if (!result.ok()) {
           std::fprintf(stderr, "query failed: %s\n",
                        result.status().message().c_str());
@@ -120,23 +139,23 @@ int Run(const Args& args) {
           "\"cache\": \"%s\", \"rep\": %d, \"ms\": %.6f, "
           "\"cache_hits\": %llu, \"table_scans\": %llu, "
           "\"rows_scanned\": %llu}\n",
-          args.threads, cache_on ? "on" : "off", rep, batch.elapsed_ms,
-          static_cast<unsigned long long>(batch.stats.cache_hits),
-          static_cast<unsigned long long>(batch.stats.table_scans),
-          static_cast<unsigned long long>(batch.stats.rows_scanned));
+          args.threads, cache_on ? "on" : "off", rep, run.elapsed_ms,
+          static_cast<unsigned long long>(run.stats.cache_hits),
+          static_cast<unsigned long long>(run.stats.table_scans),
+          static_cast<unsigned long long>(run.stats.rows_scanned));
 
       if (!cache_on && rep == 0) {
-        reference = std::move(batch.results);
+        reference = std::move(run.results);
       }
       if (!cache_on) {
-        off_ms += batch.elapsed_ms;
+        off_ms += run.elapsed_ms;
       } else if (rep > 0) {  // Warm: every repetition after the first.
-        warm_ms += batch.elapsed_ms;
-        warm_hits += batch.stats.cache_hits;
+        warm_ms += run.elapsed_ms;
+        warm_hits += run.stats.cache_hits;
       }
       if (args.smoke && cache_on && !reference.empty()) {
-        for (size_t q = 0; q < batch.results.size(); ++q) {
-          if (!SameRows(*reference[q], *batch.results[q])) {
+        for (size_t q = 0; q < run.results.size(); ++q) {
+          if (!SameRows(*reference[q], *run.results[q])) {
             std::fprintf(stderr,
                          "SMOKE FAIL: cached result of query %zu differs "
                          "from uncached\n",

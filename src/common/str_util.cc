@@ -2,6 +2,15 @@
 
 namespace gmdj {
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view part : parts) out.append(part);
+  return out;
+}
+
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

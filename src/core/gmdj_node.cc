@@ -719,8 +719,11 @@ Result<Table> GmdjNode::EvalRange(ExecContext* ctx,
     os->completion_discards += result.num_discarded;
     os->completion_freezes += result.num_freezes;
   }
-  // RNG(b, R, θ) range sizes: each condition's match counts, recorded
-  // into the profile histogram and the registry metric.
+  // RNG(b, R, θ) range sizes: each condition's match counts over the
+  // base tuples the node emits, recorded into the profile histogram and
+  // the registry metric. A discarded tuple's counts stop wherever its
+  // discard landed, which differs by route and thread count; an emitted
+  // tuple's are final on every route.
   const bool want_rng =
       os != nullptr ||
       (obs::kMetricsEnabled && ctx->hot_metrics().rng_size != nullptr);
@@ -729,6 +732,7 @@ Result<Table> GmdjNode::EvalRange(ExecContext* ctx,
       if (runtimes[c].skip) continue;  // Fused pairs never match directly.
       const uint32_t* counts = result.table.counts(layout.count_of[c]);
       for (size_t b = 0; b < n; ++b) {
+        if (result.discarded[b]) continue;
         if (os != nullptr) os->rng_sizes.Record(counts[b]);
         GMDJ_METRIC_RECORD(ctx->hot_metrics().rng_size, counts[b]);
       }
@@ -764,7 +768,8 @@ std::string GmdjNode::RouteLabel(size_t c,
   }
   std::string out = CondStrategyToString(analyses_[c].strategy);
   if (routes[c].group_size > 1) {
-    out += ", shared probe ×" + std::to_string(routes[c].group_size);
+    out.append(", shared probe ×")
+        .append(std::to_string(routes[c].group_size));
   }
   return out;
 }
@@ -775,16 +780,16 @@ std::string GmdjNode::label() const {
   std::string out = "GMDJ[";
   for (size_t c = 0; c < conditions_.size(); ++c) {
     if (c > 0) out += "; ";
-    out += "l" + std::to_string(c + 1) + ": (";
+    out.append("l").append(std::to_string(c + 1)).append(": (");
     for (size_t a = 0; a < conditions_[c].aggs.size(); ++a) {
       if (a > 0) out += ", ";
       out += conditions_[c].aggs[a].ToString();
     }
-    out += ") theta" + std::to_string(c + 1) + ": ";
+    out.append(") theta").append(std::to_string(c + 1)).append(": ");
     out += conditions_[c].theta == nullptr ? "true"
                                            : conditions_[c].theta->ToString();
     if (!routes.empty()) {
-      out += " {" + RouteLabel(c, routes) + "}";
+      out.append(" {").append(RouteLabel(c, routes)).append("}");
     }
   }
   out += "]";

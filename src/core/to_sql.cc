@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "common/str_util.h"
 #include "core/translate.h"
 #include "exec/nodes.h"
 #include "nested/nested_ast.h"
@@ -185,7 +186,9 @@ class SqlRenderer {
                                 : scan.table_name() + " AS " + scan.alias();
   }
 
-  std::string FreshAlias() { return "d" + std::to_string(++alias_counter_); }
+  std::string FreshAlias() {
+    return StrCat({"d", std::to_string(++alias_counter_)});
+  }
 
   Result<FromItem> RenderFromItem(const PlanNode& plan) {
     if (const auto* scan = dynamic_cast<const TableScanNode*>(&plan)) {
@@ -193,7 +196,7 @@ class SqlRenderer {
     }
     GMDJ_ASSIGN_OR_RETURN(const std::string query, RenderQuery(plan));
     const std::string alias = FreshAlias();
-    return FromItem{"(" + query + ") " + alias, /*bare=*/false, alias};
+    return FromItem{StrCat({"(", query, ") ", alias}), /*bare=*/false, alias};
   }
 
   /// Reference mapper for expressions evaluated against one or two FROM

@@ -9,7 +9,6 @@
 
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
-#include "engine/batch_planner.h"
 #include "core/optimizer.h"
 #include "core/gmdj.h"
 #include "nested/native_eval.h"
@@ -387,13 +386,6 @@ obs::MetricsSnapshot OlapEngine::SnapshotMetrics() {
         ->Set(static_cast<int64_t>(cache.invalidations));
   }
   return metrics_.Snapshot();
-}
-
-BatchResult OlapEngine::ExecuteBatch(
-    const std::vector<const NestedSelect*>& queries) {
-  std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-  return ExecuteGmdjBatch(catalog_, exec_config_, agg_cache_.get(),
-                          &mem_pool_, queries);
 }
 
 void OlapEngine::EnableAggCache(GmdjAggCacheConfig config) {

@@ -26,8 +26,6 @@
 
 namespace gmdj {
 
-struct BatchResult;
-
 namespace spill {
 class JournalWriter;
 }  // namespace spill
@@ -90,8 +88,8 @@ class OlapEngine {
   /// caller's `run` instead of the engine's `last_*` members.
   ///
   /// Thread-safe: concurrent calls on one engine are allowed (alongside
-  /// ExecuteBatch, AppendRows, and snapshot save/restore — reads share
-  /// the catalog lock, mutations take it exclusively) as long as each
+  /// AppendRows and snapshot save/restore — reads share the catalog
+  /// lock, mutations take it exclusively) as long as each
   /// caller passes its own QueryRun. Only this overload, ExecuteStatement
   /// and ExecuteSql-with-SessionLimits make that guarantee — the legacy
   /// overloads above write `last_stats_` and friends.
@@ -158,19 +156,11 @@ class OlapEngine {
   /// GMDJ_PLANNER environment default.
   void set_planner_config(planner::PlannerConfig config);
 
-  /// Batch admission: canonicalizes the GMDJs of all `queries`, evaluates
-  /// conditions shared across queries once (publishing through the
-  /// aggregate cache when enabled), then runs each query under
-  /// `gmdj-optimized`. See engine/batch_planner.h for the result layout.
-  ///
-  /// Thread-safe with respect to the engine: never writes `last_stats_`
-  /// or any other engine member, so concurrent ExecuteBatch calls on one
-  /// engine are allowed (the cache is internally synchronized). The
-  /// catalog must not be mutated concurrently.
-  BatchResult ExecuteBatch(const std::vector<const NestedSelect*>& queries);
-
   /// Enables the cross-query GMDJ aggregate cache (mqo/agg_cache.h) for
-  /// Execute and ExecuteBatch. Replaces (and drops) any previous cache,
+  /// every plan the engine runs: GMDJs without base-tuple completion (all
+  /// of `Strategy::kGmdj`'s) probe and store it, so concurrent queries
+  /// over the same tables share their aggregates through it. Completion
+  /// GMDJs never touch it. Replaces (and drops) any previous cache,
   /// and wires the cache as the memory pool's pressure reclaimer: under
   /// budget pressure cached aggregates are LRU-shed before any live query
   /// is rejected.

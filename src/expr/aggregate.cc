@@ -58,9 +58,9 @@ Status AggSpec::Bind(const std::vector<const Schema*>& frames) {
 std::string AggSpec::ToString() const {
   std::string out = AggKindToString(kind);
   if (kind != AggKind::kCountStar) {
-    out += "(" + arg->ToString() + ")";
+    out.append("(").append(arg->ToString()).append(")");
   }
-  out += " -> " + output_name;
+  out.append(" -> ").append(output_name);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "expr/expr.h"
 
 #include "common/check.h"
+#include "common/str_util.h"
 
 namespace gmdj {
 namespace {
@@ -173,8 +174,8 @@ ExprPtr CompareExpr::Clone() const {
 }
 
 std::string CompareExpr::ToString() const {
-  return "(" + lhs_->ToString() + " " + CompareOpToString(op_) + " " +
-         rhs_->ToString() + ")";
+  return StrCat({"(", lhs_->ToString(), " ", CompareOpToString(op_), " ",
+                 rhs_->ToString(), ")"});
 }
 
 // -------------------------------------------------------------------- Arith
@@ -247,7 +248,7 @@ std::string ArithExpr::ToString() const {
       op = "/";
       break;
   }
-  return "(" + lhs_->ToString() + " " + op + " " + rhs_->ToString() + ")";
+  return StrCat({"(", lhs_->ToString(), " ", op, " ", rhs_->ToString(), ")"});
 }
 
 // ---------------------------------------------------------------- And / Or
@@ -270,7 +271,7 @@ ExprPtr AndExpr::Clone() const {
 }
 
 std::string AndExpr::ToString() const {
-  return "(" + lhs_->ToString() + " AND " + rhs_->ToString() + ")";
+  return StrCat({"(", lhs_->ToString(), " AND ", rhs_->ToString(), ")"});
 }
 
 Status OrExpr::Bind(const std::vector<const Schema*>& frames) {
@@ -291,7 +292,7 @@ ExprPtr OrExpr::Clone() const {
 }
 
 std::string OrExpr::ToString() const {
-  return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
+  return StrCat({"(", lhs_->ToString(), " OR ", rhs_->ToString(), ")"});
 }
 
 // ---------------------------------------------------------------------- Not
@@ -339,8 +340,8 @@ ExprPtr IsNullExpr::Clone() const {
 }
 
 std::string IsNullExpr::ToString() const {
-  return "(" + input_->ToString() + (negated_ ? " IS NOT NULL" : " IS NULL") +
-         ")";
+  return StrCat({"(", input_->ToString(),
+                 negated_ ? " IS NOT NULL)" : " IS NULL)"});
 }
 
 // ---------------------------------------------------------------- IsNotTrue
@@ -360,7 +361,7 @@ ExprPtr IsNotTrueExpr::Clone() const {
 }
 
 std::string IsNotTrueExpr::ToString() const {
-  return "(" + input_->ToString() + " IS NOT TRUE)";
+  return StrCat({"(", input_->ToString(), " IS NOT TRUE)"});
 }
 
 // --------------------------------------------------------------------- Like
@@ -411,8 +412,8 @@ ExprPtr LikeExpr::Clone() const {
 }
 
 std::string LikeExpr::ToString() const {
-  return "(" + input_->ToString() + (negated_ ? " NOT LIKE \"" : " LIKE \"") +
-         pattern_ + "\")";
+  return StrCat({"(", input_->ToString(), negated_ ? " NOT LIKE \"" : " LIKE \"",
+                 pattern_, "\")"});
 }
 
 // --------------------------------------------------------------------- Case

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/str_util.h"
 #include "exec/nodes.h"
 
 namespace gmdj {
@@ -88,8 +89,8 @@ std::string CanonicalExprKey(const Expr& expr) {
   switch (expr.kind()) {
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
-      return "$" + std::to_string(ref.bound_frame()) + "." +
-             std::to_string(ref.bound_column());
+      return StrCat({"$", std::to_string(ref.bound_frame()), ".",
+                     std::to_string(ref.bound_column())});
     }
     case ExprKind::kLiteral:
       return "lit:" +
@@ -197,16 +198,13 @@ std::optional<GmdjSignature> BuildGmdjSignature(
   GmdjSignature sig;
   sig.base_table = static_cast<const TableScanNode&>(base).table_name();
   sig.detail_table = static_cast<const TableScanNode&>(detail).table_name();
-  sig.base_fingerprint = std::move(*base_fp);
-  sig.detail_fingerprint = std::move(*detail_fp);
 
   std::vector<std::string> cond_keys;
   cond_keys.reserve(conditions.size());
   for (const GmdjConditionView& cond : conditions) {
     GmdjCondSignature cs;
     cs.theta_key = CanonicalThetaKey(cond.theta);
-    cs.share_key = sig.base_fingerprint + "|" + sig.detail_fingerprint +
-                   "|" + cs.theta_key;
+    cs.share_key = *base_fp + "|" + *detail_fp + "|" + cs.theta_key;
     for (const AggSpec* agg : cond.aggs) {
       cs.agg_keys.push_back(CanonicalAggKey(*agg));
     }

@@ -19,8 +19,8 @@ namespace gmdj {
 /// over and over across queries — spelled with different aliases, with the
 /// conjuncts of theta in different orders, with aggregate lists permuted
 /// or renamed. The canonicalizer maps all of those spellings to one stable
-/// string key so the aggregate cache (mqo/agg_cache.h) and the batch
-/// planner (engine/batch_planner.h) can recognize shared work.
+/// string key so the aggregate cache (mqo/agg_cache.h) can recognize
+/// shared work.
 ///
 /// Guarantees:
 ///  * Alias-independence: bound column references render as
@@ -74,8 +74,6 @@ struct GmdjCondSignature {
 struct GmdjSignature {
   std::string base_table;    // Catalog name of the base scan.
   std::string detail_table;  // Catalog name of the detail scan.
-  std::string base_fingerprint;
-  std::string detail_fingerprint;
   std::vector<GmdjCondSignature> conditions;  // Node order.
 
   /// Whole-node key: condition share_keys with their sorted aggregate

@@ -85,7 +85,7 @@ PredPtr AndPred::Clone() const {
 }
 
 std::string AndPred::ToString() const {
-  return "(" + lhs_->ToString() + " AND " + rhs_->ToString() + ")";
+  return StrCat({"(", lhs_->ToString(), " AND ", rhs_->ToString(), ")"});
 }
 
 Status OrPred::Bind(const Catalog& catalog,
@@ -99,7 +99,7 @@ PredPtr OrPred::Clone() const {
 }
 
 std::string OrPred::ToString() const {
-  return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
+  return StrCat({"(", lhs_->ToString(), " OR ", rhs_->ToString(), ")"});
 }
 
 // --------------------------------------------------------------------- Not

@@ -196,7 +196,11 @@ struct MetricsSnapshot {
   std::string ToJsonFields() const;
 
   /// The fields wrapped as one JSON object.
-  std::string ToJson() const { return "{" + ToJsonFields() + "}"; }
+  std::string ToJson() const {
+    std::string out = "{";
+    out.append(ToJsonFields()).append("}");
+    return out;
+  }
 };
 
 /// Named metric registry. Handles are resolved once (mutex-protected map

@@ -146,9 +146,8 @@ class GmdjResults {
   TypedAggColumn& typed(size_t t) { return typed_[t]; }
   AggState* boxed(size_t v) { return boxed_.data() + v * n_; }
 
-  /// Adds `other`'s match counts for every base tuple (they feed the RNG
-  /// histogram, discarded or not) and merges its aggregates for the base
-  /// tuples `keep(b)` accepts.
+  /// Adds `other`'s match counts for every base tuple and merges its
+  /// aggregates for the base tuples `keep(b)` accepts.
   template <typename Keep>
   void Merge(const GmdjResults& other, const Keep& keep);
 

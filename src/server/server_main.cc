@@ -1,8 +1,7 @@
 // gmdj_serve: the multi-tenant query server binary (DESIGN.md §10).
 //
 //   gmdj_serve --port=8080 --workers=4 --mqo-cache=on
-//   curl -d 'SELECT * FROM Flow WHERE Flow.Bytes > 900000' \
-//        http://127.0.0.1:8080/query
+//   curl -d 'SELECT * FROM Flow F WHERE F.NumBytes > 9' 127.0.0.1:8080/query
 //
 // Loads the deterministic demo warehouse (workload/warehouse.h), serves
 // until SIGINT/SIGTERM or POST /shutdown, then drains gracefully and

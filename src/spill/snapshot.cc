@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/str_util.h"
 #include "spill/spill_file.h"
 #include "spill/spill_manager.h"
 
@@ -146,7 +147,7 @@ Status WriteSnapshotInto(const Catalog& catalog, const std::string& dir,
   size_t index = 0;
   for (const std::string& name : names) {
     GMDJ_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(name));
-    const std::string file = "t" + std::to_string(index++) + ".tbl";
+    const std::string file = StrCat({"t", std::to_string(index++), ".tbl"});
     GMDJ_ASSIGN_OR_RETURN(
         std::unique_ptr<SpillWriter> writer,
         SpillWriter::Open(dir + "/" + file, kSnapshotBlockRows,

@@ -52,7 +52,7 @@ class Parser {
       return Error("unexpected trailing input");
     }
     statement.explain = explain;
-    return std::move(statement);
+    return statement;
   }
 
  private:
@@ -74,7 +74,7 @@ class Parser {
       return Error("snapshot directory must not be empty");
     }
     if (!AtEnd()) return Error("unexpected trailing input");
-    return std::move(statement);
+    return statement;
   }
 
   /// ANALYZE [ident] — forced statistics recollection for one table, or
@@ -87,7 +87,7 @@ class Parser {
       statement.analyze_table = Advance().text;
     }
     if (!AtEnd()) return Error("unexpected trailing input");
-    return std::move(statement);
+    return statement;
   }
 
   /// INSERT INTO ident VALUES (lit, ...) [, (lit, ...)]*
@@ -119,7 +119,7 @@ class Parser {
       statement.insert_rows.push_back(std::move(row));
     } while (ConsumeSymbol(","));
     if (!AtEnd()) return Error("unexpected trailing input");
-    return std::move(statement);
+    return statement;
   }
 
   /// One VALUES literal: INT, DOUBLE, 'string', NULL, TRUE, FALSE, with
@@ -247,7 +247,7 @@ class Parser {
 
     GMDJ_RETURN_IF_ERROR(
         ParseFromWhere(query, distinct, std::move(project_cols)));
-    return std::move(statement);
+    return statement;
   }
 
   /// Subquery form: SELECT (column | aggregate | '*') FROM ...
@@ -275,7 +275,7 @@ class Parser {
 
     GMDJ_RETURN_IF_ERROR(
         ParseFromWhere(query.get(), distinct, std::move(project_cols)));
-    return std::move(query);
+    return query;
   }
 
   Status ParseFromWhere(NestedSelect* query, bool distinct,
@@ -335,7 +335,7 @@ class Parser {
       GMDJ_ASSIGN_OR_RETURN(PredPtr rhs, ParseAndPred());
       lhs = OrP(std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<PredPtr> ParseAndPred() {
@@ -344,7 +344,7 @@ class Parser {
       GMDJ_ASSIGN_OR_RETURN(PredPtr rhs, ParseUnaryPred());
       lhs = AndP(std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<PredPtr> ParseUnaryPred() {
@@ -355,7 +355,7 @@ class Parser {
         GMDJ_ASSIGN_OR_RETURN(PredPtr exists, ParseExistsPred());
         auto* node = static_cast<ExistsPred*>(exists.get());
         node->set_negated(!node->negated());
-        return std::move(exists);
+        return exists;
       }
       GMDJ_ASSIGN_OR_RETURN(PredPtr inner, ParseUnaryPred());
       return NotP(std::move(inner));
@@ -501,7 +501,7 @@ class Parser {
       lhs = add ? Add(std::move(lhs), std::move(rhs))
                 : Sub(std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseTerm() {
@@ -512,7 +512,7 @@ class Parser {
       lhs = mul ? Mul(std::move(lhs), std::move(rhs))
                 : Div(std::move(lhs), std::move(rhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<ExprPtr> ParseFactor() {
@@ -557,7 +557,7 @@ class Parser {
           ++pos_;
           GMDJ_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
           GMDJ_RETURN_IF_ERROR(ExpectSymbol(")"));
-          return std::move(inner);
+          return inner;
         }
         if (t.text == "-") {
           ++pos_;
@@ -623,7 +623,7 @@ class Parser {
       GMDJ_RETURN_IF_ERROR(ExpectKeyword("NULL"));
       return negated ? IsNotNull(std::move(lhs)) : IsNull(std::move(lhs));
     }
-    return std::move(lhs);
+    return lhs;
   }
 
   Result<std::string> ParseColumnName() {

@@ -36,7 +36,7 @@ class Unnester {
     if (!corr.empty()) {
       return Status::Internal("top-level block produced correlated preds");
     }
-    return std::move(plan);
+    return plan;
   }
 
  private:
@@ -127,7 +127,7 @@ class Unnester {
       GMDJ_ASSIGN_OR_RETURN(plan,
                             ApplySubPred(std::move(plan), *sub, frames));
     }
-    return std::move(plan);
+    return plan;
   }
 
   /// Splits the AND-chain of `pred` into local filters, correlated

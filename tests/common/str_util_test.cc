@@ -5,6 +5,13 @@
 namespace gmdj {
 namespace {
 
+TEST(StrUtilTest, StrCat) {
+  EXPECT_EQ(StrCat({}), "");
+  EXPECT_EQ(StrCat({"", ""}), "");
+  const std::string middle = "x = 1";
+  EXPECT_EQ(StrCat({"(", middle, std::string(" AND "), ")"}), "(x = 1 AND )");
+}
+
 TEST(StrUtilTest, Join) {
   EXPECT_EQ(Join({}, ", "), "");
   EXPECT_EQ(Join({"a"}, ", "), "a");

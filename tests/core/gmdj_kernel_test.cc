@@ -452,9 +452,6 @@ class GmdjKernelTest : public ::testing::Test {
   /// knob both give the naive rows and the same EXPLAIN ANALYZE `rng:`
   /// line. `slot_paths` and `span_slot_paths` are the resident
   /// `slot_path=` fields of `make` and `make_span`.
-  /// (Parallel discard-on-match counts every slot that sees a match
-  /// before the discard lands, so with discards only the single-thread
-  /// rng lines are compared.)
   void ExpectSlotPathMatchesSpanPath(
       const MakeConditions& make, const MakeConditions& make_span,
       const std::string& slot_paths, const std::string& span_slot_paths,
@@ -462,12 +459,6 @@ class GmdjKernelTest : public ::testing::Test {
       const CompletionSpec* completion = nullptr,
       const std::function<Table(const Table&)>& expected = nullptr) {
     const Table reference = NaiveRows(make, expected);
-    bool discards = false;
-    if (completion != nullptr) {
-      for (const CompletionAction action : completion->actions) {
-        discards |= action == CompletionAction::kDiscardOnMatch;
-      }
-    }
     for (const Knobs& knobs : AllKnobs()) {
       const std::string where = context + " [" + knobs.Name() + "]";
       const Outcome slot = Run(make, completion, knobs);
@@ -475,9 +466,7 @@ class GmdjKernelTest : public ::testing::Test {
       EXPECT_TRUE(SameRows(slot.rows, reference)) << where;
       EXPECT_TRUE(SameRows(span.rows, reference)) << where;
       EXPECT_FALSE(slot.rng.empty()) << where;
-      if (knobs.threads == 1 || !discards) {
-        EXPECT_EQ(slot.rng, span.rng) << where;
-      }
+      EXPECT_EQ(slot.rng, span.rng) << where;
       if (!knobs.spilled) {
         EXPECT_EQ(slot.slot_path, slot_paths) << where;
         EXPECT_EQ(span.slot_path, span_slot_paths) << where;
@@ -791,8 +780,7 @@ TEST_F(GmdjKernelTest, SlotPathSatisfyOnMatchMatchesSpanPath) {
 TEST_F(GmdjKernelTest, SlotPathDiscardOnMatchMatchesSpanPath) {
   // NOT EXISTS discards a base tuple on its first match while the group's
   // other members keep folding it. Only the discarding condition changes
-  // route: a residual on the others would also stop them from counting
-  // matches of retired tuples, which changes their observed RNG sizes.
+  // route, so the group mixes a span member with slot members.
   const auto conditions = [](bool span) {
     std::vector<GmdjCondition> conds;
     conds.push_back(RouteCond(YAbove(7), Aggs(CountStar("bad")), span));
@@ -857,6 +845,41 @@ TEST_F(GmdjKernelTest, SlotPathSatisfyWithAggregatesKeepsSpans) {
       }
     }
   }
+}
+
+TEST_F(GmdjKernelTest, RngHistogramIsTheSameWithOrWithoutAResidual) {
+  // The `rng:` line records the match counts of the base tuples the node
+  // emits. Condition 1 is unfiltered, or carries the always-true residual
+  // that stops it from counting tuples condition 0 has discarded; since
+  // discarded tuples are not recorded, both spellings report the same
+  // histogram, at one thread and at two.
+  const auto make = [](bool residual) {
+    return [residual] {
+      std::vector<GmdjCondition> conds;
+      conds.push_back(RouteCond(YAbove(7), Aggs(CountStar("bad")), false));
+      conds.push_back(RouteCond(nullptr, Aggs(SumOf(Col("R.v"), "s"),
+                                              CountStar("n")),
+                                residual));
+      return conds;
+    };
+  };
+  CompletionSpec spec;
+  spec.actions = {CompletionAction::kDiscardOnMatch, CompletionAction::kNone};
+  ForBothBases(&catalog_, [&](bool unique) {
+    const std::string context = unique ? "unique keys" : "duplicated keys";
+    std::string single_thread;
+    for (const size_t threads : {size_t{1}, size_t{2}}) {
+      const Knobs knobs{threads, ExprEvalMode::kCompiled, false};
+      const std::string where = context + " [" + knobs.Name() + "]";
+      const Outcome plain = Run(make(false), &spec, knobs);
+      const Outcome residual = Run(make(true), &spec, knobs);
+      EXPECT_TRUE(SameRows(plain.rows, residual.rows)) << where;
+      EXPECT_FALSE(plain.rng.empty()) << where;
+      EXPECT_EQ(plain.rng, residual.rng) << where;
+      if (threads == 1) single_thread = plain.rng;
+      EXPECT_EQ(plain.rng, single_thread) << where;
+    }
+  });
 }
 
 // ---- Memory charge of the base index ----

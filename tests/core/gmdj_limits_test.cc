@@ -2,6 +2,7 @@
 // engine invariants (GMDJ_CHECK), so violating them aborts — death tests
 // pin the behaviour so it cannot silently regress into corruption.
 
+#include "common/str_util.h"
 #include "core/gmdj_node.h"
 
 #include "exec/nodes.h"
@@ -20,7 +21,7 @@ std::vector<GmdjCondition> CountConditions(int n) {
   for (int i = 0; i < n; ++i) {
     GmdjCondition c;
     c.theta = Eq(Col("B.k"), Col("R.k"));
-    c.aggs.push_back(CountStar("c" + std::to_string(i)));
+    c.aggs.push_back(CountStar(StrCat({"c", std::to_string(i)})));
     conds.push_back(std::move(c));
   }
   return conds;

@@ -1,6 +1,6 @@
 // Concurrent governed execution on ONE engine: Execute / ExecuteSql with
-// SessionLimits + caller-owned QueryRun racing ExecuteBatch, with the
-// MQO cache enabled and the memory pool small enough that catalog reads
+// SessionLimits + caller-owned QueryRun racing cached `gmdj` runs, with
+// the MQO cache enabled and the memory pool small enough that catalog reads
 // race cache shedding. This is the TSan gate for the server's worker
 // pool, which drives the engine exactly this way.
 
@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "common/fault_injection.h"
-#include "engine/batch_planner.h"
 #include "engine/olap_engine.h"
 #include "governance/query_context.h"
 #include "gtest/gtest.h"
@@ -80,13 +79,15 @@ TEST(EngineConcurrencyTest, GovernedExecutePathsRaceSafelyWithCache) {
       }
     });
   }
-  // Kind 3: ExecuteBatch (the MQO batch path), racing the singles above
-  // through the same cache.
+  // Kind 3: the query twice per round under `gmdj`, whose GMDJs probe
+  // and store the cache, racing the singles above through it.
   for (int t = 0; t < kThreadsPerKind; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kRounds; ++i) {
-        const BatchResult batch = engine.ExecuteBatch({&query, &query});
-        for (const Result<Table>& result : batch.results) check(result);
+        for (const Result<Table>& result :
+             testutil::RunThroughCache(&engine, {&query, &query})) {
+          check(result);
+        }
       }
     });
   }

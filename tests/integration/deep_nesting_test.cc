@@ -2,6 +2,7 @@
 // push-down, many same-level subqueries (the 64-condition ceiling), and
 // empty-table corners — all cross-checked against the native reference.
 
+#include "common/str_util.h"
 #include "engine/olap_engine.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
@@ -108,7 +109,7 @@ TEST_F(DeepNestingTest, ManySameLevelSubqueries) {
   q.source = From("A", "A");
   PredPtr where;
   for (int i = 0; i < 12; ++i) {
-    const std::string alias = "B" + std::to_string(i);
+    const std::string alias = StrCat({"B", std::to_string(i)});
     PredPtr leaf =
         i % 3 == 2
             ? NotExists(Sub(From("B", alias),

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "expr/expr_builder.h"
 #include "nested/nested_builder.h"
 #include "storage/catalog.h"
@@ -69,7 +70,9 @@ class QueryGenerator {
                          Lit(rng_.Uniform(0, 6))));
   }
 
-  std::string FreshAlias() { return "T" + std::to_string(++alias_counter_); }
+  std::string FreshAlias() {
+    return StrCat({"T", std::to_string(++alias_counter_)});
+  }
 
   std::unique_ptr<NestedSelect> RandomSubBlock(int depth,
                                                const std::string& enclosing,

@@ -1,13 +1,13 @@
-// ExecuteBatch with the aggregate cache must be row-identical (values AND
-// order) to running each query sequentially without a cache. The batch
-// path disables base-tuple completion so cached aggregate columns stay
-// aligned with the base scan; these tests pin that the observable results
-// are nonetheless exactly the sequential ones — including on NULL-bearing
-// data and on completion-eligible (ALL / NOT EXISTS) plans.
+// A batch of queries run one by one under `gmdj` with the aggregate cache
+// must be row-identical (values AND order) to running each query under
+// `gmdj-optimized` without a cache. `gmdj` translates without base-tuple
+// completion, so its GMDJs probe and store the cache; these tests pin that
+// the observable results are nonetheless exactly the uncached ones —
+// including on NULL-bearing data and on completion-eligible (ALL /
+// NOT EXISTS) plans.
 
 #include <vector>
 
-#include "engine/batch_planner.h"
 #include "engine/olap_engine.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
@@ -36,13 +36,15 @@ void ExpectExactRows(const Table& actual, const Table& expected,
   }
 }
 
-/// Runs `queries` sequentially (no cache) for reference, then through
-/// ExecuteBatch with the cache enabled — twice, so the second batch is
-/// served from a warm cache — asserting every result matches exactly.
-void ExpectBatchMatchesSequential(
+/// Runs `queries` without a cache under `gmdj-optimized` for reference,
+/// then one by one under `gmdj` with the cache enabled — two rounds, so
+/// the second is served from a warm cache — asserting every result
+/// matches exactly. `first` and `second` receive each round's summed
+/// stats.
+void ExpectCachedMatchesUncached(
     OlapEngine* engine, const std::vector<const NestedSelect*>& queries,
-    const std::string& context, BatchResult* first = nullptr,
-    BatchResult* second = nullptr) {
+    const std::string& context, ExecStats* first = nullptr,
+    ExecStats* second = nullptr) {
   engine->DisableAggCache();
   std::vector<Table> reference;
   for (const NestedSelect* query : queries) {
@@ -53,18 +55,18 @@ void ExpectBatchMatchesSequential(
 
   engine->EnableAggCache();
   for (int round = 0; round < 2; ++round) {
-    BatchResult batch = engine->ExecuteBatch(queries);
-    ASSERT_EQ(batch.results.size(), queries.size());
+    ExecStats totals;
+    const std::vector<Result<Table>> results =
+        testutil::RunThroughCache(engine, queries, &totals);
     for (size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_TRUE(batch.results[q].ok())
-          << context << " query " << q << ": "
-          << batch.results[q].status().message();
-      ExpectExactRows(*batch.results[q], reference[q],
+      ASSERT_TRUE(results[q].ok()) << context << " query " << q << ": "
+                                   << results[q].status().message();
+      ExpectExactRows(*results[q], reference[q],
                       context + " query " + std::to_string(q) + " round " +
                           std::to_string(round));
     }
-    if (round == 0 && first != nullptr) *first = std::move(batch);
-    if (round == 1 && second != nullptr) *second = std::move(batch);
+    if (round == 0 && first != nullptr) *first = totals;
+    if (round == 1 && second != nullptr) *second = totals;
   }
   engine->DisableAggCache();
 }
@@ -79,7 +81,7 @@ class BatchDeterminismTest : public ::testing::Test {
     engine_.catalog()->PutTable("customer", GenCustomerTable(config));
     engine_.catalog()->PutTable("orders", GenOrdersTable(config));
     // Single-threaded: floating-point aggregation order is then identical
-    // between the sequential and batch paths, so comparison can be exact.
+    // between the cached and uncached runs, so comparison can be exact.
     ExecConfig exec;
     exec.num_threads = 1;
     engine_.set_exec_config(exec);
@@ -94,28 +96,23 @@ TEST_F(BatchDeterminismTest, PaperMixMatchesSequential) {
   const NestedSelect fig2_again = Fig2ExistsQuery();  // Identical work.
   const std::vector<const NestedSelect*> mix = {&fig2, &fig3, &fig2_again};
 
-  BatchResult first, second;
-  ExpectBatchMatchesSequential(&engine_, mix, "paper mix", &first, &second);
+  ExecStats first, second;
+  ExpectCachedMatchesUncached(&engine_, mix, "paper mix", &first, &second);
 
-  // fig2/fig3/fig2' all range over (customer, orders): one share group,
-  // and the duplicated fig2 condition has two subscribers.
-  EXPECT_GE(first.shared_groups, 1u);
-  EXPECT_GE(first.shared_conditions, 1u);
-
-  // The warm batch answers its GMDJs from the cache: several hits, and
+  // The warm round answers its GMDJs from the cache: several hits, and
   // the detail relation is no longer scanned per query.
-  EXPECT_GE(second.stats.cache_hits, 2u);
-  EXPECT_LT(second.stats.rows_scanned, first.stats.rows_scanned);
+  EXPECT_GE(second.cache_hits, 2u);
+  EXPECT_LT(second.rows_scanned, first.rows_scanned);
 }
 
 TEST_F(BatchDeterminismTest, CompletionEligiblePlansMatch) {
   // Fig-4 (ALL quantifier) and NOT EXISTS translate with base-tuple
-  // completion under kGmdjOptimized; the cached batch path runs them
-  // with completion disabled and must still produce identical rows.
+  // completion under kGmdjOptimized; the cached `gmdj` runs have no
+  // completion and must still produce identical rows.
   const NestedSelect fig4 = Fig4AllQuery();
   const NestedSelect fig5 = Fig5TreeExistsQuery();
   const std::vector<const NestedSelect*> mix = {&fig4, &fig5};
-  ExpectBatchMatchesSequential(&engine_, mix, "completion-eligible mix");
+  ExpectCachedMatchesUncached(&engine_, mix, "completion-eligible mix");
 }
 
 TEST_F(BatchDeterminismTest, RepeatedIdenticalQueriesShareOneEvaluation) {
@@ -124,13 +121,11 @@ TEST_F(BatchDeterminismTest, RepeatedIdenticalQueriesShareOneEvaluation) {
   const NestedSelect fig2_c = Fig2ExistsQuery();
   const std::vector<const NestedSelect*> mix = {&fig2, &fig2_b, &fig2_c};
 
-  BatchResult first;
-  ExpectBatchMatchesSequential(&engine_, mix, "triplicate fig2", &first);
-  EXPECT_GE(first.shared_groups, 1u);
-  EXPECT_GE(first.shared_conditions, 1u);
-  // Within the very first batch, the prewarmed evaluation already serves
-  // every subscriber: at least two of the three queries hit.
-  EXPECT_GE(first.stats.cache_hits, 2u);
+  ExecStats first;
+  ExpectCachedMatchesUncached(&engine_, mix, "triplicate fig2", &first);
+  // Within the very first round, the aggregates the first query stored
+  // already serve the other two: at least two of the three queries hit.
+  EXPECT_GE(first.cache_hits, 2u);
 }
 
 class NullDataBatchTest : public ::testing::Test {
@@ -180,7 +175,7 @@ TEST_F(NullDataBatchTest, NullBearingPlansMatchSequential) {
                                                  Col("D.dk"), nullptr));
 
   const std::vector<const NestedSelect*> mix = {&exists, &agg_cmp, &not_in};
-  ExpectBatchMatchesSequential(&engine_, mix, "null-bearing mix");
+  ExpectCachedMatchesUncached(&engine_, mix, "null-bearing mix");
 }
 
 }  // namespace

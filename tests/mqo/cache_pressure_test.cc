@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/str_util.h"
 #include "governance/query_context.h"
 #include "gtest/gtest.h"
 #include "mqo/agg_cache.h"
@@ -18,19 +19,19 @@ namespace gmdj {
 namespace {
 
 GmdjCacheKey KeyFor(const std::string& share_key, uint64_t rows) {
-  GmdjCacheKey key;
-  key.share_key = share_key;
-  key.base_table = "b";
-  key.detail_table = "d";
-  key.num_base_rows = rows;
-  return key;
+  return GmdjCacheKey{.share_key = share_key,
+                      .base_table = "b",
+                      .detail_table = "d",
+                      .base_version = {},
+                      .detail_version = {},
+                      .num_base_rows = rows};
 }
 
 CachedAggColumn ColumnOf(uint64_t rows, int64_t seed) {
   auto column = std::make_shared<std::vector<Value>>();
   column->reserve(rows);
   for (uint64_t r = 0; r < rows; ++r) {
-    column->push_back(Value(static_cast<int64_t>(r) + seed));
+    column->emplace_back(static_cast<int64_t>(r) + seed);
   }
   return column;
 }
@@ -41,7 +42,7 @@ TEST(CachePressureTest, ByteBudgetHoldsAfterEveryStore) {
   GmdjAggCache cache(config);
   constexpr uint64_t kRows = 16;
   for (int i = 0; i < 64; ++i) {
-    cache.Store(KeyFor("key" + std::to_string(i), kRows), {"count(*)"},
+    cache.Store(KeyFor(StrCat({"key", std::to_string(i)}), kRows), {"count(*)"},
                 {ColumnOf(kRows, i)});
     EXPECT_LE(cache.stats().bytes, config.byte_budget) << "store " << i;
   }
@@ -53,7 +54,7 @@ TEST(CachePressureTest, ShedBytesFreesAtLeastTheRequest) {
   GmdjAggCache cache;
   constexpr uint64_t kRows = 32;
   for (int i = 0; i < 8; ++i) {
-    cache.Store(KeyFor("key" + std::to_string(i), kRows), {"count(*)"},
+    cache.Store(KeyFor(StrCat({"key", std::to_string(i)}), kRows), {"count(*)"},
                 {ColumnOf(kRows, i)});
   }
   const uint64_t before = cache.stats().bytes;
@@ -93,7 +94,7 @@ TEST(CachePressureTest, PoolChargeMirrorsResidentBytes) {
   cache.set_memory_pool(&pool);
   constexpr uint64_t kRows = 16;
   for (int i = 0; i < 6; ++i) {
-    cache.Store(KeyFor("key" + std::to_string(i), kRows), {"count(*)"},
+    cache.Store(KeyFor(StrCat({"key", std::to_string(i)}), kRows), {"count(*)"},
                 {ColumnOf(kRows, i)});
     EXPECT_EQ(pool.reserved(), cache.stats().bytes);
   }
@@ -131,7 +132,8 @@ TEST(CachePressureTest, ConcurrentStoreProbeShedKeepsInvariants) {
     threads.emplace_back([&cache, w] {
       for (int i = 0; i < 400; ++i) {
         const int k = (i * 7 + w * 13) % kKeys;
-        cache.Store(KeyFor("key" + std::to_string(k), kRows), {"count(*)"},
+        cache.Store(KeyFor(StrCat({"key", std::to_string(k)}), kRows),
+                    {"count(*)"},
                     {ColumnOf(kRows, k)});
       }
     });
@@ -141,7 +143,7 @@ TEST(CachePressureTest, ConcurrentStoreProbeShedKeepsInvariants) {
       std::vector<CachedAggColumn> columns;
       int k = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        cache.Probe(KeyFor("key" + std::to_string(k % kKeys), kRows),
+        cache.Probe(KeyFor(StrCat({"key", std::to_string(k % kKeys)}), kRows),
                     {"count(*)"}, &columns);
         ++k;
       }

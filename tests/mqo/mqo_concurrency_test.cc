@@ -1,13 +1,13 @@
-// Concurrent ExecuteBatch calls on one engine sharing one aggregate cache.
-// ExecuteBatch never writes engine members and the cache is internally
-// synchronized, so racing batches must all succeed and agree with the
-// sequential no-cache reference. This test is the TSan gate for the MQO
-// subsystem (see .github/workflows/ci.yml).
+// Threads racing governed Execute calls under `gmdj` on one engine that
+// shares one aggregate cache. The governed overload never writes engine
+// members and the cache is internally synchronized, so every racing
+// query must succeed and agree with the sequential no-cache reference.
+// This test is the TSan gate for the MQO subsystem (see
+// .github/workflows/ci.yml).
 
 #include <thread>
 #include <vector>
 
-#include "engine/batch_planner.h"
 #include "engine/olap_engine.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -26,7 +26,7 @@ TEST(MqoConcurrencyTest, ConcurrentBatchesAgreeWithSequential) {
   engine.catalog()->PutTable("customer", GenCustomerTable(config));
   engine.catalog()->PutTable("orders", GenOrdersTable(config));
   ExecConfig exec;
-  exec.num_threads = 1;  // Per-query; the concurrency under test is batches.
+  exec.num_threads = 1;  // Per-query; the concurrency under test is queries.
   engine.set_exec_config(exec);
 
   const NestedSelect fig2 = Fig2ExistsQuery();
@@ -45,25 +45,24 @@ TEST(MqoConcurrencyTest, ConcurrentBatchesAgreeWithSequential) {
 
   constexpr int kThreads = 6;
   constexpr int kRoundsPerThread = 4;
-  std::vector<BatchResult> last(kThreads);
+  std::vector<std::vector<Result<Table>>> last(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&engine, &mix, &last, t] {
       for (int round = 0; round < kRoundsPerThread; ++round) {
-        last[t] = engine.ExecuteBatch(mix);
+        last[t] = testutil::RunThroughCache(&engine, mix);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(last[t].results.size(), mix.size());
+    ASSERT_EQ(last[t].size(), mix.size());
     for (size_t q = 0; q < mix.size(); ++q) {
-      ASSERT_TRUE(last[t].results[q].ok())
-          << "thread " << t << " query " << q << ": "
-          << last[t].results[q].status().message();
-      const Table& got = *last[t].results[q];
+      ASSERT_TRUE(last[t][q].ok()) << "thread " << t << " query " << q << ": "
+                                   << last[t][q].status().message();
+      const Table& got = *last[t][q];
       ASSERT_EQ(got.num_rows(), reference[q].num_rows())
           << "thread " << t << " query " << q;
       for (size_t r = 0; r < got.num_rows(); ++r) {
@@ -78,8 +77,8 @@ TEST(MqoConcurrencyTest, ConcurrentBatchesAgreeWithSequential) {
     }
   }
 
-  // The shared cache saw traffic from multiple batches; its counters must
-  // be consistent (no lost updates) — every batch either hit or missed.
+  // The shared cache saw traffic from every thread; its counters must be
+  // consistent (no lost updates) — every query either hit or missed.
   const GmdjAggCache::Stats stats = engine.agg_cache()->stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
   EXPECT_GT(stats.stores, 0u);
@@ -110,21 +109,20 @@ TEST(MqoConcurrencyTest, ConcurrentBatchesUnderTinyBudgetStayCorrect) {
   engine.EnableAggCache(cache_config);
 
   constexpr int kThreads = 4;
-  std::vector<BatchResult> last(kThreads);
+  std::vector<std::vector<Result<Table>>> last(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&engine, &mix, &last, t] {
       for (int round = 0; round < 3; ++round) {
-        last[t] = engine.ExecuteBatch(mix);
+        last[t] = testutil::RunThroughCache(&engine, mix);
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
   for (int t = 0; t < kThreads; ++t) {
-    ASSERT_TRUE(last[t].results[0].ok());
-    EXPECT_TRUE(
-        testutil::SameRows(*last[t].results[0], *reference));
+    ASSERT_TRUE(last[t][0].ok());
+    EXPECT_TRUE(testutil::SameRows(*last[t][0], *reference));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/str_util.h"
 #include "gtest/gtest.h"
 #include "obs/clock.h"
 
@@ -76,7 +77,7 @@ TEST(SpanTracerTest, RingOverwritesOldestFirst) {
   FakeClock clock;
   SpanTracer tracer(&clock, /*capacity=*/3);
   for (int i = 0; i < 5; ++i) {
-    const uint32_t span = tracer.Start("s" + std::to_string(i));
+    const uint32_t span = tracer.Start(StrCat({"s", std::to_string(i)}));
     clock.AdvanceNanos(1);
     tracer.End(span);
   }

@@ -1,5 +1,6 @@
 #include "storage/catalog.h"
 
+#include "common/str_util.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -102,7 +103,7 @@ TEST(CatalogTest, PointerStableAcrossInserts) {
   catalog.PutTable("t", MakeTable({"x"}, {{1}}));
   const Table* t = *catalog.GetTable("t");
   for (int i = 0; i < 50; ++i) {
-    catalog.PutTable("t" + std::to_string(i), MakeTable({"x"}, {}));
+    catalog.PutTable(StrCat({"t", std::to_string(i)}), MakeTable({"x"}, {}));
   }
   EXPECT_EQ(*catalog.GetTable("t"), t);
 }

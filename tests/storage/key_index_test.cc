@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "common/str_util.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -297,7 +298,8 @@ TEST(KeyIndexTest, StringKeys) {
 TEST(KeyIndexTest, HeldBytesStayWithinTheBuildBound) {
   Table strings = MakeTable({"name:s"}, {});
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(strings.AppendRow({Value("k" + std::to_string(i % 7))}).ok());
+    ASSERT_TRUE(
+        strings.AppendRow({Value(StrCat({"k", std::to_string(i % 7)}))}).ok());
   }
   std::vector<Row> dense, sparse, pairs;
   for (int64_t i = 0; i < 500; ++i) {

@@ -103,6 +103,20 @@ Table ExpectAllStrategiesAgree(OlapEngine* engine, const NestedSelect& query,
   return std::move(*reference);
 }
 
+std::vector<Result<Table>> RunThroughCache(
+    OlapEngine* engine, const std::vector<const NestedSelect*>& queries,
+    ExecStats* stats) {
+  std::vector<Result<Table>> results;
+  results.reserve(queries.size());
+  for (const NestedSelect* query : queries) {
+    QueryRun run;
+    results.push_back(
+        engine->Execute(*query, Strategy::kGmdj, SessionLimits(), &run));
+    if (stats != nullptr) stats->Add(run.stats);
+  }
+  return results;
+}
+
 Result<std::vector<StrategyCostEstimate>> StatFreeEstimates(
     const Catalog& catalog, const NestedSelect& query) {
   std::unique_ptr<NestedSelect> bound = query.Clone();

@@ -43,6 +43,13 @@ void LoadPaperTables(OlapEngine* engine);
 Table ExpectAllStrategiesAgree(OlapEngine* engine, const NestedSelect& query,
                                const std::string& context);
 
+/// Runs each of `queries` once, in order, through the governed Execute
+/// under `gmdj`, whose GMDJs (no completion) probe and store the engine's
+/// MQO cache. `stats`, when given, receives the runs' summed ExecStats.
+std::vector<Result<Table>> RunThroughCache(
+    OlapEngine* engine, const std::vector<const NestedSelect*>& queries,
+    ExecStats* stats = nullptr);
+
 /// The planner's cost model without statistics: binds a clone of `query`
 /// against `catalog` and estimates every strategy from catalog row counts
 /// alone, cheapest first. Fails when the query does not bind.
