@@ -50,13 +50,12 @@ void ApplyEvalOrder(std::vector<GmdjCondRuntime>* runtimes,
   *runtimes = std::move(ordered);
 }
 
-/// The fold the chunk kernel gives a compiled aggregate argument: typed
-/// when the argument is numeric and reads only detail columns — straight
-/// from the detail column when it is one, else as one batch evaluation
-/// per chunk — and the per-pair Value fold otherwise.
-AggFold ChooseAggFold(const ExprProgram& arg) {
-  const ValueType type = arg.result_type();
-  if (!arg.fully_compiled() ||
+/// The fold the chunk kernel gives a compiled aggregate argument of bound
+/// type `type`: typed when the argument is numeric and reads only detail
+/// columns — straight from the detail column when it is one, else as one
+/// batch evaluation per chunk — and the per-pair Value fold otherwise.
+AggFold ChooseAggFold(const ExprProgram& arg, ValueType type) {
+  if (!arg.fully_compiled() || arg.result_type() != type ||
       (type != ValueType::kInt64 && type != ValueType::kDouble)) {
     return AggFold::kValue;
   }
@@ -509,14 +508,16 @@ std::vector<GmdjCondRuntime> GmdjNode::PrepareRuntimes(
         fully &= p.residual.back().fully_compiled();
       }
     }
-    for (const AggSpec& agg : conditions_[c].aggs) {
+    for (size_t a = 0; a < conditions_[c].aggs.size(); ++a) {
+      const AggSpec& agg = conditions_[c].aggs[a];
       if (agg.arg == nullptr) {
         p.agg_args.push_back(nullptr);
         p.agg_folds.push_back(AggFold::kCountStar);
         continue;
       }
       p.agg_args.push_back(std::make_unique<ExprProgram>(lower(*agg.arg)));
-      p.agg_folds.push_back(ChooseAggFold(*p.agg_args.back()));
+      p.agg_folds.push_back(ChooseAggFold(
+          *p.agg_args.back(), agg_arg_types_[agg_offsets_[c] + a]));
       fully &= p.agg_args.back()->fully_compiled();
     }
     if (rt.pair_cmp != nullptr) {
@@ -666,7 +667,7 @@ Result<Table> GmdjNode::EvalRange(ExecContext* ctx,
                                   const Table& base, const Table& detail,
                                   std::vector<uint8_t>* slot_path) const {
   const size_t n = base.num_rows();
-  const GmdjResultLayout layout = BuildResultLayout(runtimes, total_aggs_);
+  const GmdjResultLayout layout = BuildResultLayout(runtimes, agg_arg_types_);
 
   // The base-results table is the operator's bounded intermediate state
   // (the paper's efficiency argument); charge it before allocating so a
@@ -752,7 +753,7 @@ Result<Table> GmdjNode::EvalRange(ExecContext* ctx,
       ExtendWithAggs(
           result.num_discarded == 0 ? base : base.Gather(survivors),
           output_schema_, total_aggs_, [&](size_t k, size_t a) {
-            return result.table.Finalize(survivors[k], a, agg_arg_types_[a]);
+            return result.table.Finalize(survivors[k], a);
           }));
   ctx->stats().rows_output += out.num_rows();
   return out;

@@ -1,6 +1,7 @@
 #include "mqo/signature.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/str_util.h"
 #include "exec/nodes.h"
@@ -179,15 +180,6 @@ std::optional<std::string> ScanFingerprint(const PlanNode& node) {
   return "scan:" + Quoted(scan->table_name());
 }
 
-uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::optional<GmdjSignature> BuildGmdjSignature(
     const PlanNode& base, const PlanNode& detail,
     const std::vector<GmdjConditionView>& conditions) {
@@ -199,8 +191,6 @@ std::optional<GmdjSignature> BuildGmdjSignature(
   sig.base_table = static_cast<const TableScanNode&>(base).table_name();
   sig.detail_table = static_cast<const TableScanNode&>(detail).table_name();
 
-  std::vector<std::string> cond_keys;
-  cond_keys.reserve(conditions.size());
   for (const GmdjConditionView& cond : conditions) {
     GmdjCondSignature cs;
     cs.theta_key = CanonicalThetaKey(cond.theta);
@@ -208,19 +198,8 @@ std::optional<GmdjSignature> BuildGmdjSignature(
     for (const AggSpec* agg : cond.aggs) {
       cs.agg_keys.push_back(CanonicalAggKey(*agg));
     }
-    std::vector<std::string> sorted_aggs = cs.agg_keys;
-    std::sort(sorted_aggs.begin(), sorted_aggs.end());
-    std::string cond_key = cs.share_key + "::";
-    for (const std::string& a : sorted_aggs) cond_key += a + ";";
-    cond_keys.push_back(std::move(cond_key));
     sig.conditions.push_back(std::move(cs));
   }
-  std::sort(cond_keys.begin(), cond_keys.end());
-  for (const std::string& k : cond_keys) {
-    sig.node_key += k;
-    sig.node_key += '\n';
-  }
-  sig.hash = Fnv1a64(sig.node_key);
   return sig;
 }
 
