@@ -1,6 +1,7 @@
 // Expression-evaluation micro-benchmarks: the tree interpreter versus the
 // compiled register programs (expr/program.h) on the θ shapes of the
-// paper's Figure 2 and Figure 4 workloads.
+// paper's Figure 2 and Figure 4 workloads, and on Figure 5's detail-only
+// mask (a string equality, one column-vs-literal compare op).
 //
 // Each benchmark evaluates the bound predicate once per detail (orders)
 // row against a fixed base (customer) row, the exact call pattern of the
@@ -39,6 +40,12 @@ ExprPtr Fig2Theta() {
 // Fig. 4 ψ: the fused ALL-pair comparison C.c_custkey <> O.o_custkey,
 // evaluated per candidate match in the quantifier pass.
 ExprPtr Fig4PairCmp() { return Ne(Col("C.c_custkey"), Col("O.o_custkey")); }
+
+// Fig. 5 mask: the first EXISTS's detail-only conjunct, which the GMDJ
+// evaluates as a pass mask over each chunk.
+ExprPtr Fig5PriorityMask() {
+  return Eq(Col("O.o_orderpriority"), Lit("1-URGENT"));
+}
 
 void RunExprLoop(benchmark::State& state, ExprPtr expr, EvalVariant variant) {
   OlapEngine* engine = bench::TpchEngine(1000, bench::Scaled(60'000), 1);
@@ -128,6 +135,16 @@ void BM_Fig4CompiledBatch(benchmark::State& state) {
   RunExprLoop(state, Fig4PairCmp(), EvalVariant::kCompiledBatch);
 }
 
+void BM_Fig5Interpret(benchmark::State& state) {
+  RunExprLoop(state, Fig5PriorityMask(), EvalVariant::kInterpret);
+}
+void BM_Fig5Compiled(benchmark::State& state) {
+  RunExprLoop(state, Fig5PriorityMask(), EvalVariant::kCompiled);
+}
+void BM_Fig5CompiledBatch(benchmark::State& state) {
+  RunExprLoop(state, Fig5PriorityMask(), EvalVariant::kCompiledBatch);
+}
+
 }  // namespace
 }  // namespace gmdj
 
@@ -153,6 +170,19 @@ BENCHMARK(gmdj::BM_Fig4Compiled)
     ->MinTime(0.05);
 BENCHMARK(gmdj::BM_Fig4CompiledBatch)
     ->Name("expr/fig4_pair_cmp/compiled_batch")
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.05);
+
+BENCHMARK(gmdj::BM_Fig5Interpret)
+    ->Name("expr/fig5_mask/interpret")
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.05);
+BENCHMARK(gmdj::BM_Fig5Compiled)
+    ->Name("expr/fig5_mask/compiled")
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.05);
+BENCHMARK(gmdj::BM_Fig5CompiledBatch)
+    ->Name("expr/fig5_mask/compiled_batch")
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 

@@ -61,7 +61,10 @@ AggFold ChooseAggFold(const ExprProgram& arg, ValueType type) {
   }
   for (size_t i = 0; i < arg.num_ops(); ++i) {
     const ExprOp& op = arg.op(i);
-    if (op.code == OpCode::kLoadCol && op.frame != 1) return AggFold::kValue;
+    if ((op.code == OpCode::kLoadCol || op.code == OpCode::kCmpColLit) &&
+        op.frame != 1) {
+      return AggFold::kValue;
+    }
   }
   return arg.num_ops() == 1 && arg.op(0).code == OpCode::kLoadCol
              ? AggFold::kColumn
@@ -180,7 +183,10 @@ Status GmdjNode::Prepare(const Catalog& catalog) {
 }
 
 Result<Table> GmdjNode::Execute(ExecContext* ctx) const {
-  OpScope scope(ctx, this, label());
+  // The span gets a short fixed name: the full label() renders every
+  // condition, which only EXPLAIN needs.
+  OpScope scope(ctx, this,
+                strategy_ == GmdjStrategy::kNaive ? "GMDJ (naive)" : "GMDJ");
   GmdjCacheHook* cache = ctx->gmdj_cache();
   // Completion-enabled nodes never touch the cache: completion prunes
   // (discards/freezes) base tuples according to *this query's* selection,

@@ -17,24 +17,6 @@ void FoldExtreme(AggKind kind, const Value& v, Value* extreme) {
   }
 }
 
-/// Whether `e` may yield a string: its type is STRING, or it is a CASE or
-/// COALESCE with such a branch (the first branch's type is the bound one).
-bool MayYieldString(const Expr& e) {
-  switch (e.kind()) {
-    case ExprKind::kCase: {
-      const auto& c = static_cast<const CaseExpr&>(e);
-      return MayYieldString(c.then_branch()) ||
-             MayYieldString(c.else_branch());
-    }
-    case ExprKind::kCoalesce: {
-      const auto& c = static_cast<const CoalesceExpr&>(e);
-      return MayYieldString(c.first()) || MayYieldString(c.second());
-    }
-    default:
-      return e.result_type() == ValueType::kString;
-  }
-}
-
 }  // namespace
 
 const char* AggKindToString(AggKind kind) {

@@ -279,7 +279,48 @@ class ExprCompiler {
     return {dst, ValueType::kDouble};
   }
 
+  /// `column op constant`, the constant on either side, as one
+  /// kCmpColLit; false when `e` is not of that shape, its column is
+  /// NULL-typed, or it compares a string with a number.
+  bool CompileColumnLiteral(const CompareExpr& e, uint16_t* dst) {
+    const bool lit_right =
+        e.lhs().kind() == ExprKind::kColumnRef && IsConstant(e.rhs());
+    const bool lit_left = !lit_right && IsConstant(e.lhs()) &&
+                          e.rhs().kind() == ExprKind::kColumnRef;
+    if (!lit_right && !lit_left) return false;
+    const auto& c =
+        static_cast<const ColumnRefExpr&>(lit_right ? e.lhs() : e.rhs());
+    if (!ValidBinding(c)) return false;
+    const Value v = (lit_right ? e.rhs() : e.lhs()).Eval(EvalContext());
+    if (v.is_null()) {
+      *dst = EmitConstPred(TriBool::kUnknown);
+      return true;
+    }
+    const ValueType type = c.result_type();
+    if (type == ValueType::kNull ||
+        (type == ValueType::kString) != (v.type() == ValueType::kString)) {
+      return false;
+    }
+    *dst = AllocReg();
+    ExprOp& op = Emit(OpCode::kCmpColLit, *dst);
+    op.cmp = lit_right ? e.op() : MirrorCompareOp(e.op());
+    op.frame = static_cast<uint16_t>(c.bound_frame());
+    op.col = static_cast<uint32_t>(c.bound_column());
+    op.expect = type;
+    if (type == ValueType::kString) {
+      prog_->str_pool_.push_back(v.str());
+      op.const_reg.s = &prog_->str_pool_.back();
+    } else if (type == ValueType::kInt64 && v.type() == ValueType::kInt64) {
+      op.const_reg.i = v.int64();
+    } else {
+      op.const_reg.d = v.AsDouble();  // kCastDbl's cast of an int64 side.
+      op.flag = type == ValueType::kInt64;
+    }
+    return true;
+  }
+
   uint16_t CompileCompare(const CompareExpr& e) {
+    if (uint16_t dst; CompileColumnLiteral(e, &dst)) return dst;
     // As in CompileArith, dispatch on the compiled operand types — the
     // authoritative view after constant folding.
     const ScalarReg a = CompileScalar(e.lhs());

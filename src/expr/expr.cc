@@ -183,6 +183,10 @@ std::string CompareExpr::ToString() const {
 Status ArithExpr::Bind(const std::vector<const Schema*>& frames) {
   GMDJ_RETURN_IF_ERROR(lhs_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(rhs_->Bind(frames));
+  if (MayYieldString(*lhs_) || MayYieldString(*rhs_)) {
+    return Status::InvalidArgument(StrCat(
+        {"arithmetic ", ToString(), " takes numeric operands, not STRING"}));
+  }
   if (op_ == ArithOp::kDiv || lhs_->result_type() == ValueType::kDouble ||
       rhs_->result_type() == ValueType::kDouble) {
     result_type_ = ValueType::kDouble;
@@ -464,6 +468,22 @@ ExprPtr CoalesceExpr::Clone() const {
 
 std::string CoalesceExpr::ToString() const {
   return "COALESCE(" + first_->ToString() + ", " + second_->ToString() + ")";
+}
+
+bool MayYieldString(const Expr& e) {
+  switch (e.kind()) {
+    case ExprKind::kCase: {
+      const auto& c = static_cast<const CaseExpr&>(e);
+      return MayYieldString(c.then_branch()) ||
+             MayYieldString(c.else_branch());
+    }
+    case ExprKind::kCoalesce: {
+      const auto& c = static_cast<const CoalesceExpr&>(e);
+      return MayYieldString(c.first()) || MayYieldString(c.second());
+    }
+    default:
+      return e.result_type() == ValueType::kString;
+  }
 }
 
 }  // namespace gmdj

@@ -407,6 +407,11 @@ class CoalesceExpr final : public Expr {
   ExprPtr second_;
 };
 
+/// Whether bound `e` may yield a string: its type is STRING, or it is a
+/// CASE or COALESCE with such a branch (a branch mix binds as the first
+/// branch's type). Arithmetic and SUM/AVG refuse such an operand at Bind.
+bool MayYieldString(const Expr& e);
+
 }  // namespace gmdj
 
 #endif  // GMDJ_EXPR_EXPR_H_

@@ -1,6 +1,7 @@
 #include "expr/program.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -36,6 +37,80 @@ TriBool RegToTri(const ExprReg& r, ValueType static_type) {
     default:
       return TriBool::kUnknown;  // Strings (and NULL statics) are UNKNOWN.
   }
+}
+
+/// Calls `fn(pred)` with the comparison `op` of two values spelled
+/// through `<` and `>` only, exactly as CompareOrdered sees the pair, so
+/// NaN operands compare the same way.
+template <typename T, typename Fn>
+void WithOrderPred(CompareOp op, const Fn& fn) {
+  switch (op) {
+    case CompareOp::kEq:
+      return fn([](T a, T b) { return !(a < b) && !(a > b); });
+    case CompareOp::kNe:
+      return fn([](T a, T b) { return a < b || a > b; });
+    case CompareOp::kLt:
+      return fn([](T a, T b) { return a < b; });
+    case CompareOp::kLe:
+      return fn([](T a, T b) { return !(a > b); });
+    case CompareOp::kGt:
+      return fn([](T a, T b) { return a > b; });
+    case CompareOp::kGe:
+      return fn([](T a, T b) { return !(a < b); });
+  }
+}
+
+/// Runs kCmpColLit `op` over rows [0, n) of `cv`: `out(k, null, truth)`,
+/// where `truth` is the comparison of cell k with the literal (meaningless
+/// when the cell is NULL). An int64 column against a double literal casts
+/// each cell, as kCastDbl does; string `=`/`<>` compare lengths first.
+template <typename Out>
+void CompareToLiteral(const ExprOp& op, const ColumnVector& cv, size_t n,
+                      const Out& out) {
+  const ExprReg& lit = op.const_reg;
+  const auto numeric = [&](const auto* x, auto y) {
+    using T = decltype(y);
+    WithOrderPred<T>(op.cmp, [&](const auto pred) {
+      for (size_t k = 0; k < n; ++k) {
+        out(k, cv.null[k], pred(static_cast<T>(x[k]), y));
+      }
+    });
+  };
+  switch (op.expect) {
+    case ValueType::kInt64:
+      if (op.flag) return numeric(cv.i64, lit.d);
+      return numeric(cv.i64, lit.i);
+    case ValueType::kDouble:
+      return numeric(cv.dbl, lit.d);
+    default:
+      break;
+  }
+  const std::string& y = *lit.s;
+  if (op.cmp == CompareOp::kEq || op.cmp == CompareOp::kNe) {
+    const bool eq = op.cmp == CompareOp::kEq;
+    for (size_t k = 0; k < n; ++k) {
+      const std::string& x = cv.str[k];
+      out(k, cv.null[k],
+          (x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), y.size()) == 0) == eq);
+    }
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) {
+    out(k, cv.null[k],
+        IsTrue(CompareOrdered(cv.str[k].compare(y), op.cmp)));
+  }
+}
+
+/// kCmpColLit on row `row` of its column.
+TriBool CompareCellToLiteral(const ExprOp& op, const Column& col,
+                             size_t row) {
+  TriBool t = TriBool::kUnknown;
+  CompareToLiteral(op, ColumnVector::Of(col, row), 1,
+                   [&t](size_t, uint8_t null, bool truth) {
+                     if (!null) t = MakeTriBool(truth);
+                   });
+  return t;
 }
 
 }  // namespace
@@ -103,6 +178,12 @@ bool ExprProgram::Run(const EvalContext& ctx, ExprScratch* scratch) const {
           break;
         }
         r.t = CompareOrdered(a.s->compare(*b.s), op.cmp);
+        break;
+      }
+      case OpCode::kCmpColLit: {
+        const Column& col = ctx.ColumnAt(op.frame, op.col);
+        GMDJ_DCHECK(col.type() == op.expect);
+        regs[op.dst].t = CompareCellToLiteral(op, col, ctx.RowAt(op.frame));
         break;
       }
       case OpCode::kArithI64: {
@@ -263,42 +344,16 @@ void Fit(std::vector<T>* v, size_t n) {
 }
 
 /// out[k] = x[k] op y[k] (UNKNOWN where either is NULL), with one loop per
-/// operator. Each operator is spelled through `<` and `>` only, exactly as
-/// CompareOrdered sees the pair, so NaN operands compare the same way.
-template <typename T, typename Pred>
-void CompareLoop(const T* x, const T* y, const uint8_t* xn, const uint8_t* yn,
-                 TriBool* out, size_t n, Pred pred) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = (xn[k] | yn[k]) ? TriBool::kUnknown
-                             : MakeTriBool(pred(x[k], y[k]));
-  }
-}
-
+/// operator.
 template <typename T>
 void CompareColumns(CompareOp op, const T* x, const T* y, const uint8_t* xn,
                     const uint8_t* yn, TriBool* out, size_t n) {
-  switch (op) {
-    case CompareOp::kEq:
-      CompareLoop(x, y, xn, yn, out, n,
-                  [](T a, T b) { return !(a < b) && !(a > b); });
-      break;
-    case CompareOp::kNe:
-      CompareLoop(x, y, xn, yn, out, n,
-                  [](T a, T b) { return a < b || a > b; });
-      break;
-    case CompareOp::kLt:
-      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return a < b; });
-      break;
-    case CompareOp::kLe:
-      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return !(a > b); });
-      break;
-    case CompareOp::kGt:
-      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return a > b; });
-      break;
-    case CompareOp::kGe:
-      CompareLoop(x, y, xn, yn, out, n, [](T a, T b) { return !(a < b); });
-      break;
-  }
+  WithOrderPred<T>(op, [&](const auto pred) {
+    for (size_t k = 0; k < n; ++k) {
+      out[k] = (xn[k] | yn[k]) ? TriBool::kUnknown
+                               : MakeTriBool(pred(x[k], y[k]));
+    }
+  });
 }
 
 }  // namespace
@@ -404,6 +459,24 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
           }
           r.t[k] = CompareOrdered(a.s[k]->compare(*b.s[k]), op.cmp);
         }
+        break;
+      }
+      case OpCode::kCmpColLit: {
+        ExprVecReg& r = regs[op.dst];
+        const Column& col = ctx.ColumnAt(op.frame, op.col);
+        GMDJ_DCHECK(col.type() == op.expect);
+        Fit(&r.t, n);
+        if (op.frame != scratch.batch_frame) {  // One row: a broadcast.
+          std::fill_n(r.t.begin(), n,
+                      CompareCellToLiteral(op, col, ctx.RowAt(op.frame)));
+          break;
+        }
+        TriBool* t = r.t.data();
+        CompareToLiteral(op, ColumnVector::Of(col, scratch.batch_begin), n,
+                         [t](size_t k, uint8_t null, bool truth) {
+                           t[k] = null ? TriBool::kUnknown
+                                       : MakeTriBool(truth);
+                         });
         break;
       }
       case OpCode::kArithI64: {
@@ -570,6 +643,17 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
                                const ExprScratch& scratch,
                                ExprVecScratch* vec, size_t num_rows,
                                uint8_t* mask) const {
+  if (ops_.size() == 1 && ops_[0].code == OpCode::kCmpColLit &&
+      ops_[0].frame == scratch.batch_frame) {
+    const ExprOp& op = ops_[0];
+    const Column& col = ctx.ColumnAt(op.frame, op.col);
+    GMDJ_DCHECK(col.type() == op.expect);
+    CompareToLiteral(op, ColumnVector::Of(col, scratch.batch_begin),
+                     num_rows, [mask](size_t k, uint8_t null, bool truth) {
+                       mask[k] &= static_cast<uint8_t>(!null & truth);
+                     });
+    return true;
+  }
   const ExprVecReg* reg = EvalBatch(ctx, scratch, vec, num_rows);
   if (reg == nullptr) return false;
   const size_t n = num_rows;
@@ -668,6 +752,16 @@ std::string ExprProgram::ToString() const {
       case OpCode::kCmpStr:
         out += std::string("cmp_str ") + CompareOpToString(op.cmp) + " r" +
                std::to_string(op.a) + " r" + std::to_string(op.b);
+        break;
+      case OpCode::kCmpColLit:
+        out += std::string("cmp_col_lit ") + CompareOpToString(op.cmp) +
+               " f" + std::to_string(op.frame) + " c" +
+               std::to_string(op.col) + " " + ValueTypeToString(op.expect) +
+               (op.expect == ValueType::kString
+                    ? " \"" + *op.const_reg.s + "\""
+                : op.expect == ValueType::kInt64 && !op.flag
+                    ? " " + std::to_string(op.const_reg.i)
+                    : " " + std::to_string(op.const_reg.d));
         break;
       case OpCode::kArithI64:
         out += "arith_i64 r" + std::to_string(op.a) + " r" +

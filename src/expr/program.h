@@ -96,6 +96,9 @@ enum class OpCode : unsigned char {
   kCmpI64,      // t[dst] = i[a] cmp i[b]; UNKNOWN when either is null.
   kCmpDbl,      // t[dst] = d[a] cmp d[b]; UNKNOWN when either is null.
   kCmpStr,      // t[dst] = *s[a] cmp *s[b]; UNKNOWN when either is null.
+  kCmpColLit,   // t[dst] = frame's cell `col` cmp const_reg, the literal;
+                // UNKNOWN on a NULL cell. `expect` is the column's type;
+                // `flag`: an int64 column compares as double (const_reg.d).
   kArithI64,    // i[dst] = i[a] op i[b]; NULL propagates.
   kArithDbl,    // d[dst] = d[a] op d[b]; NULL propagates.
   kDivDbl,      // d[dst] = d[a] / d[b]; NULL on null input or zero divisor.
@@ -118,16 +121,18 @@ struct ExprOp {
   OpCode code = OpCode::kConst;
   CompareOp cmp = CompareOp::kEq;    // kCmp*.
   ArithOp arith = ArithOp::kAdd;     // kArith*.
-  bool flag = false;                 // kIsNull: negated; kInterpret: as-pred.
-  ValueType expect = ValueType::kNull;  // kLoadCol / kInterpret static type.
+  bool flag = false;  // kIsNull: negated; kInterpret: as-pred;
+                      // kCmpColLit: int64 column as double.
+  ValueType expect = ValueType::kNull;  // kLoadCol / kCmpColLit / kInterpret
+                                        // static type.
   uint16_t a = 0;
   uint16_t b = 0;
   uint16_t dst = 0;
-  uint16_t frame = 0;                // kLoadCol.
-  uint32_t col = 0;                  // kLoadCol.
+  uint16_t frame = 0;                // kLoadCol, kCmpColLit.
+  uint32_t col = 0;                  // kLoadCol, kCmpColLit.
   uint32_t target = 0;               // kJmpIf*.
   const Expr* expr = nullptr;        // kInterpret subtree (borrowed).
-  ExprReg const_reg;                 // kConst payload.
+  ExprReg const_reg;                 // kConst payload; kCmpColLit literal.
 };
 
 /// A bound expression lowered to a flat register program.
@@ -148,6 +153,8 @@ class ExprProgram {
   /// dispatches once per chunk and runs as a tight typed loop, so the
   /// per-row cost is the kernel body instead of the VM switch. On success
   /// ANDs IsTrue(predicate) for every row into `mask` and returns true.
+  /// A program that is one kCmpColLit over the batch frame ANDs straight
+  /// into `mask`, with no register.
   ///
   /// Returns false — with `mask` untouched — when the program holds a
   /// kInterpret op, which cannot run as a column kernel. Callers then fall

@@ -189,7 +189,7 @@ constexpr uint32_t kNoBase = UINT32_MAX;
 /// How a condition consumes its candidates (fixed per scan).
 enum class Route : unsigned char {
   kSpan,      // Walks candidate spans, builds Matches.
-  kScatter,   // Slot path: folds by scatter over the slot vector.
+  kScatter,   // Slot path: folds in its group's pass (FoldGroup).
   kComplete,  // Slot path: completion per row on its slot.
 };
 
@@ -215,12 +215,16 @@ Route ChooseRoute(const GmdjCondRuntime& rt) {
 /// the detail table's columns, read in place, then takes the conditions
 /// in runtime order:
 ///  - a binding group runs one probe or stab per row that passes at least
-///    one member's mask, then each member consumes the candidates. Over a
+///    one member's mask, then its members consume the candidates. Over a
 ///    unique index a row has at most one candidate, kept in the slot
-///    vector `slot_`; members on the slot path (UsesSlotPath) fold by
-///    scatter over it or run their completion per row. Otherwise hash
-///    candidates are spans into the index and stab output fills a capped
-///    buffer, flushed by row sub-range;
+///    vector `slot_`. The members on the slot path that scatter
+///    (Route::kScatter) fold together in one pass over it (FoldGroup):
+///    per row, every member's match count and typed aggregate, each under
+///    its member's mask, with each argument read once; per-pair
+///    aggregates then fold in their own row-order loop. Completion
+///    members run their completion per row. Otherwise hash candidates are
+///    spans into the index and stab output fills a capped buffer, flushed
+///    by row sub-range;
 ///  - a scan condition walks the live base tuples per passing row;
 ///  - an anti-probe discards each passing row's violators.
 /// A member on the span path applies its completion checks and residual
@@ -263,6 +267,39 @@ class GmdjScan {
     const ExprVecReg* reg = nullptr;
     ExprVecScratch vec;
   };
+  /// A typed aggregate of a scatter member: member runtime, aggregate
+  /// index in its condition, and flat slot.
+  struct MemberAgg {
+    uint32_t member;
+    uint32_t a;
+    uint32_t flat;
+  };
+  /// The fold pass of one unique-key binding group, fixed per scan: the
+  /// match counts its scatter members own, and their aggregates other
+  /// than count(*), those that share an argument (a kColumn column, or a
+  /// kBatch slot) adjacent.
+  struct GroupPass {
+    std::vector<uint32_t> counters;  // Members that own their count.
+    std::vector<MemberAgg> aggs;
+    std::vector<uint32_t> arg_ends;  // End in `aggs` of each argument's run.
+    std::vector<MemberAgg> per_pair;  // AggFold::kValue.
+  };
+  /// Per chunk, FoldGroup's resolved form of a GroupPass: a match count
+  /// or a typed aggregate under its member's mask (all ones when the
+  /// member has none).
+  struct CountLane {
+    const uint8_t* mask;
+    uint32_t* count;
+  };
+  struct AggLane {
+    AggKind kind;  // The fold kind: AVG folds as SUM.
+    const uint8_t* mask;
+    TypedAggColumn* col;
+  };
+  struct ArgLanes {
+    TypedArg arg;
+    uint32_t end;  // End of the argument's lanes in agg_lanes_.
+  };
 
   /// Starts chunk [begin, begin+rows) and computes the detail-only masks.
   void BeginChunk(size_t begin, size_t rows);
@@ -288,20 +325,16 @@ class GmdjScan {
   template <typename Completion, typename CandFn>
   void FoldCondition(size_t ci, size_t r0, size_t r1, Completion* done,
                      const CandFn& cands);
-  /// Slot path, unfiltered runtime `ci`: scatter over rows [r0, r1).
-  void ScatterCondition(size_t ci, size_t r0, size_t r1);
+  /// Slot path: unique group `g`'s fold pass over rows [r0, r1).
+  void FoldGroup(size_t g, size_t r0, size_t r1);
   /// Slot path, completion runtime `ci`: rows [r0, r1) in row order.
   template <typename Completion>
   void CompleteCondition(size_t ci, size_t r0, size_t r1, Completion* done);
   /// Anti-probe runtime `ci` over the chunk's rows.
   template <typename Completion>
   void AntiProbe(size_t ci, size_t rows, Completion* done);
-  /// Folds `cond`'s aggregates (flat offset `agg_offset`) over the
-  /// (row, base) pairs `each(fn)` passes to `fn`, in row order.
-  template <typename Each>
-  void FoldAggs(const GmdjCondition& cond, const GmdjCondPrograms& progs,
-                size_t agg_offset, const Each& each);
-  /// FoldAggs over `matches`.
+  /// Folds `cond`'s aggregates (flat offset `agg_offset`) over `matches`,
+  /// one aggregate at a time in row order.
   void FoldMatches(const GmdjCondition& cond, const GmdjCondPrograms& progs,
                    size_t agg_offset, const Matches& matches);
   /// Resolves aggregate `a` of `progs` (flat slot `flat`) to typed arrays
@@ -346,8 +379,15 @@ class GmdjScan {
   // the stab buffer (row i's stab is stab_buf_[stab_off_[i],
   // stab_off_[i + 1])).
   std::vector<uint32_t> slot_;
-  std::vector<uint32_t> masked_slot_;  // slot_ under one member's mask.
   std::vector<Candidates> cands_;
+  // Per unique group, its fold pass; FoldGroup's per-chunk lanes; and a
+  // mask of ones for members without one.
+  std::vector<GroupPass> passes_;
+  std::vector<CountLane> count_lanes_;
+  std::vector<AggLane> agg_lanes_;
+  std::vector<ArgLanes> arg_lanes_;
+  std::vector<MemberAgg> pair_lanes_;
+  std::vector<uint8_t> ones_;
   std::vector<uint8_t> want_;
   std::vector<uint32_t> stab_buf_;
   std::vector<uint32_t> stab_off_;
@@ -396,8 +436,42 @@ void GmdjScan::Init(const GmdjEvalInput& in) {
     }
     groups_[g].push_back(static_cast<uint32_t>(ci));
   }
+  passes_.resize(groups_.size());
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    GroupPass& pass = passes_[g];
+    // Per argument (kColumn: its detail column; kBatch: its flat slot),
+    // its aggregates, in member order.
+    std::vector<std::pair<uint64_t, std::vector<MemberAgg>>> by_arg;
+    for (const uint32_t m : groups_[g]) {
+      if (routes_[m] != Route::kScatter) continue;
+      if (layout_->counts_owner[m]) pass.counters.push_back(m);
+      const GmdjCondRuntime& rt = runtimes_[m];
+      for (size_t a = 0; a < rt.cond->aggs.size(); ++a) {
+        const MemberAgg agg{m, static_cast<uint32_t>(a),
+                            static_cast<uint32_t>(rt.agg_offset + a)};
+        const AggFold fold = rt.progs->agg_folds[a];
+        if (fold == AggFold::kCountStar) continue;
+        if (fold == AggFold::kValue) {
+          pass.per_pair.push_back(agg);
+          continue;
+        }
+        const uint64_t key =
+            fold == AggFold::kColumn
+                ? rt.progs->agg_args[a]->op(0).col
+                : (uint64_t{1} << 32) | agg.flat;
+        auto it = std::find_if(by_arg.begin(), by_arg.end(),
+                               [key](const auto& e) { return e.first == key; });
+        if (it == by_arg.end()) it = by_arg.insert(by_arg.end(), {key, {}});
+        it->second.push_back(agg);
+      }
+    }
+    for (const auto& [key, aggs] : by_arg) {
+      pass.aggs.insert(pass.aggs.end(), aggs.begin(), aggs.end());
+      pass.arg_ends.push_back(static_cast<uint32_t>(pass.aggs.size()));
+    }
+  }
+  ones_.assign(kChunkRows, 1);
   slot_.resize(kChunkRows);
-  masked_slot_.resize(kChunkRows);
   cands_.resize(kChunkRows);
   stab_off_.resize(kChunkRows + 1);
   batch_args_.resize(layout_->homes.size());
@@ -463,11 +537,13 @@ void GmdjScan::RunChunk(size_t begin, size_t rows, Completion* done,
     if (groups_[g].front() != ci) continue;  // Ran with its first member.
     for (size_t r0 = 0; r0 < rows;) {
       const size_t r1 = CollectCandidates(g, r0, rows);
+      // The scatter members neither read nor decide completion, so their
+      // one pass may run ahead of the group's other members.
+      if (group_unique_[g]) FoldGroup(g, r0, r1);
       for (const uint32_t m : groups_[g]) {
         switch (routes_[m]) {
           case Route::kScatter:
-            ScatterCondition(m, r0, r1);
-            break;
+            break;  // Folded by FoldGroup.
           case Route::kComplete:
             CompleteCondition(m, r0, r1, done);
             break;
@@ -640,28 +716,102 @@ void GmdjScan::FoldCondition(size_t ci, size_t r0, size_t r1,
   if (fold) flush();
 }
 
-void GmdjScan::ScatterCondition(size_t ci, size_t r0, size_t r1) {
-  const GmdjCondRuntime& rt = runtimes_[ci];
-  const uint8_t* mask = masks_[ci];
+/// One typed aggregate lane's step for a non-NULL argument value `v` of
+/// base tuple `b`.
+template <typename T>
+inline void FoldLane(AggKind kind, TypedAggColumn* col, uint32_t b, T v) {
+  switch (kind) {
+    case AggKind::kCount:
+      return col->Add<AggKind::kCount>(b, v);
+    case AggKind::kMin:
+      return col->Add<AggKind::kMin>(b, v);
+    case AggKind::kMax:
+      return col->Add<AggKind::kMax>(b, v);
+    default:
+      return col->Add<AggKind::kSum>(b, v);
+  }
+}
+
+void GmdjScan::FoldGroup(size_t g, size_t r0, size_t r1) {
+  const GroupPass& pass = passes_[g];
+  if (pass.counters.empty() && pass.aggs.empty() && pass.per_pair.empty()) {
+    return;  // No scatter member.
+  }
+  const auto mask_of = [this](uint32_t m) {
+    return masks_[m] != nullptr ? masks_[m] : ones_.data();
+  };
+  count_lanes_.clear();
+  for (const uint32_t m : pass.counters) {
+    count_lanes_.push_back({mask_of(m), out_->counts(layout_->count_of[m])});
+  }
+  // Resolve each argument for the chunk; a batch the VM declines folds
+  // per pair, with the per-pair aggregates.
+  agg_lanes_.clear();
+  arg_lanes_.clear();
+  pair_lanes_.assign(pass.per_pair.begin(), pass.per_pair.end());
+  for (size_t k = 0, begin = 0; k < pass.arg_ends.size(); ++k) {
+    const size_t end = pass.arg_ends[k];
+    const MemberAgg& first = pass.aggs[begin];
+    TypedArg arg;
+    if (!ResolveArg(*runtimes_[first.member].progs, first.a, first.flat,
+                    &arg)) {
+      pair_lanes_.insert(pair_lanes_.end(), pass.aggs.begin() + begin,
+                         pass.aggs.begin() + end);
+      begin = end;
+      continue;
+    }
+    for (; begin < end; ++begin) {
+      const MemberAgg& agg = pass.aggs[begin];
+      TypedAggColumn* col = &out_->typed(layout_->homes[agg.flat].index);
+      const AggKind kind =
+          col->kind() == AggKind::kAvg ? AggKind::kSum : col->kind();
+      agg_lanes_.push_back({kind, mask_of(agg.member), col});
+    }
+    arg_lanes_.push_back({arg, static_cast<uint32_t>(agg_lanes_.size())});
+  }
+
+  // The pass: per row with a candidate, every lane, each argument read
+  // once for all its lanes.
   const uint32_t* slot = slot_.data();
-  if (mask != nullptr) {
-    for (size_t i = r0; i < r1; ++i) {
-      masked_slot_[i] = mask[i] ? slot_[i] : kNoBase;
+  for (size_t i = r0; i < r1; ++i) {
+    const uint32_t b = slot[i];
+    if (b == kNoBase) continue;
+    for (const CountLane& lane : count_lanes_) lane.count[b] += lane.mask[i];
+    const AggLane* lane = agg_lanes_.data();
+    for (const ArgLanes& arg : arg_lanes_) {
+      const AggLane* const end = agg_lanes_.data() + arg.end;
+      if (arg.arg.null[i]) {
+        lane = end;
+        continue;
+      }
+      if (arg.arg.i64 != nullptr) {
+        const int64_t v = arg.arg.i64[i];
+        for (; lane != end; ++lane) {
+          if (lane->mask[i]) FoldLane(lane->kind, lane->col, b, v);
+        }
+      } else {
+        const double v = arg.arg.dbl[i];
+        for (; lane != end; ++lane) {
+          if (lane->mask[i]) FoldLane(lane->kind, lane->col, b, v);
+        }
+      }
     }
-    slot = masked_slot_.data();
   }
-  if (layout_->counts_owner[ci]) {
-    uint32_t* count = out_->counts(layout_->count_of[ci]);
+
+  // Per-pair Value folds: strings, base-reading arguments, interpreted
+  // mode, and batches the VM declines.
+  for (const MemberAgg& agg : pair_lanes_) {
+    const ExprProgram& prog = *runtimes_[agg.member].progs->agg_args[agg.a];
+    const uint8_t* mask = mask_of(agg.member);
+    TypedAggColumn& col = out_->typed(layout_->homes[agg.flat].index);
     for (size_t i = r0; i < r1; ++i) {
-      if (slot[i] != kNoBase) ++count[slot[i]];
+      const uint32_t b = slot[i];
+      if (b == kNoBase || !mask[i]) continue;
+      SetRow(i);
+      ectx_.SetRow(0, b);
+      col.Add(b, prog.Eval(ectx_, &scratch_));
     }
   }
-  if (!folds_[ci]) return;
-  FoldAggs(*rt.cond, *rt.progs, rt.agg_offset, [&](const auto& fn) {
-    for (size_t i = r0; i < r1; ++i) {
-      if (slot[i] != kNoBase) fn(static_cast<uint32_t>(i), slot[i]);
-    }
-  });
 }
 
 template <typename Completion>
@@ -717,10 +867,15 @@ void GmdjScan::AntiProbe(size_t ci, size_t rows, Completion* done) {
   }
 }
 
-template <typename Each>
-void GmdjScan::FoldAggs(const GmdjCondition& cond,
-                        const GmdjCondPrograms& progs, size_t agg_offset,
-                        const Each& each) {
+void GmdjScan::FoldMatches(const GmdjCondition& cond,
+                           const GmdjCondPrograms& progs, size_t agg_offset,
+                           const Matches& matches) {
+  if (matches.rows.empty()) return;
+  const auto each = [&](const auto& fn) {
+    for (size_t k = 0; k < matches.rows.size(); ++k) {
+      for (const uint32_t b : matches.bases[k]) fn(matches.rows[k], b);
+    }
+  };
   for (size_t a = 0; a < cond.aggs.size(); ++a) {
     const size_t flat = agg_offset + a;
     const GmdjResultLayout::Home home = layout_->homes[flat];
@@ -751,17 +906,6 @@ void GmdjScan::FoldAggs(const GmdjCondition& cond,
       }
     });
   }
-}
-
-void GmdjScan::FoldMatches(const GmdjCondition& cond,
-                           const GmdjCondPrograms& progs, size_t agg_offset,
-                           const Matches& matches) {
-  if (matches.rows.empty()) return;
-  FoldAggs(cond, progs, agg_offset, [&](const auto& fn) {
-    for (size_t k = 0; k < matches.rows.size(); ++k) {
-      for (const uint32_t b : matches.bases[k]) fn(matches.rows[k], b);
-    }
-  });
 }
 
 bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,

@@ -90,9 +90,10 @@ struct GmdjCondRuntime {
 /// Whether runtime `rt` folds over its binding group's slot vector: the
 /// group's index is unique, so each detail row has at most one candidate
 /// base tuple, and `rt` has no residual or pair comparison to check per
-/// candidate. An unfiltered condition then scatters its aggregates by
-/// slot; a discard- or satisfy-on-match one (count(*) only) runs its
-/// completion per row. Every other condition walks candidate spans.
+/// candidate. An unfiltered condition then folds by scatter, in its
+/// binding group's one pass over the slot vector per chunk; a discard- or
+/// satisfy-on-match one (count(*) only) runs its completion per row.
+/// Every other condition walks candidate spans.
 bool UsesSlotPath(const GmdjCondRuntime& rt);
 
 /// Where the base-results table keeps each condition's match count and

@@ -2,8 +2,8 @@
 // counters of the one kernel the sequential pass, the morsel workers and
 // every spilled base slice run. Each kernel case is checked against the
 // naive reference (a literal transcription of Definition 2.1) under every
-// execution knob: threads 1 and 4, compiled and interpreted expressions,
-// spilled and resident.
+// execution knob: threads 1, 2 and 4, compiled and interpreted
+// expressions, spilled and resident.
 
 #include <bit>
 #include <cstdint>
@@ -306,7 +306,7 @@ struct Knobs {
 
 std::vector<Knobs> AllKnobs() {
   std::vector<Knobs> out;
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
     for (const ExprEvalMode mode :
          {ExprEvalMode::kCompiled, ExprEvalMode::kInterpret}) {
       for (const bool spilled : {false, true}) {
@@ -395,6 +395,11 @@ std::vector<AggSpec> Aggs(AggSpec a, AggSpec b) {
   out.push_back(std::move(b));
   return out;
 }
+std::vector<AggSpec> Aggs(AggSpec a, AggSpec b, AggSpec c) {
+  std::vector<AggSpec> out = Aggs(std::move(a), std::move(b));
+  out.push_back(std::move(c));
+  return out;
+}
 
 /// Always TRUE (R.t is 0..99, B.lo 0..89) and reads both frames: a
 /// residual that takes a condition off the slot path without changing
@@ -440,10 +445,12 @@ class GmdjKernelTest : public ::testing::Test {
     catalog_.PutTable("R", DetailTable(3000, 30, 12));
   }
 
-  /// One kernel run: its rows, the EXPLAIN ANALYZE `rng:` line, the
-  /// `slot_path=k/m` field of the `gmdj:` line, and its profile counters.
+  /// One kernel run: its rows, the EXPLAIN ANALYZE `stats:` and `rng:`
+  /// lines, the `slot_path=k/m` field of the `gmdj:` line, and its
+  /// profile counters.
   struct Outcome {
     Table rows;
+    std::string stats;
     std::string rng;
     std::string slot_path;
     uint64_t typed_aggs = 0;
@@ -504,6 +511,7 @@ class GmdjKernelTest : public ::testing::Test {
                  ? std::string()
                  : text.substr(at, text.find('\n', at) - at);
     };
+    outcome.stats = line("stats: ");
     outcome.rng = line("rng: ");
     const std::string gmdj = line("gmdj: ");
     const size_t slot = gmdj.find("slot_path=");
@@ -1172,6 +1180,178 @@ TEST_F(GmdjKernelTest, RngHistogramIsTheSameWithOrWithoutAResidual) {
       EXPECT_EQ(plain.rng, single_thread) << where;
     }
   });
+}
+
+// ---- The fused group pass ----
+//
+// Over a unique index, the scatter members of a binding group fold in one
+// pass per chunk (GmdjScan::FoldGroup). Each case runs over a unique-key
+// base, where that pass runs, and a duplicated-key one, where nothing
+// scatters, and against the same conditions kept on candidate spans by an
+// always-true residual. Under every knob the rows match gmdj-naive and
+// the `rng:` line matches the span path's.
+
+class GroupPassTest : public GmdjKernelTest {
+ protected:
+  /// `conditions(span)`: `slot` of its `total` conditions take the slot
+  /// path over unique keys when `span` is false.
+  void ExpectMatchesSpanPath(
+      const std::function<std::vector<GmdjCondition>(bool)>& conditions,
+      size_t slot, size_t total) {
+    const std::string none = "slot_path=0/" + std::to_string(total);
+    ForBothBases(&catalog_, [&](bool unique) {
+      ExpectSlotPathMatchesSpanPath(
+          [&] { return conditions(false); }, [&] { return conditions(true); },
+          unique ? "slot_path=" + std::to_string(slot) + "/" +
+                       std::to_string(total)
+                 : none,
+          none, unique ? "unique keys" : "duplicated keys");
+    });
+  }
+};
+
+TEST_F(GroupPassTest, MaskedAndUnmaskedCountSumMinMax) {
+  // The COMPARE shape: unmasked members share one match count, masked
+  // ones own theirs, and every aggregate of R.v reads it once per row.
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(nullptr, Aggs(CountStar("n")), span));
+    conds.push_back(RouteCond(nullptr, Aggs(SumOf(Col("R.v"), "s"),
+                                            MinOf(Col("R.v"), "lo")),
+                              span));
+    conds.push_back(RouteCond(nullptr, Aggs(MaxOf(Col("R.v"), "hi")), span));
+    conds.push_back(RouteCond(YAbove(4), Aggs(CountStar("n4")), span));
+    conds.push_back(RouteCond(Lt(Col("R.t"), Lit(int64_t{50})),
+                              Aggs(SumOf(Col("R.v"), "s50"),
+                                   MaxOf(Col("R.v"), "hi50")),
+                              span));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 5, 5);
+
+  // The EXPLAIN ANALYZE lines of the unique-key run, as the kernel
+  // printed them before the pass was fused.
+  catalog_.PutTable("B", UniqueBaseTable(60, 11));
+  const Outcome outcome =
+      Run([&] { return conditions(false); }, nullptr,
+          Knobs{1, ExprEvalMode::kCompiled, false});
+  EXPECT_EQ(outcome.stats,
+            "stats: rows_in=3060 rows_out=60 batches=3 predicate_evals=6000 "
+            "hash_probes=2823");
+  EXPECT_EQ(outcome.rng, "rng: count=300 sum=10370 min=0 p50=0 p90=64 max=111");
+}
+
+TEST_F(GroupPassTest, NullArgumentCells) {
+  // R.y is NULL on every 11th row and R.v on every 7th; one member's mask
+  // passes only rows whose argument is NULL, so its SUM and extremes stay
+  // NULL and its COUNT 0.
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(nullptr, Aggs(CountOf(Col("R.y"), "cy"),
+                                            SumOf(Col("R.y"), "sy")),
+                              span));
+    conds.push_back(RouteCond(IsNull(Col("R.v")),
+                              Aggs(SumOf(Col("R.v"), "sv"),
+                                   MinOf(Col("R.v"), "lo"),
+                                   CountOf(Col("R.v"), "cv")),
+                              span));
+    conds.push_back(RouteCond(IsNotNull(Col("R.y")),
+                              Aggs(MaxOf(Col("R.y"), "hi"),
+                                   AvgOf(Col("R.v"), "av")),
+                              span));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 3, 3);
+}
+
+TEST_F(GroupPassTest, Int64AndDoubleArgumentsInOneGroup) {
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(nullptr, Aggs(SumOf(Col("R.y"), "sy"),
+                                            SumOf(Col("R.v"), "sv")),
+                              span));
+    conds.push_back(RouteCond(YAbove(3), Aggs(MinOf(Col("R.y"), "ly"),
+                                              MinOf(Col("R.v"), "lv")),
+                              span));
+    conds.push_back(RouteCond(Ge(Col("R.v"), Lit(10.5)),
+                              Aggs(MaxOf(Col("R.y"), "hy"),
+                                   MaxOf(Col("R.v"), "hv")),
+                              span));
+    conds.push_back(RouteCond(nullptr, Aggs(AvgOf(Col("R.y"), "ay"),
+                                            AvgOf(Col("R.v"), "av")),
+                              span));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 4, 4);
+}
+
+TEST_F(GroupPassTest, BatchArguments) {
+  // Detail-only expression arguments, evaluated once per chunk; the same
+  // expression in two members is two batch slots.
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(
+        nullptr, Aggs(SumOf(Mul(Col("R.y"), Lit(int64_t{3})), "s3"),
+                      MaxOf(Div(Col("R.v"), Lit(4.0)), "hq")),
+        span));
+    conds.push_back(RouteCond(
+        YAbove(5), Aggs(SumOf(Mul(Col("R.y"), Lit(int64_t{3})), "s3m"),
+                        AvgOf(Add(Col("R.y"), Col("R.t")), "ayt")),
+        span));
+    conds.push_back(RouteCond(nullptr, Aggs(CountStar("n")), span));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 3, 3);
+}
+
+TEST_F(GroupPassTest, PerPairMemberInTheGroup) {
+  // MAX over a string (as MAX(O.o_orderpriority)) folds per pair after
+  // the pass, beside typed aggregates of the same members.
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(nullptr, Aggs(MaxOf(Col("R.s"), "smax"),
+                                            SumOf(Col("R.v"), "s")),
+                              span));
+    conds.push_back(RouteCond(YAbove(5), Aggs(MinOf(Col("R.s"), "smin"),
+                                              CountStar("n5")),
+                              span));
+    conds.push_back(RouteCond(nullptr, Aggs(MaxOf(Col("R.v"), "hi")), span));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 3, 3);
+}
+
+TEST_F(GroupPassTest, OnlyScatterMemberIsMasked) {
+  // The group's one scatter member has a mask; its sibling has a real
+  // residual and walks spans.
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(YAbove(6), Aggs(SumOf(Col("R.v"), "s"),
+                                              CountStar("n")),
+                              span));
+    conds.push_back(Cond(And(KeyEq(), Gt(Col("R.v"), Col("B.x"))),
+                         Aggs(CountStar("res"), MaxOf(Col("R.y"), "hi"))));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 1, 2);
+}
+
+TEST_F(GroupPassTest, BaseColumnCompareInsideAnArgument) {
+  // `(B.x > 2.0) * R.y` compiles its compare to one column-vs-literal op
+  // on the base frame, so the argument reads the base row and folds per
+  // pair: a batch over the detail chunk would read a stale base row.
+  const auto conditions = [](bool span) {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(RouteCond(
+        nullptr,
+        Aggs(SumOf(Mul(Gt(Col("B.x"), Lit(2.0)), Col("R.y")), "sx"),
+             MaxOf(Mul(Col("R.y"), Le(Lit(int64_t{3}), Col("B.lo"))),
+                   "hx")),
+        span));
+    conds.push_back(RouteCond(nullptr, Aggs(CountStar("n")), span));
+    return conds;
+  };
+  ExpectMatchesSpanPath(conditions, 2, 2);
 }
 
 // ---- Memory charge of the base index ----

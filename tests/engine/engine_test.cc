@@ -178,6 +178,35 @@ TEST_F(EngineTest, SumAndAvgOverAStringAreRejectedByEveryStrategy) {
   }
 }
 
+TEST_F(EngineTest, ArithmeticOverAStringIsRejectedByEveryStrategy) {
+  // `string + 1` used to reach Value::AsDouble and abort the process; it
+  // is an InvalidArgument at bind, in a WHERE clause and in the select
+  // list, whatever the strategy.
+  engine_.catalog()->PutTable(
+      "S", MakeTable({"S.k", "S.name:s"}, {{1, "x"}, {3, "y"}}));
+  const std::vector<std::string> queries = {
+      "SELECT * FROM S S WHERE S.name + 1 > 0",
+      "SELECT * FROM B B WHERE EXISTS (SELECT * FROM S S WHERE S.k = B.k "
+      "AND S.name * 2 > 0)",
+      "SELECT B.k, (SELECT MAX(S.name * 2) FROM S S WHERE S.k = B.k) "
+      "FROM B B",
+      // The CASE binds INT64 (its first branch) and may yield the string.
+      "SELECT B.k, (SELECT MIN(1 - CASE WHEN S.k > 1 THEN 1 ELSE S.name "
+      "END) FROM S S WHERE S.k = B.k) FROM B B"};
+  std::vector<Strategy> strategies = AllStrategies();
+  strategies.push_back(Strategy::kAuto);
+  for (const std::string& sql : queries) {
+    for (const Strategy s : strategies) {
+      const Result<Table> out = engine_.ExecuteSql(sql, s);
+      ASSERT_FALSE(out.ok()) << StrategyToString(s) << ": " << sql;
+      EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+          << StrategyToString(s) << ": " << out.status().ToString();
+      EXPECT_NE(out.status().message().find("not STRING"), std::string::npos)
+          << StrategyToString(s) << ": " << out.status().ToString();
+    }
+  }
+}
+
 TEST_F(EngineTest, ConstantFoldedCaseExtremesMatchEveryStrategy) {
   // A constant CASE binds as its branches unify and folds to the branch it
   // takes. CASE WHEN 1 = 1 THEN 1 ELSE 2.5 END binds DOUBLE and yields an

@@ -48,9 +48,11 @@ class ExprGen {
 
   ExprPtr GenPred(int depth) {
     if (depth <= 0) {
+      if (rng_->Chance(0.5)) return GenColumnLiteral();
       return Cmp(GenLeaf(false), RandomCmpOp(), GenLeaf(false));
     }
     const int64_t roll = rng_->Uniform(0, 99);
+    if (roll < 15) return GenColumnLiteral();
     if (roll < 35) return Cmp(GenScalar(depth - 1, false), RandomCmpOp(),
                               GenScalar(depth - 1, false));
     if (roll < 50) return And(GenPred(depth - 1), GenPred(depth - 1));
@@ -100,8 +102,6 @@ class ExprGen {
 
  private:
   ExprPtr GenLeaf(bool arith_safe) {
-    static const std::vector<std::string> kStrings = {"", "a", "ab", "b",
-                                                      "ba"};
     const int64_t roll = rng_->Uniform(0, 99);
     if (roll < 40) {
       return Col(rng_->Pick(arith_safe ? arith_cols_ : cmp_cols_));
@@ -109,12 +109,33 @@ class ExprGen {
     if (roll < 48 && !arith_safe) {
       return Col(rng_->Chance(0.5) ? "R.s" : "B.s");
     }
+    return GenLiteral(arith_safe);
+  }
+
+  /// A numeric, string (unless `arith_safe`) or NULL literal.
+  ExprPtr GenLiteral(bool arith_safe) {
+    static const std::vector<std::string> kStrings = {"", "a", "ab", "b",
+                                                      "ba"};
+    const int64_t roll = rng_->Uniform(48, 99);
     if (roll < 68) return Lit(Value(rng_->Uniform(-3, 3)));
     if (roll < 85) {
       return Lit(Value(static_cast<double>(rng_->Uniform(-6, 6)) * 0.5));
     }
     if (roll < 93 && !arith_safe) return Lit(Value(rng_->Pick(kStrings)));
     return Lit(Value::Null());
+  }
+
+  /// `column op literal`, the literal on either side: the shape the
+  /// compiler fuses into one kCmpColLit (and, a string against a number,
+  /// one it leaves to the interpreter).
+  ExprPtr GenColumnLiteral() {
+    ExprPtr col = Col(rng_->Chance(0.25)
+                          ? std::string(rng_->Chance(0.5) ? "R.s" : "B.s")
+                          : rng_->Pick(cmp_cols_));
+    ExprPtr lit = GenLiteral(false);
+    const CompareOp op = RandomCmpOp();
+    if (rng_->Chance(0.5)) return Cmp(std::move(col), op, std::move(lit));
+    return Cmp(std::move(lit), op, std::move(col));
   }
 
   CompareOp RandomCmpOp() {
@@ -165,6 +186,7 @@ struct FuzzStats {
   size_t tested = 0;
   size_t fully_compiled = 0;
   size_t batch_evaluated = 0;  // Programs the batch kernels accepted.
+  size_t column_literal = 0;   // Programs with a kCmpColLit op.
 };
 
 // Evaluates `expr` and its compiled program over every (base, detail) row
@@ -179,6 +201,12 @@ void CheckExpr(const Expr& expr, const Table& base, const Table& detail,
   const ExprProgram program = Compile(expr, frames);
   stats->tested += 1;
   stats->fully_compiled += program.fully_compiled() ? 1 : 0;
+  for (size_t i = 0; i < program.num_ops(); ++i) {
+    if (program.op(i).code == OpCode::kCmpColLit) {
+      stats->column_literal += 1;
+      break;
+    }
+  }
 
   ExprScratch scratch;
   program.PrepareScratch(&scratch);
@@ -250,6 +278,9 @@ TEST(ProgramFuzzTest, CompiledMatchesInterpreterOnCleanData) {
   // The batch kernels must accept a healthy share of the fully-compiled
   // programs, or the GMDJ detail-only pass silently loses its fast path.
   EXPECT_GT(stats.batch_evaluated, 0u);
+  // Column-vs-literal compares, the shape of every paper_olap mask, are
+  // drawn often enough to exercise the fused opcode in every evaluator.
+  EXPECT_GT(stats.column_literal, stats.tested / 4);
 }
 
 // A detail table whose rows try to make the declared column types lie: an

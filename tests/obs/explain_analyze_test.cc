@@ -338,6 +338,23 @@ TEST_F(FlightRecorderTest, AbortDumpNamesTheAbortingOperator) {
   EXPECT_TRUE(engine_.last_abort_dump().empty());
 }
 
+// The GMDJ's span has a short fixed name; the full label, with every
+// condition, is EXPLAIN's.
+TEST_F(FlightRecorderTest, GmdjSpanHasAShortName) {
+  ASSERT_TRUE(
+      engine_.Execute(Fig2ExistsQuery(), Strategy::kGmdjOptimized).ok());
+  size_t gmdj_spans = 0;
+  for (const obs::SpanRecord& record : engine_.tracer()->Recent()) {
+    EXPECT_EQ(record.name.find("GMDJ["), std::string::npos) << record.name;
+    gmdj_spans += record.name == "GMDJ";
+  }
+  EXPECT_GT(gmdj_spans, 0u);
+  const Result<std::string> plan =
+      engine_.Explain(Fig2ExistsQuery(), Strategy::kGmdjOptimized);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("GMDJ["), std::string::npos) << *plan;
+}
+
 // The expr-compile fault site degrades to the interpreter rather than
 // failing the query; the breadcrumb event must still name the operator.
 TEST_F(FlightRecorderTest, ExprCompileFaultLeavesBreadcrumbEvent) {

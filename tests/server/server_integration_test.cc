@@ -271,6 +271,25 @@ TEST_F(ServerIntegrationTest, SumOverAStringIs400AndTheServerKeepsServing) {
   EXPECT_EQ(ok.body, DirectTsv(kExistsSql));
 }
 
+TEST_F(ServerIntegrationTest, StringArithmeticIs400AndTheServerKeepsServing) {
+  engine_.catalog()->PutTable(
+      "S", testutil::MakeTable({"S.k:i", "S.name:s"}, {{1, "x"}, {2, "y"}}));
+  const HttpResponse rejected =
+      Post("/query", {},
+           "SELECT * FROM Hours H WHERE H.StartInterval < (SELECT "
+           "MAX(S.name * 2) FROM S S WHERE S.k = H.StartInterval)");
+  EXPECT_EQ(rejected.status, 400);
+  EXPECT_NE(rejected.body.find("\"code\": \"InvalidArgument\""),
+            std::string::npos);
+  EXPECT_NE(rejected.body.find("not STRING"), std::string::npos)
+      << rejected.body;
+
+  // The same connection and server answer the next query.
+  const HttpResponse ok = Post("/query", {{"X-Format", "tsv"}}, kExistsSql);
+  EXPECT_EQ(ok.status, 200);
+  EXPECT_EQ(ok.body, DirectTsv(kExistsSql));
+}
+
 TEST_F(ServerIntegrationTest, OversizedRequestLineAndHeadersAnswer431) {
   // Request line past the 8 KiB cap: typed 431, connection closed.
   const std::string long_target = "/" + std::string(9 * 1024, 'x');
