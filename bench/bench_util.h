@@ -144,7 +144,7 @@ inline void ApplyBenchSpill(OlapEngine* engine) {
 
 /// The expression evaluation mode every measurement in this process runs
 /// under (resolved once: GMDJ_EXPR_EVAL=interpret selects the tree
-/// interpreter, anything else the compiled register programs). Exported on
+/// interpreter, anything else the compiled batch programs). Exported on
 /// every JSON line so interpreted/compiled sweeps are self-describing.
 inline const char* EvalModeName() {
   static const char* name =

@@ -1,14 +1,13 @@
 // Expression-evaluation micro-benchmarks: the tree interpreter versus the
-// compiled register programs (expr/program.h) on the θ shapes of the
-// paper's Figure 2 and Figure 4 workloads, and on Figure 5's detail-only
-// mask (a string equality, one column-vs-literal compare op).
+// batch programs (expr/program.h) on the θ shapes of the paper's Figure 2
+// and Figure 4 workloads, and on Figure 5's detail-only mask (a string
+// equality, one column-vs-literal compare op).
 //
 // Each benchmark evaluates the bound predicate once per detail (orders)
 // row against a fixed base (customer) row, the exact call pattern of the
-// GMDJ inner loop. Three variants per shape:
+// GMDJ inner loop. Two variants per shape:
 //
-//   /interpret       Expr::EvalPred on the bound tree.
-//   /compiled        ExprProgram::EvalPred, cells read in place.
+//   /interpret       Expr::EvalPred on the bound tree, one row at a time.
 //   /compiled_batch  ExprProgram::EvalPredMask over 1024-row chunks of the
 //                    table's typed columns — the batch kernels the GMDJ
 //                    detail-only pass runs.
@@ -18,6 +17,7 @@
 // mode reported in the JSON `eval_mode` field.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -28,7 +28,7 @@
 namespace gmdj {
 namespace {
 
-enum class EvalVariant { kInterpret, kCompiled, kCompiledBatch };
+enum class EvalVariant { kInterpret, kCompiledBatch };
 
 // Fig. 2 θ: the EXISTS condition — custkey equality plus a totalprice
 // range filter (hash-dispatch residual shape).
@@ -61,15 +61,14 @@ void RunExprLoop(benchmark::State& state, ExprPtr expr, EvalVariant variant) {
     state.SkipWithError("bind failed");
     return;
   }
-  const ExprProgram program =
+  const std::optional<ExprProgram> program =
       Compile(*expr, {&base.schema(), &detail.schema()});
-  if (variant != EvalVariant::kInterpret && !program.fully_compiled()) {
-    state.SkipWithError("shape did not fully compile");
+  if (!program.has_value()) {
+    state.SkipWithError("shape did not compile");
     return;
   }
 
   ExprScratch scratch;
-  program.PrepareScratch(&scratch);
   scratch.batch_frame = 1;
   ExprVecScratch vec_scratch;
   std::vector<uint8_t> mask;
@@ -89,22 +88,13 @@ void RunExprLoop(benchmark::State& state, ExprPtr expr, EvalVariant variant) {
           matches += IsTrue(expr->EvalPred(ectx)) ? 1 : 0;
         }
         break;
-      case EvalVariant::kCompiled:
-        for (size_t r = 0; r < n; ++r) {
-          ectx.SetRow(1, r);
-          matches += IsTrue(program.EvalPred(ectx, &scratch)) ? 1 : 0;
-        }
-        break;
       case EvalVariant::kCompiledBatch:
         for (size_t chunk = 0; chunk < n; chunk += kChunkRows) {
           const size_t rows = std::min(kChunkRows, n - chunk);
           scratch.batch_begin = chunk;
           mask.assign(rows, 1);
-          if (!program.EvalPredMask(ectx, scratch, &vec_scratch, rows,
-                                    mask.data())) {
-            state.SkipWithError("batch kernels unavailable for this chunk");
-            return;
-          }
+          program->EvalPredMask(ectx, scratch, &vec_scratch, rows,
+                                mask.data());
           for (size_t i = 0; i < rows; ++i) matches += mask[i];
         }
         break;
@@ -113,14 +103,11 @@ void RunExprLoop(benchmark::State& state, ExprPtr expr, EvalVariant variant) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
   state.counters["matches"] = static_cast<double>(matches);
-  state.counters["program_ops"] = static_cast<double>(program.num_ops());
+  state.counters["program_ops"] = static_cast<double>(program->num_ops());
 }
 
 void BM_Fig2Interpret(benchmark::State& state) {
   RunExprLoop(state, Fig2Theta(), EvalVariant::kInterpret);
-}
-void BM_Fig2Compiled(benchmark::State& state) {
-  RunExprLoop(state, Fig2Theta(), EvalVariant::kCompiled);
 }
 void BM_Fig2CompiledBatch(benchmark::State& state) {
   RunExprLoop(state, Fig2Theta(), EvalVariant::kCompiledBatch);
@@ -128,18 +115,12 @@ void BM_Fig2CompiledBatch(benchmark::State& state) {
 void BM_Fig4Interpret(benchmark::State& state) {
   RunExprLoop(state, Fig4PairCmp(), EvalVariant::kInterpret);
 }
-void BM_Fig4Compiled(benchmark::State& state) {
-  RunExprLoop(state, Fig4PairCmp(), EvalVariant::kCompiled);
-}
 void BM_Fig4CompiledBatch(benchmark::State& state) {
   RunExprLoop(state, Fig4PairCmp(), EvalVariant::kCompiledBatch);
 }
 
 void BM_Fig5Interpret(benchmark::State& state) {
   RunExprLoop(state, Fig5PriorityMask(), EvalVariant::kInterpret);
-}
-void BM_Fig5Compiled(benchmark::State& state) {
-  RunExprLoop(state, Fig5PriorityMask(), EvalVariant::kCompiled);
 }
 void BM_Fig5CompiledBatch(benchmark::State& state) {
   RunExprLoop(state, Fig5PriorityMask(), EvalVariant::kCompiledBatch);
@@ -152,20 +133,12 @@ BENCHMARK(gmdj::BM_Fig2Interpret)
     ->Name("expr/fig2_theta/interpret")
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
-BENCHMARK(gmdj::BM_Fig2Compiled)
-    ->Name("expr/fig2_theta/compiled")
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
 BENCHMARK(gmdj::BM_Fig2CompiledBatch)
     ->Name("expr/fig2_theta/compiled_batch")
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(gmdj::BM_Fig4Interpret)
     ->Name("expr/fig4_pair_cmp/interpret")
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
-BENCHMARK(gmdj::BM_Fig4Compiled)
-    ->Name("expr/fig4_pair_cmp/compiled")
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(gmdj::BM_Fig4CompiledBatch)
@@ -175,10 +148,6 @@ BENCHMARK(gmdj::BM_Fig4CompiledBatch)
 
 BENCHMARK(gmdj::BM_Fig5Interpret)
     ->Name("expr/fig5_mask/interpret")
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05);
-BENCHMARK(gmdj::BM_Fig5Compiled)
-    ->Name("expr/fig5_mask/compiled")
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05);
 BENCHMARK(gmdj::BM_Fig5CompiledBatch)

@@ -50,23 +50,24 @@ void ApplyEvalOrder(std::vector<GmdjCondRuntime>* runtimes,
   *runtimes = std::move(ordered);
 }
 
-/// The fold the chunk kernel gives a compiled aggregate argument of bound
-/// type `type`: typed when the argument is numeric and reads only detail
-/// columns — straight from the detail column when it is one, else as one
-/// batch evaluation per chunk — and the per-pair Value fold otherwise.
-AggFold ChooseAggFold(const ExprProgram& arg, ValueType type) {
-  if (!arg.fully_compiled() || arg.result_type() != type ||
+/// The fold the chunk kernel gives an aggregate argument of bound type
+/// `type` with program `arg`: typed when the argument is numeric and reads
+/// only detail columns — straight from the detail column when it is one,
+/// else as one batch evaluation per chunk — and the per-pair Value fold
+/// otherwise.
+AggFold ChooseAggFold(const std::optional<ExprProgram>& arg, ValueType type) {
+  if (!arg.has_value() || arg->result_type() != type ||
       (type != ValueType::kInt64 && type != ValueType::kDouble)) {
     return AggFold::kValue;
   }
-  for (size_t i = 0; i < arg.num_ops(); ++i) {
-    const ExprOp& op = arg.op(i);
+  for (size_t i = 0; i < arg->num_ops(); ++i) {
+    const ExprOp& op = arg->op(i);
     if ((op.code == OpCode::kLoadCol || op.code == OpCode::kCmpColLit) &&
         op.frame != 1) {
       return AggFold::kValue;
     }
   }
-  return arg.num_ops() == 1 && arg.op(0).code == OpCode::kLoadCol
+  return arg->num_ops() == 1 && arg->op(0).code == OpCode::kLoadCol
              ? AggFold::kColumn
              : AggFold::kBatch;
 }
@@ -475,12 +476,11 @@ std::vector<GmdjCondRuntime> GmdjNode::PrepareRuntimes(
     }
   }
 
-  // ---- Expression programs: typed register programs, or one kInterpret
-  // op per tree in interpreted mode — GMDJ_EXPR_EVAL=interpret (the
-  // ablation baseline / test oracle), or an armed "gmdj/expr-compile"
-  // fault, which degrades to the interpreter rather than failing the
-  // query: compilation is an optimization, never a correctness
-  // dependency.
+  // ---- Batch programs, or none in interpreted mode —
+  // GMDJ_EXPR_EVAL=interpret (the ablation baseline / test oracle), or an
+  // armed "gmdj/expr-compile" fault, which degrades to the interpreter
+  // rather than failing the query: compilation is an optimization, never
+  // a correctness dependency.
   bool interpret =
       ctx->config().ResolvedExprEvalMode() == ExprEvalMode::kInterpret;
   if (!interpret && !GMDJ_FAULT_POINT("gmdj/expr-compile").ok()) {
@@ -493,44 +493,37 @@ std::vector<GmdjCondRuntime> GmdjNode::PrepareRuntimes(
   }
   const std::vector<const Schema*> frames = {&base_->output_schema(),
                                              &detail_->output_schema()};
-  const auto lower = [&](const Expr& e) {
-    return interpret ? CompileInterpreted(e) : Compile(e, frames);
+  // Each tree without a program runs through the interpreter.
+  const auto lower = [&](const Expr& e, bool* lowered) {
+    std::optional<ExprProgram> prog;
+    if (!interpret) prog = Compile(e, frames);
+    *lowered &= prog.has_value();
+    return prog;
   };
   programs->clear();
   programs->resize(conditions_.size());
   for (size_t c = 0; c < conditions_.size(); ++c) {
     GmdjCondPrograms& p = (*programs)[c];
     const GmdjCondRuntime& rt = runtimes[c];
-    bool fully = !interpret;
+    p.lowered = !interpret;
     if (!rt.skip) {
       // Skipped (filtered-pair) conditions never run their own θ; only
       // their aggregate arguments execute, after a TRUE pair comparison.
       for (const Expr* e : rt.analysis->detail_only) {
-        p.detail_only.push_back(lower(*e));
-        fully &= p.detail_only.back().fully_compiled();
-      }
-      for (const Expr* e : rt.analysis->residual) {
-        p.residual.push_back(lower(*e));
-        fully &= p.residual.back().fully_compiled();
+        p.detail_only.push_back(lower(*e, &p.lowered));
       }
     }
     for (size_t a = 0; a < conditions_[c].aggs.size(); ++a) {
       const AggSpec& agg = conditions_[c].aggs[a];
       if (agg.arg == nullptr) {
-        p.agg_args.push_back(nullptr);
+        p.agg_args.emplace_back();
         p.agg_folds.push_back(AggFold::kCountStar);
         continue;
       }
-      p.agg_args.push_back(std::make_unique<ExprProgram>(lower(*agg.arg)));
+      p.agg_args.push_back(lower(*agg.arg, &p.lowered));
       p.agg_folds.push_back(ChooseAggFold(
-          *p.agg_args.back(), agg_arg_types_[agg_offsets_[c] + a]));
-      fully &= p.agg_args.back()->fully_compiled();
+          p.agg_args.back(), agg_arg_types_[agg_offsets_[c] + a]));
     }
-    if (rt.pair_cmp != nullptr) {
-      p.pair_cmp = std::make_unique<ExprProgram>(lower(*rt.pair_cmp));
-      fully &= p.pair_cmp->fully_compiled();
-    }
-    p.fully_compiled = fully;
   }
 
   // Each condition's outcome counts once per node execution, however
@@ -546,8 +539,8 @@ std::vector<GmdjCondRuntime> GmdjNode::PrepareRuntimes(
       rt.pair_progs = &(*programs)[filtered];
     }
     if (rt.skip) continue;
-    if (rt.progs->fully_compiled &&
-        (rt.pair_progs == nullptr || rt.pair_progs->fully_compiled)) {
+    if (rt.progs->lowered &&
+        (rt.pair_progs == nullptr || rt.pair_progs->lowered)) {
       ++compiled;
     } else {
       ++fallbacks;

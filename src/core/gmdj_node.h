@@ -213,13 +213,12 @@ class GmdjNode final : public PlanNode {
   std::string RouteLabel(size_t c, const std::vector<CondRoute>& routes) const;
 
   /// Wires the conditions into dispatch runtimes, once per execution:
-  /// routes, completion, and `programs` — θ conjuncts, pair comparisons
-  /// and aggregate arguments lowered into register programs
-  /// (expr/program.h). In interpreted mode (GMDJ_EXPR_EVAL=interpret, or
-  /// an armed "gmdj/expr-compile" fault, which never fails the query)
-  /// every program is one kInterpret op over its tree. Per-condition
-  /// compiled/fallback outcomes are counted into ctx->stats() and the
-  /// node's profile.
+  /// routes, completion, and `programs` — detail-only θ conjuncts and
+  /// aggregate arguments lowered into batch programs (expr/program.h).
+  /// In interpreted mode (GMDJ_EXPR_EVAL=interpret, or an armed
+  /// "gmdj/expr-compile" fault, which never fails the query) no tree gets
+  /// a program. Per-condition compiled/fallback outcomes are counted into
+  /// ctx->stats() and the node's profile.
   std::vector<GmdjCondRuntime> PrepareRuntimes(
       ExecContext* ctx, std::vector<GmdjCondPrograms>* programs) const;
 

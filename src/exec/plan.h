@@ -36,9 +36,10 @@ struct ExecStats {
   uint64_t morsels = 0;          // Morsels dispatched by parallel scans.
 
   // Expression-compilation counters (expr/program.h). A GMDJ θ condition
-  // counts as compiled when every program it needs (detail-only filters,
-  // residual, completion pair, aggregate arguments) lowered without a
-  // kInterpret op; otherwise it counts as a fallback.
+  // counts as compiled when it runs in compiled mode and every detail-only
+  // conjunct and aggregate argument (its fused pair's too) has a batch
+  // program; otherwise it counts as a fallback. Residuals and the pair
+  // comparison run through the interpreter in both modes.
   uint64_t compiled_conditions = 0;    // Conditions on typed programs.
   uint64_t interpreter_fallbacks = 0;  // Conditions on the tree interpreter.
 

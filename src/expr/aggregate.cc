@@ -66,7 +66,7 @@ Status AggSpec::Bind(const std::vector<const Schema*>& frames) {
       break;  // Unreachable.
   }
   if ((kind == AggKind::kSum || kind == AggKind::kAvg) &&
-      MayYieldString(*arg)) {
+      arg->result_type() == ValueType::kString) {
     return Status::InvalidArgument(
         StrCat({AggKindToString(kind), "(", arg->ToString(),
                 ") takes a numeric argument, not STRING"}));

@@ -72,19 +72,17 @@ bool IsConstant(const Expr& e) {
 
 }  // namespace
 
-/// Lowers one bound tree into the befriended ExprProgram. The compiler only
-/// ever *adds* fallback ops when unsure, so the invariant "compiled result
-/// == interpreted result" holds by construction: typed kernels are chosen
-/// from static types, kLoadCol bails the row on runtime type drift, and
-/// anything outside the typed core becomes a kInterpret op over the
-/// original subtree.
+/// Lowers one bound tree into the befriended ExprProgram. Typed kernels
+/// are chosen from static types, which columns enforce at append; a node
+/// outside the typed core declines the whole tree, so a program exists
+/// only where it computes exactly what the interpreter does.
 class ExprCompiler {
  public:
   ExprCompiler(const std::vector<const Schema*>& frames, ExprProgram* prog)
       : frames_(frames), prog_(prog) {}
 
-  void Run(const Expr& root) {
-    prog_->source_ = &root;
+  /// False when some node declined: the program is then unusable.
+  bool Run(const Expr& root) {
     if (IsPredNatured(root.kind())) {
       prog_->root_ = CompilePred(root);
       prog_->root_is_pred_ = true;
@@ -95,15 +93,7 @@ class ExprCompiler {
       prog_->root_type_ = r.type;
     }
     prog_->num_regs_ = next_reg_;
-  }
-
-  void RunInterpreted(const Expr& root) {
-    prog_->source_ = &root;
-    prog_->root_is_pred_ = IsPredNatured(root.kind());
-    prog_->root_type_ = root.result_type();
-    prog_->root_ =
-        EmitInterpret(root, prog_->root_is_pred_, root.result_type());
-    prog_->num_regs_ = next_reg_;
+    return lowered_;
   }
 
  private:
@@ -164,20 +154,18 @@ class ExprCompiler {
     return dst;
   }
 
-  /// Fallback: evaluate `e` through the tree interpreter at runtime.
-  uint16_t EmitInterpret(const Expr& e, bool as_pred, ValueType expect) {
-    const uint16_t dst = AllocReg();
-    ExprOp& op = Emit(OpCode::kInterpret, dst);
-    op.expr = &e;
-    op.flag = as_pred;
-    op.expect = expect;
-    ++prog_->interpret_ops_;
-    return dst;
+  /// Marks the tree as not lowerable; the register is a placeholder.
+  uint16_t Decline() {
+    lowered_ = false;
+    return 0;
+  }
+  ScalarReg DeclineScalar(const Expr& e) {
+    return {Decline(), e.result_type()};
   }
 
   /// True when the reference's recorded binding is consistent with the
-  /// frames this compilation targets; stale or foreign bindings force the
-  /// interpreter (which would surface the same misbinding, not hide it).
+  /// frames this compilation targets; stale or foreign bindings leave the
+  /// tree to the interpreter (which surfaces the misbinding, not hides it).
   bool ValidBinding(const ColumnRefExpr& c) const {
     if (c.bound_frame() >= frames_.size()) return false;
     const Schema* schema = frames_[c.bound_frame()];
@@ -196,9 +184,7 @@ class ExprCompiler {
         return EmitConstScalar(static_cast<const LiteralExpr&>(e).value());
       case ExprKind::kColumnRef: {
         const auto& c = static_cast<const ColumnRefExpr&>(e);
-        if (!ValidBinding(c)) {
-          return {EmitInterpret(e, false, c.result_type()), c.result_type()};
-        }
+        if (!ValidBinding(c)) return DeclineScalar(e);
         const uint16_t dst = AllocReg();
         ExprOp& op = Emit(OpCode::kLoadCol, dst);
         op.frame = static_cast<uint16_t>(c.bound_frame());
@@ -210,7 +196,7 @@ class ExprCompiler {
         return CompileArith(static_cast<const ArithExpr&>(e));
       case ExprKind::kCase:
       case ExprKind::kCoalesce:
-        return {EmitInterpret(e, false, e.result_type()), e.result_type()};
+        return DeclineScalar(e);
       default:
         break;
     }
@@ -249,10 +235,9 @@ class ExprCompiler {
     if (lt == ValueType::kNull || rt == ValueType::kNull) {
       return EmitConstScalar(Value::Null());
     }
-    // Arithmetic over strings is a binder error; keep the interpreter's
-    // exact behavior rather than guessing.
+    // Arithmetic over strings is a binder error; never guess at it.
     if (lt == ValueType::kString || rt == ValueType::kString) {
-      return {EmitInterpret(e, false, e.result_type()), e.result_type()};
+      return DeclineScalar(e);
     }
     const uint16_t dst = AllocReg();
     if (e.op() == ArithOp::kDiv) {
@@ -332,14 +317,10 @@ class ExprCompiler {
     if (lt == ValueType::kNull || rt == ValueType::kNull) {
       return EmitConstPred(TriBool::kUnknown);
     }
-    // String-vs-numeric is UNKNOWN *for well-typed data*; route through
-    // the interpreter so rows whose runtime type drifts from the declared
-    // type still get the interpreter's answer.
+    // String against numeric has no typed kernel.
     const bool ls = lt == ValueType::kString;
     const bool rs = rt == ValueType::kString;
-    if (ls != rs) {
-      return EmitInterpret(e, true, ValueType::kInt64);
-    }
+    if (ls != rs) return Decline();
     const uint16_t dst = AllocReg();
     if (ls) {  // Both strings.
       ExprOp& op = Emit(OpCode::kCmpStr, dst);
@@ -375,31 +356,21 @@ class ExprCompiler {
       case ExprKind::kAnd: {
         const auto& n = static_cast<const AndExpr&>(e);
         const uint16_t a = CompilePred(n.lhs());
-        const uint16_t dst = AllocReg();
-        ExprOp& jmp = Emit(OpCode::kJmpIfFalse, dst);
-        jmp.a = a;
-        const size_t jmp_at = prog_->ops_.size() - 1;
         const uint16_t b = CompilePred(n.rhs());
+        const uint16_t dst = AllocReg();
         ExprOp& op = Emit(OpCode::kAnd, dst);
         op.a = a;
         op.b = b;
-        prog_->ops_[jmp_at].target =
-            static_cast<uint32_t>(prog_->ops_.size());
         return dst;
       }
       case ExprKind::kOr: {
         const auto& n = static_cast<const OrExpr&>(e);
         const uint16_t a = CompilePred(n.lhs());
-        const uint16_t dst = AllocReg();
-        ExprOp& jmp = Emit(OpCode::kJmpIfTrue, dst);
-        jmp.a = a;
-        const size_t jmp_at = prog_->ops_.size() - 1;
         const uint16_t b = CompilePred(n.rhs());
+        const uint16_t dst = AllocReg();
         ExprOp& op = Emit(OpCode::kOr, dst);
         op.a = a;
         op.b = b;
-        prog_->ops_[jmp_at].target =
-            static_cast<uint32_t>(prog_->ops_.size());
         return dst;
       }
       case ExprKind::kNot: {
@@ -428,7 +399,7 @@ class ExprCompiler {
         return dst;
       }
       case ExprKind::kLike:
-        return EmitInterpret(e, true, ValueType::kInt64);
+        return Decline();
       default:
         break;
     }
@@ -444,19 +415,13 @@ class ExprCompiler {
   const std::vector<const Schema*>& frames_;
   ExprProgram* prog_;
   uint16_t next_reg_ = 0;
+  bool lowered_ = true;
 };
 
-ExprProgram Compile(const Expr& expr,
-                    const std::vector<const Schema*>& frames) {
+std::optional<ExprProgram> Compile(const Expr& expr,
+                                   const std::vector<const Schema*>& frames) {
   ExprProgram prog;
-  ExprCompiler(frames, &prog).Run(expr);
-  return prog;
-}
-
-ExprProgram CompileInterpreted(const Expr& expr) {
-  ExprProgram prog;
-  const std::vector<const Schema*> no_frames;
-  ExprCompiler(no_frames, &prog).RunInterpreted(expr);
+  if (!ExprCompiler(frames, &prog).Run(expr)) return std::nullopt;
   return prog;
 }
 

@@ -18,17 +18,22 @@ TriBool ValueToTri(const Value& v) {
   }
 }
 
-/// The static type of an expression that yields either of two branches:
-/// a NULL-typed branch takes the other's type, and mixed numerics widen
-/// to double (the type a column holding both accepts).
-ValueType UnifyBranchTypes(ValueType a, ValueType b) {
-  if (a == ValueType::kNull) return b;
-  if (b == ValueType::kNull) return a;
-  if ((a == ValueType::kInt64 && b == ValueType::kDouble) ||
-      (a == ValueType::kDouble && b == ValueType::kInt64)) {
-    return ValueType::kDouble;
+/// The static type of `e`, which yields either of two branches typed `a`
+/// and `b`: a NULL-typed branch takes the other's type, and mixed
+/// numerics widen to double (the type a column holding both accepts). A
+/// STRING branch beside a numeric one has no common type.
+Status UnifyBranchTypes(const Expr& e, ValueType a, ValueType b,
+                        ValueType* out) {
+  if (a == ValueType::kNull || b == ValueType::kNull || a == b) {
+    *out = a == ValueType::kNull ? b : a;
+    return Status::OK();
   }
-  return a;
+  if (a == ValueType::kString || b == ValueType::kString) {
+    return Status::InvalidArgument(
+        StrCat({e.ToString(), " mixes STRING and numeric branches"}));
+  }
+  *out = ValueType::kDouble;  // INT64 and DOUBLE.
+  return Status::OK();
 }
 
 Value TriToValue(TriBool t) {
@@ -183,7 +188,8 @@ std::string CompareExpr::ToString() const {
 Status ArithExpr::Bind(const std::vector<const Schema*>& frames) {
   GMDJ_RETURN_IF_ERROR(lhs_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(rhs_->Bind(frames));
-  if (MayYieldString(*lhs_) || MayYieldString(*rhs_)) {
+  if (lhs_->result_type() == ValueType::kString ||
+      rhs_->result_type() == ValueType::kString) {
     return Status::InvalidArgument(StrCat(
         {"arithmetic ", ToString(), " takes numeric operands, not STRING"}));
   }
@@ -426,9 +432,8 @@ Status CaseExpr::Bind(const std::vector<const Schema*>& frames) {
   GMDJ_RETURN_IF_ERROR(condition_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(then_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(otherwise_->Bind(frames));
-  result_type_ =
-      UnifyBranchTypes(then_->result_type(), otherwise_->result_type());
-  return Status::OK();
+  return UnifyBranchTypes(*this, then_->result_type(),
+                          otherwise_->result_type(), &result_type_);
 }
 
 Value CaseExpr::Eval(const EvalContext& ctx) const {
@@ -451,9 +456,8 @@ std::string CaseExpr::ToString() const {
 Status CoalesceExpr::Bind(const std::vector<const Schema*>& frames) {
   GMDJ_RETURN_IF_ERROR(first_->Bind(frames));
   GMDJ_RETURN_IF_ERROR(second_->Bind(frames));
-  result_type_ =
-      UnifyBranchTypes(first_->result_type(), second_->result_type());
-  return Status::OK();
+  return UnifyBranchTypes(*this, first_->result_type(),
+                          second_->result_type(), &result_type_);
 }
 
 Value CoalesceExpr::Eval(const EvalContext& ctx) const {
@@ -468,22 +472,6 @@ ExprPtr CoalesceExpr::Clone() const {
 
 std::string CoalesceExpr::ToString() const {
   return "COALESCE(" + first_->ToString() + ", " + second_->ToString() + ")";
-}
-
-bool MayYieldString(const Expr& e) {
-  switch (e.kind()) {
-    case ExprKind::kCase: {
-      const auto& c = static_cast<const CaseExpr&>(e);
-      return MayYieldString(c.then_branch()) ||
-             MayYieldString(c.else_branch());
-    }
-    case ExprKind::kCoalesce: {
-      const auto& c = static_cast<const CoalesceExpr&>(e);
-      return MayYieldString(c.first()) || MayYieldString(c.second());
-    }
-    default:
-      return e.result_type() == ValueType::kString;
-  }
 }
 
 }  // namespace gmdj

@@ -360,6 +360,10 @@ class LikeExpr final : public Expr {
 /// FALSE and UNKNOWN both take the ELSE branch. With a NULL ELSE branch
 /// this is the conditional-aggregation idiom (`SUM(CASE WHEN θ THEN x
 /// END)`) that the GMDJ-to-SQL reduction rests on.
+///
+/// Binds to its branches' common type: a NULL branch takes the other's,
+/// INT64 and DOUBLE widen to DOUBLE, and STRING beside a number is an
+/// InvalidArgument. COALESCE binds the same way.
 class CaseExpr final : public Expr {
  public:
   CaseExpr(ExprPtr condition, ExprPtr then, ExprPtr otherwise)
@@ -406,11 +410,6 @@ class CoalesceExpr final : public Expr {
   ExprPtr first_;
   ExprPtr second_;
 };
-
-/// Whether bound `e` may yield a string: its type is STRING, or it is a
-/// CASE or COALESCE with such a branch (a branch mix binds as the first
-/// branch's type). Arithmetic and SUM/AVG refuse such an operand at Bind.
-bool MayYieldString(const Expr& e);
 
 }  // namespace gmdj
 

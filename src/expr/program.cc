@@ -26,19 +26,6 @@ TriBool CompareOrdered(int c, CompareOp op) {
   return TriBool::kUnknown;
 }
 
-/// Exact mirror of expr.cc's ValueToTri, applied to a typed register.
-TriBool RegToTri(const ExprReg& r, ValueType static_type) {
-  if (r.null) return TriBool::kUnknown;
-  switch (static_type) {
-    case ValueType::kInt64:
-      return MakeTriBool(r.i != 0);
-    case ValueType::kDouble:
-      return MakeTriBool(r.d != 0.0);
-    default:
-      return TriBool::kUnknown;  // Strings (and NULL statics) are UNKNOWN.
-  }
-}
-
 /// Calls `fn(pred)` with the comparison `op` of two values spelled
 /// through `<` and `>` only, exactly as CompareOrdered sees the pair, so
 /// NaN operands compare the same way.
@@ -102,242 +89,6 @@ void CompareToLiteral(const ExprOp& op, const ColumnVector& cv, size_t n,
   }
 }
 
-/// kCmpColLit on row `row` of its column.
-TriBool CompareCellToLiteral(const ExprOp& op, const Column& col,
-                             size_t row) {
-  TriBool t = TriBool::kUnknown;
-  CompareToLiteral(op, ColumnVector::Of(col, row), 1,
-                   [&t](size_t, uint8_t null, bool truth) {
-                     if (!null) t = MakeTriBool(truth);
-                   });
-  return t;
-}
-
-}  // namespace
-
-bool ExprProgram::Run(const EvalContext& ctx, ExprScratch* scratch) const {
-  ExprReg* regs = scratch->regs.data();
-  const size_t n = ops_.size();
-  for (size_t pc = 0; pc < n; ++pc) {
-    const ExprOp& op = ops_[pc];
-    switch (op.code) {
-      case OpCode::kConst:
-        regs[op.dst] = op.const_reg;
-        break;
-      case OpCode::kLoadCol: {
-        ExprReg& r = regs[op.dst];
-        const Column& col = ctx.ColumnAt(op.frame, op.col);
-        const size_t row = ctx.RowAt(op.frame);
-        GMDJ_DCHECK(col.type() == op.expect);
-        if (col.is_null(row)) {
-          r.null = true;
-          break;
-        }
-        r.null = false;
-        switch (op.expect) {
-          case ValueType::kInt64:
-            r.i = col.i64(row);
-            break;
-          case ValueType::kDouble:
-            r.d = col.dbl(row);
-            break;
-          default:
-            r.s = &col.str(row);
-            break;
-        }
-        break;
-      }
-      case OpCode::kCmpI64: {
-        const ExprReg& a = regs[op.a];
-        const ExprReg& b = regs[op.b];
-        ExprReg& r = regs[op.dst];
-        if (a.null || b.null) {
-          r.t = TriBool::kUnknown;
-          break;
-        }
-        r.t = CompareOrdered(a.i < b.i ? -1 : (a.i > b.i ? 1 : 0), op.cmp);
-        break;
-      }
-      case OpCode::kCmpDbl: {
-        const ExprReg& a = regs[op.a];
-        const ExprReg& b = regs[op.b];
-        ExprReg& r = regs[op.dst];
-        if (a.null || b.null) {
-          r.t = TriBool::kUnknown;
-          break;
-        }
-        r.t = CompareOrdered(a.d < b.d ? -1 : (a.d > b.d ? 1 : 0), op.cmp);
-        break;
-      }
-      case OpCode::kCmpStr: {
-        const ExprReg& a = regs[op.a];
-        const ExprReg& b = regs[op.b];
-        ExprReg& r = regs[op.dst];
-        if (a.null || b.null) {
-          r.t = TriBool::kUnknown;
-          break;
-        }
-        r.t = CompareOrdered(a.s->compare(*b.s), op.cmp);
-        break;
-      }
-      case OpCode::kCmpColLit: {
-        const Column& col = ctx.ColumnAt(op.frame, op.col);
-        GMDJ_DCHECK(col.type() == op.expect);
-        regs[op.dst].t = CompareCellToLiteral(op, col, ctx.RowAt(op.frame));
-        break;
-      }
-      case OpCode::kArithI64: {
-        const ExprReg& a = regs[op.a];
-        const ExprReg& b = regs[op.b];
-        ExprReg& r = regs[op.dst];
-        if (a.null || b.null) {
-          r.null = true;
-          break;
-        }
-        r.null = false;
-        switch (op.arith) {
-          case ArithOp::kAdd:
-            r.i = a.i + b.i;
-            break;
-          case ArithOp::kSub:
-            r.i = a.i - b.i;
-            break;
-          case ArithOp::kMul:
-            r.i = a.i * b.i;
-            break;
-          case ArithOp::kDiv:
-            break;  // Division compiles to kDivDbl.
-        }
-        break;
-      }
-      case OpCode::kArithDbl: {
-        const ExprReg& a = regs[op.a];
-        const ExprReg& b = regs[op.b];
-        ExprReg& r = regs[op.dst];
-        if (a.null || b.null) {
-          r.null = true;
-          break;
-        }
-        r.null = false;
-        switch (op.arith) {
-          case ArithOp::kAdd:
-            r.d = a.d + b.d;
-            break;
-          case ArithOp::kSub:
-            r.d = a.d - b.d;
-            break;
-          case ArithOp::kMul:
-            r.d = a.d * b.d;
-            break;
-          case ArithOp::kDiv:
-            break;  // Division compiles to kDivDbl.
-        }
-        break;
-      }
-      case OpCode::kDivDbl: {
-        const ExprReg& a = regs[op.a];
-        const ExprReg& b = regs[op.b];
-        ExprReg& r = regs[op.dst];
-        if (a.null || b.null || b.d == 0.0) {
-          r.null = true;
-          break;
-        }
-        r.null = false;
-        r.d = a.d / b.d;
-        break;
-      }
-      case OpCode::kCastDbl: {
-        const ExprReg& a = regs[op.a];
-        ExprReg& r = regs[op.dst];
-        r.null = a.null;
-        r.d = static_cast<double>(a.i);
-        break;
-      }
-      case OpCode::kAnd:
-        regs[op.dst].t = And(regs[op.a].t, regs[op.b].t);
-        break;
-      case OpCode::kOr:
-        regs[op.dst].t = Or(regs[op.a].t, regs[op.b].t);
-        break;
-      case OpCode::kNot:
-        regs[op.dst].t = Not(regs[op.a].t);
-        break;
-      case OpCode::kJmpIfFalse:
-        if (IsFalse(regs[op.a].t)) {
-          regs[op.dst].t = TriBool::kFalse;
-          pc = op.target - 1;  // Loop increment lands on target.
-        }
-        break;
-      case OpCode::kJmpIfTrue:
-        if (IsTrue(regs[op.a].t)) {
-          regs[op.dst].t = TriBool::kTrue;
-          pc = op.target - 1;
-        }
-        break;
-      case OpCode::kIsNull:
-        regs[op.dst].t = MakeTriBool(regs[op.a].null != op.flag);
-        break;
-      case OpCode::kIsNotTrue:
-        regs[op.dst].t = MakeTriBool(!IsTrue(regs[op.a].t));
-        break;
-      case OpCode::kTestScalar:
-        regs[op.dst].t = RegToTri(regs[op.a], op.expect);
-        break;
-      case OpCode::kBoolToScalar: {
-        ExprReg& r = regs[op.dst];
-        switch (regs[op.a].t) {
-          case TriBool::kFalse:
-            r.null = false;
-            r.i = 0;
-            break;
-          case TriBool::kTrue:
-            r.null = false;
-            r.i = 1;
-            break;
-          case TriBool::kUnknown:
-            r.null = true;
-            break;
-        }
-        break;
-      }
-      case OpCode::kInterpret: {
-        ExprReg& r = regs[op.dst];
-        if (op.flag) {
-          r.t = op.expr->EvalPred(ctx);
-          // Mirror of Expr::Eval-on-predicate so a scalar consumer of
-          // this register sees TriToValue(t).
-          r.null = IsUnknown(r.t);
-          r.i = IsTrue(r.t) ? 1 : 0;
-          break;
-        }
-        const Value v = op.expr->Eval(ctx);
-        if (v.is_null()) {
-          r.null = true;
-          break;
-        }
-        if (v.type() != op.expect) return false;  // Bail: type drift.
-        r.null = false;
-        switch (op.expect) {
-          case ValueType::kInt64:
-            r.i = v.int64();
-            break;
-          case ValueType::kDouble:
-            r.d = v.dbl();
-            break;
-          default:
-            // The interpreter returned a temporary string; registers only
-            // borrow. Bail to the tree interpreter, which is exact.
-            return false;
-        }
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-namespace {
-
 template <typename T>
 void Fit(std::vector<T>* v, size_t n) {
   if (v->size() < n) v->resize(n);
@@ -358,11 +109,10 @@ void CompareColumns(CompareOp op, const T* x, const T* y, const uint8_t* xn,
 
 }  // namespace
 
-const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
+const ExprVecReg& ExprProgram::EvalBatch(const EvalContext& ctx,
                                          const ExprScratch& scratch,
                                          ExprVecScratch* vec,
                                          size_t num_rows) const {
-  if (interpret_ops_ != 0) return nullptr;
   if (vec->regs.size() < num_regs_) vec->regs.resize(num_regs_);
   ExprVecReg* regs = vec->regs.data();
   const size_t n = num_rows;
@@ -407,9 +157,9 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
         const size_t row = ctx.RowAt(op.frame);
         if (col.is_null(row)) {
           r.null.assign(n, 1);
-          // Pad the payloads: ops like kCastDbl mirror the scalar VM in
-          // copying payloads without consulting null flags, and registers
-          // must never be shorter than the chunk.
+          // Pad the payloads: ops like kCastDbl copy payloads without
+          // consulting null flags, and registers must never be shorter
+          // than the chunk.
           r.i.assign(n, 0);
           r.d.assign(n, 0.0);
           r.s.assign(n, nullptr);
@@ -466,17 +216,19 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
         const Column& col = ctx.ColumnAt(op.frame, op.col);
         GMDJ_DCHECK(col.type() == op.expect);
         Fit(&r.t, n);
-        if (op.frame != scratch.batch_frame) {  // One row: a broadcast.
-          std::fill_n(r.t.begin(), n,
-                      CompareCellToLiteral(op, col, ctx.RowAt(op.frame)));
-          break;
-        }
+        // A non-batch frame is fixed for the chunk: compare its one row
+        // and broadcast the outcome.
+        const bool batched = op.frame == scratch.batch_frame;
         TriBool* t = r.t.data();
-        CompareToLiteral(op, ColumnVector::Of(col, scratch.batch_begin), n,
-                         [t](size_t k, uint8_t null, bool truth) {
-                           t[k] = null ? TriBool::kUnknown
-                                       : MakeTriBool(truth);
-                         });
+        CompareToLiteral(
+            op,
+            ColumnVector::Of(col, batched ? scratch.batch_begin
+                                          : ctx.RowAt(op.frame)),
+            batched ? n : std::min<size_t>(n, 1),
+            [t](size_t k, uint8_t null, bool truth) {
+              t[k] = null ? TriBool::kUnknown : MakeTriBool(truth);
+            });
+        if (!batched && n > 1) std::fill_n(t + 1, n - 1, t[0]);
         break;
       }
       case OpCode::kArithI64: {
@@ -574,11 +326,6 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
         for (size_t k = 0; k < n; ++k) r.t[k] = Not(a.t[k]);
         break;
       }
-      case OpCode::kJmpIfFalse:
-      case OpCode::kJmpIfTrue:
-        // No short-circuit in batch mode: both And/Or operands are fully
-        // computed, so the combining op alone yields the jump's result.
-        break;
       case OpCode::kIsNull: {
         const ExprVecReg& a = regs[op.a];
         ExprVecReg& r = regs[op.dst];
@@ -631,15 +378,13 @@ const ExprVecReg* ExprProgram::EvalBatch(const EvalContext& ctx,
         }
         break;
       }
-      case OpCode::kInterpret:
-        return nullptr;  // Unreachable (guarded above); defensive.
     }
   }
 
-  return &regs[root_];
+  return regs[root_];
 }
 
-bool ExprProgram::EvalPredMask(const EvalContext& ctx,
+void ExprProgram::EvalPredMask(const EvalContext& ctx,
                                const ExprScratch& scratch,
                                ExprVecScratch* vec, size_t num_rows,
                                uint8_t* mask) const {
@@ -652,17 +397,15 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
                      num_rows, [mask](size_t k, uint8_t null, bool truth) {
                        mask[k] &= static_cast<uint8_t>(!null & truth);
                      });
-    return true;
+    return;
   }
-  const ExprVecReg* reg = EvalBatch(ctx, scratch, vec, num_rows);
-  if (reg == nullptr) return false;
   const size_t n = num_rows;
-  const ExprVecReg& root = *reg;
+  const ExprVecReg& root = EvalBatch(ctx, scratch, vec, n);
   if (root_is_pred_) {
     for (size_t k = 0; k < n; ++k) {
       mask[k] &= static_cast<uint8_t>(IsTrue(root.t[k]));
     }
-    return true;
+    return;
   }
   switch (root_type_) {
     case ValueType::kInt64:
@@ -679,44 +422,6 @@ bool ExprProgram::EvalPredMask(const EvalContext& ctx,
       for (size_t k = 0; k < n; ++k) mask[k] = 0;
       break;
   }
-  return true;
-}
-
-TriBool ExprProgram::EvalPred(const EvalContext& ctx,
-                              ExprScratch* scratch) const {
-  PrepareScratch(scratch);
-  if (!Run(ctx, scratch)) return source_->EvalPred(ctx);
-  const ExprReg& r = scratch->regs[root_];
-  if (root_is_pred_) return r.t;
-  return RegToTri(r, root_type_);
-}
-
-Value ExprProgram::Eval(const EvalContext& ctx, ExprScratch* scratch) const {
-  PrepareScratch(scratch);
-  if (!Run(ctx, scratch)) return source_->Eval(ctx);
-  const ExprReg& r = scratch->regs[root_];
-  if (root_is_pred_) {
-    switch (r.t) {
-      case TriBool::kFalse:
-        return Value(int64_t{0});
-      case TriBool::kTrue:
-        return Value(int64_t{1});
-      case TriBool::kUnknown:
-        return Value::Null();
-    }
-  }
-  if (r.null) return Value::Null();
-  switch (root_type_) {
-    case ValueType::kInt64:
-      return Value(r.i);
-    case ValueType::kDouble:
-      return Value(r.d);
-    case ValueType::kString:
-      return Value(*r.s);
-    case ValueType::kNull:
-      break;
-  }
-  return Value::Null();
 }
 
 std::string ExprProgram::ToString() const {
@@ -787,14 +492,6 @@ std::string ExprProgram::ToString() const {
       case OpCode::kNot:
         out += "not r" + std::to_string(op.a);
         break;
-      case OpCode::kJmpIfFalse:
-        out += "jmp_if_false r" + std::to_string(op.a) + " -> " +
-               std::to_string(op.target);
-        break;
-      case OpCode::kJmpIfTrue:
-        out += "jmp_if_true r" + std::to_string(op.a) + " -> " +
-               std::to_string(op.target);
-        break;
       case OpCode::kIsNull:
         out += op.flag ? "is_not_null r" : "is_null r";
         out += std::to_string(op.a);
@@ -807,10 +504,6 @@ std::string ExprProgram::ToString() const {
         break;
       case OpCode::kBoolToScalar:
         out += "bool_to_scalar r" + std::to_string(op.a);
-        break;
-      case OpCode::kInterpret:
-        out += std::string(op.flag ? "interpret_pred " : "interpret ") +
-               op.expr->ToString();
         break;
     }
     out += " -> r" + std::to_string(op.dst) + "\n";

@@ -337,10 +337,9 @@ class GmdjScan {
   /// one aggregate at a time in row order.
   void FoldMatches(const GmdjCondition& cond, const GmdjCondPrograms& progs,
                    size_t agg_offset, const Matches& matches);
-  /// Resolves aggregate `a` of `progs` (flat slot `flat`) to typed arrays
-  /// for the current chunk; false = fold it per pair.
-  bool ResolveArg(const GmdjCondPrograms& progs, size_t a, size_t flat,
-                  TypedArg* arg);
+  /// Resolves aggregate `a` of `progs` (flat slot `flat`), a kColumn or
+  /// kBatch fold, to typed arrays for the current chunk.
+  TypedArg ResolveArg(const GmdjCondPrograms& progs, size_t a, size_t flat);
 
   /// Makes base row `b` current and checks `rt`'s residual conjuncts.
   bool ResidualMatches(const GmdjCondRuntime& rt, uint32_t b);
@@ -355,7 +354,7 @@ class GmdjScan {
   const GmdjResultLayout* layout_ = nullptr;
   size_t num_runtimes_ = 0;
   EvalContext ectx_;
-  ExprScratch scratch_;
+  ExprScratch batch_;
   ExprVecScratch vec_scratch_;
   // Per runtime: the chunk's detail-only pass mask, and a pointer to it
   // (null when the runtime has no detail-only conjunct).
@@ -386,7 +385,6 @@ class GmdjScan {
   std::vector<CountLane> count_lanes_;
   std::vector<AggLane> agg_lanes_;
   std::vector<ArgLanes> arg_lanes_;
-  std::vector<MemberAgg> pair_lanes_;
   std::vector<uint8_t> ones_;
   std::vector<uint8_t> want_;
   std::vector<uint32_t> stab_buf_;
@@ -405,7 +403,7 @@ void GmdjScan::Init(const GmdjEvalInput& in) {
   num_runtimes_ = in.runtimes->size();
   ectx_.PushFrame(in.base);
   ectx_.PushFrame(in.detail);
-  scratch_.batch_frame = 1;
+  batch_.batch_frame = 1;
   pass_.resize(num_runtimes_);
   masks_.assign(num_runtimes_, nullptr);
   routes_.resize(num_runtimes_);
@@ -482,7 +480,7 @@ void GmdjScan::BeginChunk(size_t begin, size_t rows) {
   chunk_begin_ = begin;
   chunk_rows_ = rows;
   ++chunk_seq_;
-  scratch_.batch_begin = begin;
+  batch_.batch_begin = begin;
   // Each condition's detail-only conjuncts, as a pass mask over the chunk.
   // Conjunct j only counts rows that passed conjuncts < j, so
   // predicate_evals matches a short-circuiting row-at-a-time evaluation.
@@ -493,23 +491,25 @@ void GmdjScan::BeginChunk(size_t begin, size_t rows) {
     std::vector<uint8_t>& mask = pass_[ci];
     mask.assign(rows, 1);
     masks_[ci] = mask.data();
-    for (const ExprProgram& prog : rt.progs->detail_only) {
+    for (size_t j = 0; j < rt.analysis->detail_only.size(); ++j) {
       // Short-circuit bookkeeping first; the batch kernels evaluate every
       // lane (dead-lane results are discarded by the mask AND, and ops are
       // total, so this is invisible).
       size_t survivors = 0;
       for (size_t i = 0; i < rows; ++i) survivors += mask[i];
       if (survivors == 0) break;
-      if (prog.EvalPredMask(ectx_, scratch_, &vec_scratch_, rows,
-                            mask.data())) {
+      if (const std::optional<ExprProgram>& prog = rt.progs->detail_only[j];
+          prog.has_value()) {
+        prog->EvalPredMask(ectx_, batch_, &vec_scratch_, rows, mask.data());
         predicate_evals += survivors;
         continue;
       }
+      const Expr& conjunct = *rt.analysis->detail_only[j];
       for (size_t i = 0; i < rows; ++i) {
         if (!mask[i]) continue;
         SetRow(i);
         predicate_evals += 1;
-        if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) mask[i] = 0;
+        if (!IsTrue(conjunct.EvalPred(ectx_))) mask[i] = 0;
       }
     }
   }
@@ -744,22 +744,14 @@ void GmdjScan::FoldGroup(size_t g, size_t r0, size_t r1) {
   for (const uint32_t m : pass.counters) {
     count_lanes_.push_back({mask_of(m), out_->counts(layout_->count_of[m])});
   }
-  // Resolve each argument for the chunk; a batch the VM declines folds
-  // per pair, with the per-pair aggregates.
+  // Resolve each argument for the chunk.
   agg_lanes_.clear();
   arg_lanes_.clear();
-  pair_lanes_.assign(pass.per_pair.begin(), pass.per_pair.end());
   for (size_t k = 0, begin = 0; k < pass.arg_ends.size(); ++k) {
     const size_t end = pass.arg_ends[k];
     const MemberAgg& first = pass.aggs[begin];
-    TypedArg arg;
-    if (!ResolveArg(*runtimes_[first.member].progs, first.a, first.flat,
-                    &arg)) {
-      pair_lanes_.insert(pair_lanes_.end(), pass.aggs.begin() + begin,
-                         pass.aggs.begin() + end);
-      begin = end;
-      continue;
-    }
+    const TypedArg arg =
+        ResolveArg(*runtimes_[first.member].progs, first.a, first.flat);
     for (; begin < end; ++begin) {
       const MemberAgg& agg = pass.aggs[begin];
       TypedAggColumn* col = &out_->typed(layout_->homes[agg.flat].index);
@@ -798,10 +790,10 @@ void GmdjScan::FoldGroup(size_t g, size_t r0, size_t r1) {
     }
   }
 
-  // Per-pair Value folds: strings, base-reading arguments, interpreted
-  // mode, and batches the VM declines.
-  for (const MemberAgg& agg : pair_lanes_) {
-    const ExprProgram& prog = *runtimes_[agg.member].progs->agg_args[agg.a];
+  // Per-pair Value folds: strings, base-reading arguments, and arguments
+  // without a program.
+  for (const MemberAgg& agg : pass.per_pair) {
+    const Expr& arg = *runtimes_[agg.member].cond->aggs[agg.a].arg;
     const uint8_t* mask = mask_of(agg.member);
     TypedAggColumn& col = out_->typed(layout_->homes[agg.flat].index);
     for (size_t i = r0; i < r1; ++i) {
@@ -809,7 +801,7 @@ void GmdjScan::FoldGroup(size_t g, size_t r0, size_t r1) {
       if (b == kNoBase || !mask[i]) continue;
       SetRow(i);
       ectx_.SetRow(0, b);
-      col.Add(b, prog.Eval(ectx_, &scratch_));
+      col.Add(b, arg.Eval(ectx_));
     }
   }
 }
@@ -880,19 +872,19 @@ void GmdjScan::FoldMatches(const GmdjCondition& cond,
     const size_t flat = agg_offset + a;
     const GmdjResultLayout::Home home = layout_->homes[flat];
     if (home.store == GmdjResultLayout::Store::kMatchCount) continue;
-    const ExprProgram& prog = *progs.agg_args[a];
     TypedAggColumn& col = out_->typed(home.index);
-    TypedArg arg;
-    if (!ResolveArg(progs, a, flat, &arg)) {
-      // Per-pair Value fold: strings, base-reading arguments, interpreted
-      // mode, and batches the VM declines.
+    if (progs.agg_folds[a] == AggFold::kValue) {
+      // Per-pair Value fold: strings, base-reading arguments, and
+      // arguments without a program.
+      const Expr& arg = *cond.aggs[a].arg;
       each([&](uint32_t i, uint32_t b) {
         SetRow(i);
         ectx_.SetRow(0, b);
-        col.Add(b, prog.Eval(ectx_, &scratch_));
+        col.Add(b, arg.Eval(ectx_));
       });
       continue;
     }
+    const TypedArg arg = ResolveArg(progs, a, flat);
     WithFoldKind(col.kind(), [&](auto k) {
       constexpr AggKind K = decltype(k)::value;
       if (arg.i64 != nullptr) {
@@ -908,55 +900,47 @@ void GmdjScan::FoldMatches(const GmdjCondition& cond,
   }
 }
 
-bool GmdjScan::ResolveArg(const GmdjCondPrograms& progs, size_t a,
-                          size_t flat, TypedArg* arg) {
+GmdjScan::TypedArg GmdjScan::ResolveArg(const GmdjCondPrograms& progs,
+                                        size_t a, size_t flat) {
   const ExprProgram& prog = *progs.agg_args[a];
-  const ExprVecReg* reg = nullptr;
-  switch (progs.agg_folds[a]) {
-    case AggFold::kColumn: {
-      const ColumnVector cv = DetailColumn(prog.op(0).col);
-      arg->null = cv.null;
-      if (cv.type == ValueType::kInt64) {
-        arg->i64 = cv.i64;
-      } else {
-        arg->dbl = cv.dbl;
-      }
-      return true;
+  TypedArg arg;
+  if (progs.agg_folds[a] == AggFold::kColumn) {
+    const ColumnVector cv = DetailColumn(prog.op(0).col);
+    arg.null = cv.null;
+    if (cv.type == ValueType::kInt64) {
+      arg.i64 = cv.i64;
+    } else {
+      arg.dbl = cv.dbl;
     }
-    case AggFold::kBatch: {
-      BatchArg& batch = batch_args_[flat];
-      if (batch.chunk != chunk_seq_) {
-        batch.chunk = chunk_seq_;
-        batch.reg = prog.EvalBatch(ectx_, scratch_, &batch.vec, chunk_rows_);
-      }
-      reg = batch.reg;
-      break;
-    }
-    default:
-      return false;
+    return arg;
   }
-  if (reg == nullptr) return false;
-  arg->null = reg->null.data();
+  GMDJ_DCHECK(progs.agg_folds[a] == AggFold::kBatch);
+  BatchArg& batch = batch_args_[flat];
+  if (batch.chunk != chunk_seq_) {
+    batch.chunk = chunk_seq_;
+    batch.reg = &prog.EvalBatch(ectx_, batch_, &batch.vec, chunk_rows_);
+  }
+  arg.null = batch.reg->null.data();
   if (prog.result_type() == ValueType::kInt64) {
-    arg->i64 = reg->i.data();
+    arg.i64 = batch.reg->i.data();
   } else {
-    arg->dbl = reg->d.data();
+    arg.dbl = batch.reg->d.data();
   }
-  return true;
+  return arg;
 }
 
 bool GmdjScan::ResidualMatches(const GmdjCondRuntime& rt, uint32_t b) {
   ectx_.SetRow(0, b);
-  for (const ExprProgram& prog : rt.progs->residual) {
+  for (const Expr* conjunct : rt.analysis->residual) {
     predicate_evals += 1;
-    if (!IsTrue(prog.EvalPred(ectx_, &scratch_))) return false;
+    if (!IsTrue(conjunct->EvalPred(ectx_))) return false;
   }
   return true;
 }
 
 bool GmdjScan::PairMatches(const GmdjCondRuntime& rt) {
   predicate_evals += 1;
-  return IsTrue(rt.progs->pair_cmp->EvalPred(ectx_, &scratch_));
+  return IsTrue(rt.pair_cmp->EvalPred(ectx_));
 }
 
 void GmdjScan::Stab(const GmdjCondRuntime& rt, std::vector<uint32_t>* out) {

@@ -21,26 +21,27 @@ enum class AggFold : unsigned char {
   kCountStar,  // Increments the count; no argument.
   kColumn,     // Reads the int64/double argument column in place.
   kBatch,      // Detail-only argument, evaluated once per chunk (EvalBatch).
-  kValue,      // Per-pair Value through TypedAggColumn::Add(Value):
-               // strings, base-reading arguments, interpreted mode.
+  kValue,      // Per-pair Expr::Eval through TypedAggColumn::Add(Value):
+               // strings, base-reading arguments, no program.
 };
 
-/// Expression programs of one GMDJ condition (expr/program.h), built by
-/// GmdjNode::PrepareRuntimes: typed register programs, or one kInterpret
-/// op per tree when the evaluation mode or the "gmdj/expr-compile" fault
-/// point asks for the tree interpreter. Programs borrow the condition's
-/// bound expression trees, which outlive execution.
+/// Batch programs of one GMDJ condition (expr/program.h), built by
+/// GmdjNode::PrepareRuntimes for its detail-only conjuncts and aggregate
+/// arguments. An empty program — a tree Compile declines, or every tree
+/// when the evaluation mode or the "gmdj/expr-compile" fault point asks
+/// for the tree interpreter — leaves its tree to Expr::EvalPred / Eval
+/// per row, as are the residual conjuncts and the pair comparison ψ,
+/// which read both frames.
 struct GmdjCondPrograms {
-  std::vector<ExprProgram> detail_only;  // Aligned with analysis->detail_only.
-  std::vector<ExprProgram> residual;     // Aligned with analysis->residual.
-  std::unique_ptr<ExprProgram> pair_cmp; // ψ of a fused ALL pair, if any.
-  /// Aligned with cond->aggs; null for count(*) (no argument to evaluate).
-  std::vector<std::unique_ptr<ExprProgram>> agg_args;
+  /// Aligned with analysis->detail_only.
+  std::vector<std::optional<ExprProgram>> detail_only;
+  /// Aligned with cond->aggs; empty for count(*) (no argument).
+  std::vector<std::optional<ExprProgram>> agg_args;
   /// Aligned with cond->aggs: the fold each aggregate takes.
   std::vector<AggFold> agg_folds;
-  /// Every program above lowered without a kInterpret op (never true in
-  /// interpreted mode).
-  bool fully_compiled = false;
+  /// Compiled mode, and every detail-only conjunct and aggregate argument
+  /// has a program.
+  bool lowered = false;
 };
 
 /// Runtime form of one GMDJ condition: dispatch strategy plus completion

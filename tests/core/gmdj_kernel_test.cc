@@ -263,8 +263,8 @@ TEST(TypedFoldTest, NullTypedArgumentMatchesBoxedUpdate) {
 
 TEST(TypedFoldTest, InexactExtremesKeepTheWinningValue) {
   // A per-pair argument (interpreted, or a constant-folded CASE) may yield
-  // values of any branch's type, so the kernel types its MIN/MAX column
-  // kNull. It keeps a Value extreme ordered as AggState orders it (numbers
+  // values of another type than its bound one, so the kernel types its
+  // MIN/MAX column kNull. It keeps a Value extreme ordered as AggState orders it (numbers
   // before strings), the winning input's type included: 2 and 2.0 are
   // equal, so the first one stays.
   const std::vector<AggKind> kinds = {AggKind::kMin, AggKind::kMax,
@@ -659,6 +659,42 @@ TEST_F(GmdjKernelTest, ResidualsReadingBaseColumns) {
   ExpectMatchesNaive(make, "base-reading residuals");
 }
 
+TEST_F(GmdjKernelTest, ConjunctsWithoutAProgramRunThroughTheTree) {
+  // Detail-only conjuncts mix batch programs — string compares whose
+  // literals live in their programs' pools, several per condition — with
+  // a LIKE, which has no program and filters the chunk row by row.
+  // Residuals run through the tree in both modes.
+  const auto make = [] {
+    std::vector<GmdjCondition> conds;
+    conds.push_back(KeyCond(And(Ne(Col("R.s"), Lit("r1")),
+                                Ne(Col("R.s"), Lit("r2"))),
+                            Aggs(SumOf(Col("R.v"), "s"), CountStar("n"))));
+    conds.push_back(KeyCond(
+        And(Ne(Col("R.s"), Lit("r3")),
+            std::make_unique<LikeExpr>(Col("R.s"), "r1%", false)),
+        Aggs(MaxOf(Col("R.y"), "hi"))));
+    conds.push_back(Cond(And(KeyEq(), Gt(Col("R.v"), Col("B.x"))),
+                         Aggs(CountStar("m"))));
+    return conds;
+  };
+  ExpectMatchesNaive(make, "conjuncts without a program");
+  // Compiled: every condition but the LIKE one, whose conjunct has no
+  // program; interpreted: none.
+  for (const ExprEvalMode mode :
+       {ExprEvalMode::kCompiled, ExprEvalMode::kInterpret}) {
+    GmdjNode node(std::make_unique<TableScanNode>("B"),
+                  std::make_unique<TableScanNode>("R"), make());
+    ASSERT_TRUE(node.Prepare(catalog_).ok());
+    ExecConfig config;
+    config.expr_eval_mode = mode;
+    ExecContext ctx(&catalog_, config);
+    ASSERT_TRUE(node.Execute(&ctx).ok());
+    const bool compiled = mode == ExprEvalMode::kCompiled;
+    EXPECT_EQ(ctx.stats().compiled_conditions, compiled ? 2u : 0u);
+    EXPECT_EQ(ctx.stats().interpreter_fallbacks, compiled ? 1u : 3u);
+  }
+}
+
 TEST_F(GmdjKernelTest, ExpressionArguments) {
   const auto make = [] {
     std::vector<GmdjCondition> conds;
@@ -791,35 +827,27 @@ TEST_F(GmdjKernelTest, ConstantFoldedCaseArguments) {
     EXPECT_EQ(typed_, std::make_pair(uint64_t{0}, uint64_t{5}));
   });
 
-  // CASE WHEN 1 = 0 THEN 1 ELSE 'x' END binds INT64 and yields 'x'. The
-  // extreme is 'x', which the INT64 output column refuses: every run ends
-  // in the naive node's error, not in a process abort.
+  // CASE WHEN 1 = 0 THEN 1 ELSE 'x' END mixes an INT64 and a STRING
+  // branch, which have no common type: both strategies refuse it when
+  // the node binds its conditions, before any evaluation.
   for (const AggKind kind : {AggKind::kMax, AggKind::kMin}) {
-    const auto make_string = [&] {
+    for (const GmdjStrategy strategy :
+         {GmdjStrategy::kAuto, GmdjStrategy::kNaive}) {
       std::vector<GmdjCondition> conds;
       conds.push_back(Cond(
           KeyEq(), Aggs(AggSpec(kind,
                                 CaseOf(Eq(Lit(int64_t{1}), Lit(int64_t{0})),
                                        Lit(int64_t{1}), Lit("x")),
                                 "folded_string"))));
-      return conds;
-    };
-    GmdjNode naive(std::make_unique<TableScanNode>("B"),
-                   std::make_unique<TableScanNode>("R"), make_string(),
-                   GmdjStrategy::kNaive);
-    ASSERT_TRUE(naive.Prepare(catalog_).ok());
-    ExecContext ctx(&catalog_);
-    const Status expected = naive.Execute(&ctx).status();
-    ASSERT_EQ(expected.code(), StatusCode::kInvalidArgument)
-        << expected.ToString();
-    EXPECT_NE(expected.message().find("value x of type STRING refused"),
-              std::string::npos)
-        << expected.ToString();
-    for (const Knobs& knobs : AllKnobs()) {
-      const Outcome actual =
-          Run(make_string, nullptr, knobs, /*expect_ok=*/false);
-      EXPECT_EQ(actual.status.ToString(), expected.ToString())
-          << AggKindToString(kind) << " [" << knobs.Name() << "]";
+      GmdjNode node(std::make_unique<TableScanNode>("B"),
+                    std::make_unique<TableScanNode>("R"), std::move(conds),
+                    strategy);
+      const Status status = node.Prepare(catalog_);
+      ASSERT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("mixes STRING and numeric branches"),
+                std::string::npos)
+          << status.ToString();
     }
   }
 }

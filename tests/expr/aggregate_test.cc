@@ -111,8 +111,8 @@ TEST(AggSpecTest, BindRejectsSumAndAvgOverAString) {
     AggSpec spec(kind, Col("s"), "x");
     EXPECT_TRUE(spec.Bind(frames).ok()) << spec.ToString();
   }
-  // A CASE or COALESCE binds as its first branch (INT64 here), yet yields
-  // the string branch too.
+  // A CASE or COALESCE that mixes an INT64 and a STRING branch fails to
+  // bind at all.
   const auto int_or_string = [] {
     return std::make_unique<CaseExpr>(Gt(Col("i"), Lit(int64_t{1})),
                                       Lit(int64_t{1}), Col("s"));

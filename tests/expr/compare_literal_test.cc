@@ -1,14 +1,15 @@
 // The fused column-vs-literal compare opcode (OpCode::kCmpColLit). The
-// scalar VM (EvalPred and Eval), the batch VM (EvalBatch) and the mask
-// kernel (EvalPredMask) are checked against the tree interpreter and
-// against SqlCompare on the cell's value: every operator, the literal on
-// either side, over NULL cells, NaN, ±0.0, int64 columns against double
-// literals, a column of the non-batch (broadcast) frame, and strings of
-// equal and unequal lengths that share a prefix.
+// batch VM (EvalBatch) and the mask kernel (EvalPredMask) are checked
+// against the tree interpreter and against SqlCompare on the cell's
+// value: every operator, the literal on either side, over NULL cells,
+// NaN, ±0.0, int64 columns against double literals, a column of the
+// non-batch (broadcast) frame, and strings of equal and unequal lengths
+// that share a prefix. A string against a number has no program.
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,9 +93,8 @@ ExprPtr ColumnLiteral(const std::string& column, CompareOp op,
 }
 
 /// Evaluates `expr` and its program over every (base, detail) row pair:
-/// the interpreter's TriBool is the reference for EvalPred, Eval, the
-/// EvalBatch root register (when the program is a predicate over one
-/// compare) and an EvalPredMask over a mask with dead lanes.
+/// the interpreter's TriBool is the reference for the EvalBatch root
+/// register and an EvalPredMask over a mask with dead lanes.
 class Harness {
  public:
   Harness() : base_(BaseTable()), detail_(DetailTable()) {
@@ -108,50 +108,44 @@ class Harness {
     return {&base_.schema(), &detail_.schema()};
   }
 
+  /// The program's outcome on every detail row, with base row `b`
+  /// broadcast: EvalBatch's root register.
+  std::vector<TriBool> Batch(const ExprProgram& program, size_t b) {
+    ectx_.SetRow(0, b);
+    const size_t n = detail_.num_rows();
+    EXPECT_TRUE(program.root_is_pred()) << program.ToString();
+    const ExprVecReg& root = program.EvalBatch(ectx_, scratch_, &vec_, n);
+    return std::vector<TriBool>(root.t.begin(), root.t.begin() + n);
+  }
+
   /// `reference(b, r)`, when given, must agree with the interpreter too.
+  /// A tree without a program is checked against the reference only.
   void Check(const Expr& expr, const std::string& context,
              const std::function<TriBool(size_t, size_t)>& reference =
                  nullptr) {
-    const ExprProgram program = Compile(expr, frames());
-    program.PrepareScratch(&scratch_);
+    const std::optional<ExprProgram> program = Compile(expr, frames());
     const size_t n = detail_.num_rows();
-    const bool one_compare =
-        program.num_ops() == 1 &&
-        program.op(0).code == OpCode::kCmpColLit;
     for (size_t b = 0; b < base_.num_rows(); ++b) {
       ectx_.SetRow(0, b);
       std::vector<TriBool> want(n);
       for (size_t r = 0; r < n; ++r) {
         ectx_.SetRow(1, r);
         want[r] = expr.EvalPred(ectx_);
-        const std::string where = context + " base=" + std::to_string(b) +
-                                  " detail=" + std::to_string(r) + "\n" +
-                                  program.ToString();
         if (reference != nullptr) {
-          ASSERT_EQ(reference(b, r), want[r]) << where;
+          ASSERT_EQ(reference(b, r), want[r])
+              << context << " base=" << b << " detail=" << r;
         }
-        ASSERT_EQ(program.EvalPred(ectx_, &scratch_), want[r]) << where;
-        const Value v = program.Eval(ectx_, &scratch_);
-        const Value w = expr.Eval(ectx_);
-        ASSERT_TRUE(v.type() == w.type() && v == w)
-            << where << ": " << v.ToString() << " vs " << w.ToString();
       }
+      if (!program.has_value()) continue;
       const std::string where = context + " base=" + std::to_string(b) +
-                                "\n" + program.ToString();
-      if (one_compare) {
-        const ExprVecReg* reg = program.EvalBatch(ectx_, scratch_, &vec_, n);
-        ASSERT_NE(reg, nullptr) << where;
-        for (size_t r = 0; r < n; ++r) {
-          ASSERT_EQ(reg->t[r], want[r]) << where << " detail=" << r;
-        }
+                                "\n" + program->ToString();
+      const std::vector<TriBool> got = Batch(*program, b);
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(got[r], want[r]) << where << " detail=" << r;
       }
-      // A kInterpret op (a string against a number) declines the batch.
       std::vector<uint8_t> mask(n);
       for (size_t r = 0; r < n; ++r) mask[r] = r % 3 != 1;
-      ASSERT_EQ(program.EvalPredMask(ectx_, scratch_, &vec_, n, mask.data()),
-                program.fully_compiled())
-          << where;
-      if (!program.fully_compiled()) continue;
+      program->EvalPredMask(ectx_, scratch_, &vec_, n, mask.data());
       for (size_t r = 0; r < n; ++r) {
         ASSERT_EQ(mask[r] != 0, r % 3 != 1 && IsTrue(want[r]))
             << where << " detail=" << r;
@@ -172,9 +166,10 @@ TEST(CompareLiteralOpTest, CompilesToOneOpWithTheLiteralOnEitherSide) {
     for (const bool lit_right : {true, false}) {
       ExprPtr e = ColumnLiteral("R.i", op, Value(2.5), lit_right);
       ASSERT_TRUE(e->Bind(h.frames()).ok());
-      const ExprProgram program = Compile(*e, h.frames());
-      ASSERT_EQ(program.num_ops(), 1u) << program.ToString();
-      const ExprOp& fused = program.op(0);
+      const std::optional<ExprProgram> program = Compile(*e, h.frames());
+      ASSERT_TRUE(program.has_value());
+      ASSERT_EQ(program->num_ops(), 1u) << program->ToString();
+      const ExprOp& fused = program->op(0);
       EXPECT_EQ(fused.code, OpCode::kCmpColLit);
       EXPECT_EQ(fused.cmp, lit_right ? op : MirrorCompareOp(op));
       EXPECT_EQ(fused.frame, 1u);
@@ -187,24 +182,33 @@ TEST(CompareLiteralOpTest, CompilesToOneOpWithTheLiteralOnEitherSide) {
   // a double column it is cast once, at compile time.
   ExprPtr ints = Gt(Col("R.i"), Lit(int64_t{3}));
   ASSERT_TRUE(ints->Bind(h.frames()).ok());
-  const ExprProgram ip = Compile(*ints, h.frames());
-  EXPECT_FALSE(ip.op(0).flag);
-  EXPECT_EQ(ip.op(0).const_reg.i, 3);
+  const std::optional<ExprProgram> ip = Compile(*ints, h.frames());
+  ASSERT_TRUE(ip.has_value());
+  EXPECT_FALSE(ip->op(0).flag);
+  EXPECT_EQ(ip->op(0).const_reg.i, 3);
   ExprPtr dbl = Gt(Col("R.d"), Lit(int64_t{3}));
   ASSERT_TRUE(dbl->Bind(h.frames()).ok());
-  const ExprProgram dp = Compile(*dbl, h.frames());
-  EXPECT_EQ(dp.op(0).code, OpCode::kCmpColLit);
-  EXPECT_EQ(dp.op(0).const_reg.d, 3.0);
-  // A NULL literal folds to UNKNOWN; a string against a number keeps the
-  // interpreter's answer.
+  const std::optional<ExprProgram> dp = Compile(*dbl, h.frames());
+  ASSERT_TRUE(dp.has_value());
+  EXPECT_EQ(dp->op(0).code, OpCode::kCmpColLit);
+  EXPECT_EQ(dp->op(0).const_reg.d, 3.0);
+  // A NULL literal folds to UNKNOWN; a string against a number, which no
+  // opcode compares, gets no program, either way round.
   ExprPtr null = Eq(Col("R.i"), Lit(Value::Null()));
   ASSERT_TRUE(null->Bind(h.frames()).ok());
-  const ExprProgram np = Compile(*null, h.frames());
-  ASSERT_EQ(np.num_ops(), 1u);
-  EXPECT_EQ(np.op(0).code, OpCode::kConst);
-  ExprPtr mixed = Eq(Col("R.s"), Lit(int64_t{1}));
-  ASSERT_TRUE(mixed->Bind(h.frames()).ok());
-  EXPECT_FALSE(Compile(*mixed, h.frames()).fully_compiled());
+  const std::optional<ExprProgram> np = Compile(*null, h.frames());
+  ASSERT_TRUE(np.has_value());
+  ASSERT_EQ(np->num_ops(), 1u);
+  EXPECT_EQ(np->op(0).code, OpCode::kConst);
+  std::vector<ExprPtr> mixed_exprs;
+  mixed_exprs.push_back(Eq(Col("R.s"), Lit(int64_t{1})));
+  mixed_exprs.push_back(Lt(Lit(2.5), Col("R.s")));
+  mixed_exprs.push_back(Gt(Col("R.i"), Lit("a")));
+  for (const ExprPtr& mixed : mixed_exprs) {
+    ASSERT_TRUE(mixed->Bind(h.frames()).ok());
+    EXPECT_FALSE(Compile(*mixed, h.frames()).has_value())
+        << mixed->ToString();
+  }
 }
 
 TEST(CompareLiteralOpTest, EveryEvaluatorMatchesTheInterpreter) {
@@ -220,9 +224,15 @@ TEST(CompareLiteralOpTest, EveryEvaluatorMatchesTheInterpreter) {
           ExprPtr e = ColumnLiteral(column, op, lit, lit_right);
           ASSERT_TRUE(e->Bind(h.frames()).ok());
           const std::string context = e->ToString();
-          const ExprProgram program = Compile(*e, h.frames());
+          const std::optional<ExprProgram> program =
+              Compile(*e, h.frames());
+          // Only a string against a number has no program.
+          ASSERT_EQ(program.has_value(),
+                    lit.is_null() || (type == ValueType::kString) ==
+                                         (lit.type() == ValueType::kString))
+              << context;
           if (Fuses(type, lit)) {
-            ASSERT_EQ(program.op(0).code, OpCode::kCmpColLit) << context;
+            ASSERT_EQ(program->op(0).code, OpCode::kCmpColLit) << context;
             ++fused;
           }
           // SqlCompare on the cell's value, the operands as written.
@@ -285,16 +295,17 @@ TEST(CompareLiteralOpTest, StringEqualityComparesLengthsThenBytes) {
   ExprPtr ne = Ne(Lit("ab"), Col("R.s"));
   ASSERT_TRUE(eq->Bind(h.frames()).ok());
   ASSERT_TRUE(ne->Bind(h.frames()).ok());
-  const ExprProgram eq_prog = Compile(*eq, h.frames());
-  const ExprProgram ne_prog = Compile(*ne, h.frames());
-  ExprScratch scratch;
+  const std::optional<ExprProgram> eq_prog = Compile(*eq, h.frames());
+  const std::optional<ExprProgram> ne_prog = Compile(*ne, h.frames());
+  ASSERT_TRUE(eq_prog.has_value() && ne_prog.has_value());
+  const std::vector<TriBool> got_eq = h.Batch(*eq_prog, 0);
+  const std::vector<TriBool> got_ne = h.Batch(*ne_prog, 0);
   for (size_t r = 0; r < h.detail_.num_rows(); ++r) {
-    h.ectx_.SetRow(1, r);
     const Value cell = h.detail_.cell(r, 2);
     const TriBool want_eq = cell.is_null() ? TriBool::kUnknown
                                            : MakeTriBool(cell.str() == "ab");
-    EXPECT_EQ(eq_prog.EvalPred(h.ectx_, &scratch), want_eq) << r;
-    EXPECT_EQ(ne_prog.EvalPred(h.ectx_, &scratch), Not(want_eq)) << r;
+    EXPECT_EQ(got_eq[r], want_eq) << r;
+    EXPECT_EQ(got_ne[r], Not(want_eq)) << r;
   }
   h.Check(*eq, eq->ToString());
   h.Check(*ne, ne->ToString());
@@ -310,19 +321,26 @@ TEST(CompareLiteralOpTest, NullTypedColumnIsUnknown) {
   EvalContext ectx;
   ectx.PushFrame(&table);
   ExprScratch scratch;
+  scratch.batch_frame = 0;
+  ExprVecScratch vec;
   std::vector<ExprPtr> exprs;
   exprs.push_back(Eq(Col("R.n"), Lit(int64_t{1})));
   exprs.push_back(Lt(Lit("a"), Col("R.n")));
   for (const ExprPtr& e : exprs) {
     ASSERT_TRUE(e->Bind({&table.schema()}).ok());
-    const ExprProgram program = Compile(*e, {&table.schema()});
-    for (size_t i = 0; i < program.num_ops(); ++i) {
-      EXPECT_NE(program.op(i).code, OpCode::kCmpColLit) << program.ToString();
+    const std::optional<ExprProgram> program =
+        Compile(*e, {&table.schema()});
+    ASSERT_TRUE(program.has_value());
+    for (size_t i = 0; i < program->num_ops(); ++i) {
+      EXPECT_NE(program->op(i).code, OpCode::kCmpColLit)
+          << program->ToString();
     }
+    const ExprVecReg& root =
+        program->EvalBatch(ectx, scratch, &vec, table.num_rows());
     for (size_t r = 0; r < table.num_rows(); ++r) {
       ectx.SetRow(0, r);
       EXPECT_EQ(e->EvalPred(ectx), TriBool::kUnknown);
-      EXPECT_EQ(program.EvalPred(ectx, &scratch), TriBool::kUnknown);
+      EXPECT_EQ(root.t[r], TriBool::kUnknown);
     }
   }
 }
@@ -334,16 +352,13 @@ TEST(CompareLiteralOpTest, SignedZerosAndNaNFollowTheEngineOrder) {
   Harness h;
   ExprPtr zero = Eq(Col("R.d"), Lit(0.0));
   ASSERT_TRUE(zero->Bind(h.frames()).ok());
-  const ExprProgram zp = Compile(*zero, h.frames());
-  ExprScratch scratch;
-  h.ectx_.SetRow(1, 2);  // -0.0
-  EXPECT_EQ(zp.EvalPred(h.ectx_, &scratch), TriBool::kTrue);
-  h.ectx_.SetRow(1, 4);  // NaN
-  EXPECT_EQ(zp.EvalPred(h.ectx_, &scratch), TriBool::kTrue);
-  h.ectx_.SetRow(1, 5);  // 2.5
-  EXPECT_EQ(zp.EvalPred(h.ectx_, &scratch), TriBool::kFalse);
-  h.ectx_.SetRow(1, 1);  // NULL
-  EXPECT_EQ(zp.EvalPred(h.ectx_, &scratch), TriBool::kUnknown);
+  const std::optional<ExprProgram> zp = Compile(*zero, h.frames());
+  ASSERT_TRUE(zp.has_value());
+  const std::vector<TriBool> got = h.Batch(*zp, 0);
+  EXPECT_EQ(got[2], TriBool::kTrue);     // -0.0
+  EXPECT_EQ(got[4], TriBool::kTrue);     // NaN
+  EXPECT_EQ(got[5], TriBool::kFalse);    // 2.5
+  EXPECT_EQ(got[1], TriBool::kUnknown);  // NULL
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end equivalence of the two expression evaluation modes: every
 // paper figure query (Fig. 2–5), run through the GMDJ strategies with
-// compiled register programs, must produce exactly the rows the tree
+// compiled batch programs, must produce exactly the rows the tree
 // interpreter produces — sequentially and morsel-parallel — and the
 // ExecStats must show the compiler actually engaged. Also covers the
 // "gmdj/expr-compile" fault point: a forced compilation failure degrades

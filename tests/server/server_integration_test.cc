@@ -249,19 +249,26 @@ TEST_F(ServerIntegrationTest, InsertExecutesInlineAndIsVisibleToQueries) {
 TEST_F(ServerIntegrationTest, SumOverAStringIs400AndTheServerKeepsServing) {
   engine_.catalog()->PutTable(
       "S", testutil::MakeTable({"S.k:i", "S.name:s"}, {{1, "x"}, {2, "y"}}));
-  // The second argument binds INT64 (its CASE's first branch) and yields
-  // the string branch.
-  for (const char* arg :
-       {"S.name", "CASE WHEN S.k > 1 THEN 1 ELSE S.name END"}) {
+  // The second argument binds STRING (its CASE's other branch is NULL);
+  // the third mixes an INT64 and a STRING branch, which CASE refuses.
+  const struct {
+    const char* arg;
+    const char* error;
+  } kCases[] = {
+      {"S.name", "not STRING"},
+      {"CASE WHEN S.k > 1 THEN NULL ELSE S.name END", "not STRING"},
+      {"CASE WHEN S.k > 1 THEN 1 ELSE S.name END",
+       "mixes STRING and numeric branches"}};
+  for (const auto& c : kCases) {
     const HttpResponse rejected =
         Post("/query", {},
              std::string("SELECT * FROM Hours H WHERE H.StartInterval > "
                          "(SELECT SUM(") +
-                 arg + ") FROM S S WHERE S.k = H.StartInterval)");
-    EXPECT_EQ(rejected.status, 400) << arg;
+                 c.arg + ") FROM S S WHERE S.k = H.StartInterval)");
+    EXPECT_EQ(rejected.status, 400) << c.arg;
     EXPECT_NE(rejected.body.find("\"code\": \"InvalidArgument\""),
               std::string::npos);
-    EXPECT_NE(rejected.body.find("not STRING"), std::string::npos)
+    EXPECT_NE(rejected.body.find(c.error), std::string::npos)
         << rejected.body;
   }
 
