@@ -29,23 +29,14 @@ Table JoinedRows(const Schema& schema, const Table& left,
   GMDJ_CHECK(li.size() == ri.size());
   std::vector<Column> cols;
   cols.reserve(schema.num_fields());
+  static_assert(kNoMatch == Column::kNullRow);
   for (size_t c = 0; c < left.num_columns(); ++c) {
     const Column& src = left.column(c);
-    Column& col = cols.emplace_back(src.type());
-    col.Reserve(li.size());
-    for (const uint32_t i : li) col.AppendFrom(src, i);
+    cols.emplace_back(src.type()).AppendRows(src, li);
   }
   for (size_t c = 0; c < right.num_columns(); ++c) {
     const Column& src = right.column(c);
-    Column& col = cols.emplace_back(src.type());
-    col.Reserve(ri.size());
-    for (const uint32_t i : ri) {
-      if (i == kNoMatch) {
-        col.AppendNull();
-      } else {
-        col.AppendFrom(src, i);
-      }
-    }
+    cols.emplace_back(src.type()).AppendRows(src, ri);  // kNoMatch: NULL.
   }
   Result<Table> out = Table::FromColumns(schema, std::move(cols));
   GMDJ_CHECK(out.ok());

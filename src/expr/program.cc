@@ -72,20 +72,21 @@ void CompareToLiteral(const ExprOp& op, const ColumnVector& cv, size_t n,
     default:
       break;
   }
-  const std::string& y = *lit.s;
+  const std::string_view y = *lit.s;
+  const uint64_t* off = cv.offsets;
   if (op.cmp == CompareOp::kEq || op.cmp == CompareOp::kNe) {
+    // The offset difference is the cell's length: only a cell as long as
+    // the literal reads its bytes.
     const bool eq = op.cmp == CompareOp::kEq;
     for (size_t k = 0; k < n; ++k) {
-      const std::string& x = cv.str[k];
       out(k, cv.null[k],
-          (x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(), y.size()) == 0) == eq);
+          (off[k + 1] - off[k] == y.size() &&
+           std::memcmp(cv.bytes + off[k], y.data(), y.size()) == 0) == eq);
     }
     return;
   }
   for (size_t k = 0; k < n; ++k) {
-    out(k, cv.null[k],
-        IsTrue(CompareOrdered(cv.str[k].compare(y), op.cmp)));
+    out(k, cv.null[k], IsTrue(CompareOrdered(cv.str(k).compare(y), op.cmp)));
   }
 }
 
@@ -124,7 +125,8 @@ const ExprVecReg& ExprProgram::EvalBatch(const EvalContext& ctx,
         const ExprReg& c = op.const_reg;
         r.i.assign(n, c.i);
         r.d.assign(n, c.d);
-        r.s.assign(n, c.s);
+        r.s.assign(n, c.s != nullptr ? std::string_view(*c.s)
+                                     : std::string_view());
         r.t.assign(n, c.t);
         r.null.assign(n, c.null ? 1 : 0);
         break;
@@ -145,9 +147,12 @@ const ExprVecReg& ExprProgram::EvalBatch(const EvalContext& ctx,
             case ValueType::kDouble:
               r.d.assign(cv.dbl, cv.dbl + n);
               break;
-            default:
+            case ValueType::kString:
               r.s.resize(n);
-              for (size_t k = 0; k < n; ++k) r.s[k] = cv.str + k;
+              for (size_t k = 0; k < n; ++k) r.s[k] = cv.str(k);
+              break;
+            default:  // kNull: every cell is NULL, no payload to read.
+              r.s.assign(n, std::string_view());
               break;
           }
           break;
@@ -162,7 +167,7 @@ const ExprVecReg& ExprProgram::EvalBatch(const EvalContext& ctx,
           // than the chunk.
           r.i.assign(n, 0);
           r.d.assign(n, 0.0);
-          r.s.assign(n, nullptr);
+          r.s.assign(n, std::string_view());
           break;
         }
         r.null.assign(n, 0);
@@ -174,7 +179,7 @@ const ExprVecReg& ExprProgram::EvalBatch(const EvalContext& ctx,
             r.d.assign(n, col.dbl(row));
             break;
           default:
-            r.s.assign(n, &col.str(row));
+            r.s.assign(n, col.str(row));
             break;
         }
         break;
@@ -207,7 +212,7 @@ const ExprVecReg& ExprProgram::EvalBatch(const EvalContext& ctx,
             r.t[k] = TriBool::kUnknown;
             continue;
           }
-          r.t[k] = CompareOrdered(a.s[k]->compare(*b.s[k]), op.cmp);
+          r.t[k] = CompareOrdered(a.s[k].compare(b.s[k]), op.cmp);
         }
         break;
       }

@@ -5,6 +5,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "expr/expr.h"
@@ -26,13 +27,19 @@ struct ExprReg {
 
 /// A typed view of one table column from row `begin` on: the batch VM's
 /// and the GMDJ chunk kernel's columnar input, read in place. Only the
-/// array matching `type` is set; `null[k]` is row begin + k's validity.
+/// arrays matching `type` are set; `null[k]` is row begin + k's validity.
+/// A string row k is bytes [offsets[k], offsets[k + 1]) of `bytes`.
 struct ColumnVector {
   ValueType type = ValueType::kInt64;
   const uint8_t* null = nullptr;
   const int64_t* i64 = nullptr;
   const double* dbl = nullptr;
-  const std::string* str = nullptr;
+  const uint64_t* offsets = nullptr;
+  const char* bytes = nullptr;
+
+  std::string_view str(size_t k) const {
+    return {bytes + offsets[k], offsets[k + 1] - offsets[k]};
+  }
 
   static ColumnVector Of(const Column& col, size_t begin) {
     ColumnVector v;
@@ -46,7 +53,8 @@ struct ColumnVector {
         v.dbl = col.dbl_data() + begin;
         break;
       case ValueType::kString:
-        v.str = col.str_data() + begin;
+        v.offsets = col.str_offsets() + begin;
+        v.bytes = col.str_bytes();
         break;
       case ValueType::kNull:
         break;
@@ -71,7 +79,7 @@ struct ExprScratch {
 struct ExprVecReg {
   std::vector<int64_t> i;
   std::vector<double> d;
-  std::vector<const std::string*> s;
+  std::vector<std::string_view> s;  // Into table columns or the pool.
   std::vector<TriBool> t;
   std::vector<uint8_t> null;
 };
@@ -91,7 +99,7 @@ enum class OpCode : unsigned char {
   kLoadCol,     // regs[dst] = frame's column `col`, typed `expect`.
   kCmpI64,      // t[dst] = i[a] cmp i[b]; UNKNOWN when either is null.
   kCmpDbl,      // t[dst] = d[a] cmp d[b]; UNKNOWN when either is null.
-  kCmpStr,      // t[dst] = *s[a] cmp *s[b]; UNKNOWN when either is null.
+  kCmpStr,      // t[dst] = s[a] cmp s[b]; UNKNOWN when either is null.
   kCmpColLit,   // t[dst] = frame's column `col` cmp const_reg, the literal;
                 // UNKNOWN on a NULL cell. `expect` is the column's type;
                 // `flag`: an int64 column compares as double (const_reg.d).
@@ -163,7 +171,7 @@ class ExprProgram {
   /// the register VM of EvalPredMask, returning the root register (valid
   /// until the next batch call on `vec`). Row k holds Expr::Eval's value
   /// for chunk row k: for a predicate root TriToValue(t[k]); otherwise
-  /// NULL when `null[k]`, else `i[k]`, `d[k]` or `*s[k]` by result_type().
+  /// NULL when `null[k]`, else `i[k]`, `d[k]` or `s[k]` by result_type().
   const ExprVecReg& EvalBatch(const EvalContext& ctx,
                               const ExprScratch& scratch, ExprVecScratch* vec,
                               size_t num_rows) const;

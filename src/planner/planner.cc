@@ -10,11 +10,6 @@ namespace gmdj {
 namespace planner {
 namespace {
 
-/// Bound on cached plan decisions; past it the whole cache is dropped
-/// (decisions are cheap to recompute — the cap only bounds memory under
-/// adversarial workloads like the query fuzzer).
-constexpr size_t kPlanCacheCapacity = 256;
-
 bool IsNativeStrategy(Strategy s) {
   switch (s) {
     case Strategy::kNativeNaive:
@@ -219,6 +214,10 @@ void Planner::RecordActuals(const PlanDecision& decision,
       static_cast<uint64_t>(std::llround(std::log2(ratio))));
   if (ratio > config_.replan_factor) {
     std::lock_guard<std::mutex> lock(mu_);
+    if (feedback_.size() >= kFeedbackCapacity &&
+        !feedback_.contains(decision.signature)) {
+      feedback_.clear();
+    }
     feedback_[decision.signature] = actual_rows;
     replans_->Add(1);
   }

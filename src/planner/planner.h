@@ -124,6 +124,21 @@ class Planner {
   /// (disabled planner).
   void RecordActuals(const PlanDecision& decision, double actual_rows) const;
 
+  /// Entry caps of the plan cache and the feedback store. Either is
+  /// cleared whole when a new key would exceed its cap: decisions are
+  /// cheap to recompute, and both are keyed by query text with its
+  /// literals, so every distinct statement (a new key per constant) would
+  /// otherwise grow them without bound.
+  static constexpr size_t kPlanCacheCapacity = 256;
+  static constexpr size_t kFeedbackCapacity = 256;
+
+  /// Number of signatures with recorded feedback (at most
+  /// kFeedbackCapacity).
+  size_t feedback_size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return feedback_.size();
+  }
+
   const PlannerConfig& config() const { return config_; }
   void set_config(PlannerConfig config) {
     config_ = std::move(config);

@@ -5,7 +5,7 @@
 namespace gmdj {
 namespace server {
 
-std::string JsonEscape(const std::string& raw) {
+std::string JsonEscape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size() + 2);
   for (const char c : raw) {

@@ -2,6 +2,7 @@
 #define GMDJ_SERVER_WIRE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "storage/table.h"
@@ -10,7 +11,7 @@ namespace gmdj {
 namespace server {
 
 /// JSON string escaping (quotes, backslash, control characters).
-std::string JsonEscape(const std::string& raw);
+std::string JsonEscape(std::string_view raw);
 
 /// Result table as the protocol's JSON success envelope:
 ///   {"status": "ok", "columns": ["c_name", ...], "rows": [[...], ...],

@@ -1,6 +1,7 @@
 #include "spill/spill_format.h"
 
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 
 #include "types/value.h"
@@ -80,6 +81,13 @@ void PutScalar(const Value& v, std::string* out) {
   }
 }
 
+/// One decoded non-NULL scalar; the field of its block type is set.
+struct Cell {
+  int64_t i = 0;
+  double d = 0.0;
+  std::string_view s;
+};
+
 /// Bounds-checked payload cursor.
 struct ByteReader {
   const char* data;
@@ -119,27 +127,26 @@ struct ByteReader {
     *v = out;
     return Status::OK();
   }
-  Status ReadScalar(ValueType type, Value* v) {
+  /// Reads one scalar of `type`; a string stays a view into the payload.
+  Status ReadCell(ValueType type, Cell* cell) {
     switch (type) {
       case ValueType::kInt64: {
         uint64_t raw = 0;
         GMDJ_RETURN_IF_ERROR(ReadVarint(&raw));
-        *v = Value(UnZigZag(raw));
+        cell->i = UnZigZag(raw);
         return Status::OK();
       }
       case ValueType::kDouble: {
         uint64_t bits = 0;
         GMDJ_RETURN_IF_ERROR(ReadU64(&bits));
-        double d;
-        std::memcpy(&d, &bits, 8);
-        *v = Value(d);
+        std::memcpy(&cell->d, &bits, 8);
         return Status::OK();
       }
       case ValueType::kString: {
         uint64_t len = 0;
         GMDJ_RETURN_IF_ERROR(ReadVarint(&len));
         GMDJ_RETURN_IF_ERROR(Need(len));
-        *v = Value(std::string(data + pos, len));
+        cell->s = std::string_view(data + pos, len);
         pos += len;
         return Status::OK();
       }
@@ -235,103 +242,121 @@ void EncodeColumn(const Value* cells, size_t num_rows, std::string* out) {
   for (const Value* v : values) PutScalar(*v, out);
 }
 
-/// Decodes one block column, calling `emit(i, value)` for every non-NULL
-/// cell i in row order.
-template <typename EmitFn>
-Status DecodeColumn(ByteReader* reader, size_t num_rows, const EmitFn& emit) {
+/// Appends `cell`, a scalar of `type`, to `col`, which accepts `type`.
+void AppendDecoded(ValueType type, const Cell& cell, Column* col) {
+  switch (col->type()) {
+    case ValueType::kInt64:
+      col->Append(Value(cell.i));
+      break;
+    case ValueType::kDouble:
+      col->Append(Value(type == ValueType::kInt64
+                            ? static_cast<double>(cell.i)
+                            : cell.d));
+      break;
+    case ValueType::kString:
+      col->AppendString(cell.s);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+}
+
+/// Decodes one block column straight into `col` (empty, of the schema's
+/// type), NULL cells from the bitmap and the others from the encoded
+/// values in row order. Internal when the values' type does not fit the
+/// column (an int64 widens into a double column), on an unknown encoding
+/// and when the values do not match the bitmap's count.
+Status DecodeColumn(ByteReader* reader, size_t num_rows, const Field& field,
+                    Column* col) {
   const size_t bitmap_bytes = (num_rows + 7) / 8;
   GMDJ_RETURN_IF_ERROR(reader->Need(bitmap_bytes));
   const char* bitmap = reader->data + reader->pos;
   reader->pos += bitmap_bytes;
+  const auto present = [bitmap](size_t i) {
+    return (bitmap[i / 8] & (1 << (i % 8))) != 0;
+  };
   size_t num_values = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (bitmap[i / 8] & (1 << (i % 8))) ++num_values;
-  }
+  for (size_t i = 0; i < num_rows; ++i) num_values += present(i);
 
   uint8_t tag;
   GMDJ_RETURN_IF_ERROR(reader->ReadU8(&tag));
-  std::vector<Value> values;
-  values.reserve(num_values);
-  switch (static_cast<ColumnEncoding>(tag)) {
-    case ColumnEncoding::kRaw: {
-      uint8_t type_byte;
-      GMDJ_RETURN_IF_ERROR(reader->ReadU8(&type_byte));
-      GMDJ_ASSIGN_OR_RETURN(ValueType type, TypeFromByte(type_byte));
-      for (size_t i = 0; i < num_values; ++i) {
-        Value v;
-        GMDJ_RETURN_IF_ERROR(reader->ReadScalar(type, &v));
-        values.push_back(std::move(v));
+  if (tag > static_cast<uint8_t>(ColumnEncoding::kRle)) {
+    return Status::Internal("spill block has invalid column encoding");
+  }
+  const auto encoding = static_cast<ColumnEncoding>(tag);
+  uint8_t type_byte;
+  GMDJ_RETURN_IF_ERROR(reader->ReadU8(&type_byte));
+  GMDJ_ASSIGN_OR_RETURN(const ValueType type, TypeFromByte(type_byte));
+  // An all-NULL column is written with a placeholder type and no values.
+  if (num_values > 0 && type != col->type() &&
+      !(col->type() == ValueType::kDouble && type == ValueType::kInt64)) {
+    return Status::Internal("spill block column " + field.QualifiedName() +
+                            " holds a " + ValueTypeToString(type) + " value");
+  }
+
+  // Appends the next non-NULL cell after the NULL rows before it.
+  size_t row = 0;
+  const auto append = [&](const Cell& cell) {
+    while (!present(row)) {
+      col->AppendNull();
+      ++row;
+    }
+    AppendDecoded(type, cell, col);
+    ++row;
+  };
+  switch (encoding) {
+    case ColumnEncoding::kRaw:
+      for (size_t v = 0; v < num_values; ++v) {
+        Cell cell;
+        GMDJ_RETURN_IF_ERROR(reader->ReadCell(type, &cell));
+        append(cell);
       }
       break;
-    }
     case ColumnEncoding::kDict: {
-      uint8_t type_byte;
-      GMDJ_RETURN_IF_ERROR(reader->ReadU8(&type_byte));
-      GMDJ_ASSIGN_OR_RETURN(ValueType type, TypeFromByte(type_byte));
       uint8_t dict_size;
       GMDJ_RETURN_IF_ERROR(reader->ReadU8(&dict_size));
-      std::vector<Value> dict;
-      dict.reserve(dict_size);
-      for (size_t i = 0; i < dict_size; ++i) {
-        Value v;
-        GMDJ_RETURN_IF_ERROR(reader->ReadScalar(type, &v));
-        dict.push_back(std::move(v));
+      std::vector<Cell> dict(dict_size);
+      for (Cell& cell : dict) {
+        GMDJ_RETURN_IF_ERROR(reader->ReadCell(type, &cell));
       }
-      for (size_t i = 0; i < num_values; ++i) {
+      for (size_t v = 0; v < num_values; ++v) {
         uint8_t idx;
         GMDJ_RETURN_IF_ERROR(reader->ReadU8(&idx));
         if (idx >= dict.size()) {
           return Status::Internal("spill block dictionary index out of range");
         }
-        values.push_back(dict[idx]);
+        append(dict[idx]);
       }
       break;
     }
     case ColumnEncoding::kRle: {
-      uint8_t type_byte;
-      GMDJ_RETURN_IF_ERROR(reader->ReadU8(&type_byte));
-      GMDJ_ASSIGN_OR_RETURN(ValueType type, TypeFromByte(type_byte));
       uint64_t runs;
       GMDJ_RETURN_IF_ERROR(reader->ReadVarint(&runs));
+      size_t decoded = 0;
       for (uint64_t r = 0; r < runs; ++r) {
-        Value v;
-        GMDJ_RETURN_IF_ERROR(reader->ReadScalar(type, &v));
+        Cell cell;
+        GMDJ_RETURN_IF_ERROR(reader->ReadCell(type, &cell));
         uint64_t len;
         GMDJ_RETURN_IF_ERROR(reader->ReadVarint(&len));
-        // Phrased to avoid wrap: `values.size() + len` overflows for a
-        // crafted len near 2^64 and would pass a sum-form check, then
-        // push_back until memory exhaustion. values.size() <= num_values
-        // is an invariant of this guard, so the subtraction is safe.
-        if (len > num_values - values.size()) {
+        // Phrased to avoid wrap: `decoded + len` overflows for a crafted
+        // len near 2^64 and would pass a sum-form check, then append
+        // until memory exhaustion. decoded <= num_values is an invariant
+        // of this guard, so the subtraction is safe.
+        if (len > num_values - decoded) {
           return Status::Internal("spill block RLE run overflows column");
         }
-        for (uint64_t i = 0; i < len; ++i) values.push_back(v);
+        for (uint64_t i = 0; i < len; ++i) append(cell);
+        decoded += len;
+      }
+      if (decoded != num_values) {
+        return Status::Internal("spill block column value count mismatch");
       }
       break;
     }
-    case ColumnEncoding::kTagged: {
-      for (size_t i = 0; i < num_values; ++i) {
-        uint8_t type_byte;
-        GMDJ_RETURN_IF_ERROR(reader->ReadU8(&type_byte));
-        GMDJ_ASSIGN_OR_RETURN(ValueType type, TypeFromByte(type_byte));
-        Value v;
-        GMDJ_RETURN_IF_ERROR(reader->ReadScalar(type, &v));
-        values.push_back(std::move(v));
-      }
-      break;
-    }
-    default:
-      return Status::Internal("spill block has invalid column encoding");
   }
-  if (values.size() != num_values) {
-    return Status::Internal("spill block column value count mismatch");
-  }
-
-  size_t next = 0;
-  for (size_t i = 0; i < num_rows; ++i) {
-    if (bitmap[i / 8] & (1 << (i % 8))) {
-      GMDJ_RETURN_IF_ERROR(emit(i, std::move(values[next++])));
-    }
+  while (row < num_rows) {
+    col->AppendNull();
+    ++row;
   }
   return Status::OK();
 }
@@ -438,19 +463,8 @@ Status DecodeBlockPayload(const BlockHeader& header, const char* payload,
     for (size_t c = 0; c < header.num_cols; ++c) {
       Column& col = out->emplace_back(schema.field(c).type);
       col.Reserve(header.num_rows);
-      GMDJ_RETURN_IF_ERROR(DecodeColumn(
-          reader, header.num_rows, [&](size_t i, Value v) {
-            if (!col.Accepts(v)) {
-              return Status::Internal("spill block column " +
-                                      schema.field(c).QualifiedName() +
-                                      " holds a " +
-                                      ValueTypeToString(v.type()) + " value");
-            }
-            while (col.size() < i) col.AppendNull();
-            col.Append(std::move(v));
-            return Status::OK();
-          }));
-      while (col.size() < header.num_rows) col.AppendNull();
+      GMDJ_RETURN_IF_ERROR(
+          DecodeColumn(reader, header.num_rows, schema.field(c), &col));
     }
     return Status::OK();
   });

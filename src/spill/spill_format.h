@@ -32,10 +32,8 @@ namespace spill {
 ///   kRle:    type byte, varint run count, then (scalar, varint length)
 ///            runs. Chosen when adjacent repetition halves the value
 ///            count and the dictionary did not already win.
-///   kTagged: per value, a type byte then the raw scalar. Decode only:
-///            it was the encoder's fallback for columns whose values mixed
-///            types, which a typed table column can no longer hold, and
-///            journals written before columns were typed still carry it.
+///
+/// Any other encoding byte is refused as a malformed payload (Internal).
 ///
 /// The encoding is chosen per column per block, so a sorted or
 /// low-cardinality stretch compresses even when the whole file does not.
@@ -55,7 +53,6 @@ enum class ColumnEncoding : uint8_t {
   kRaw = 0,
   kDict = 1,
   kRle = 2,
-  kTagged = 3,
 };
 
 /// FNV-1a over `size` bytes.

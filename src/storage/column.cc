@@ -1,7 +1,6 @@
 #include "storage/column.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/check.h"
 
@@ -15,7 +14,7 @@ Value Column::Get(size_t i) const {
     case ValueType::kDouble:
       return Value(dbl_[i]);
     case ValueType::kString:
-      return Value(str_[i]);
+      return Value(std::string(str(i)));
     case ValueType::kNull:
       break;
   }
@@ -32,11 +31,18 @@ void Column::AppendNull() {
       dbl_.push_back(0.0);
       break;
     case ValueType::kString:
-      str_.emplace_back();
+      offsets_.push_back(bytes_.size());
       break;
     case ValueType::kNull:
       break;
   }
+}
+
+void Column::AppendString(std::string_view s) {
+  GMDJ_DCHECK(type_ == ValueType::kString);
+  null_.push_back(0);
+  bytes_.insert(bytes_.end(), s.begin(), s.end());
+  offsets_.push_back(bytes_.size());
 }
 
 void Column::Append(const Value& v) {
@@ -45,58 +51,64 @@ void Column::Append(const Value& v) {
     AppendNull();
     return;
   }
-  null_.push_back(0);
-  switch (type_) {
-    case ValueType::kInt64:
-      i64_.push_back(v.int64());
-      break;
-    case ValueType::kDouble:
-      dbl_.push_back(v.AsDouble());
-      break;
-    case ValueType::kString:
-      str_.push_back(v.str());
-      break;
-    case ValueType::kNull:
-      break;
-  }
-}
-
-void Column::Append(Value&& v) {
-  if (type_ == ValueType::kString && !v.is_null()) {
-    GMDJ_DCHECK(Accepts(v));
-    null_.push_back(0);
-    str_.push_back(std::move(const_cast<std::string&>(v.str())));
+  if (type_ == ValueType::kString) {
+    AppendString(v.str());
     return;
   }
-  Append(static_cast<const Value&>(v));
+  null_.push_back(0);
+  if (type_ == ValueType::kInt64) {
+    i64_.push_back(v.int64());
+  } else if (type_ == ValueType::kDouble) {
+    dbl_.push_back(v.AsDouble());
+  }
 }
 
 void Column::AppendFrom(const Column& src, size_t i) {
-  GMDJ_DCHECK(src.type_ == type_);
+  GMDJ_DCHECK(src.type_ == type_ && &src != this);
+  if (type_ == ValueType::kString) {
+    AppendString(src.str(i));  // A NULL cell's slot is empty.
+    null_.back() = src.null_[i];
+    return;
+  }
   null_.push_back(src.null_[i]);
-  switch (type_) {
-    case ValueType::kInt64:
-      i64_.push_back(src.i64_[i]);
-      break;
-    case ValueType::kDouble:
-      dbl_.push_back(src.dbl_[i]);
-      break;
-    case ValueType::kString:
-      str_.push_back(src.str_[i]);
-      break;
-    case ValueType::kNull:
-      break;
+  if (type_ == ValueType::kInt64) {
+    i64_.push_back(src.i64_[i]);
+  } else if (type_ == ValueType::kDouble) {
+    dbl_.push_back(src.dbl_[i]);
   }
 }
 
-void Column::AppendColumn(Column&& src) {
-  GMDJ_DCHECK(src.type_ == type_);
+void Column::AppendRows(const Column& src, std::span<const uint32_t> rows) {
+  GMDJ_DCHECK(src.type_ == type_ && &src != this);
+  Reserve(size() + rows.size());
+  if (type_ == ValueType::kString) {
+    uint64_t bytes = 0;
+    for (const uint32_t i : rows) {
+      if (i != kNullRow) bytes += src.offsets_[i + 1] - src.offsets_[i];
+    }
+    bytes_.reserve(bytes_.size() + bytes);
+  }
+  for (const uint32_t i : rows) {
+    if (i == kNullRow) {
+      AppendNull();
+    } else {
+      AppendFrom(src, i);
+    }
+  }
+}
+
+void Column::AppendColumn(const Column& src) {
+  GMDJ_DCHECK(src.type_ == type_ && &src != this);
   Reserve(size() + src.size());
   null_.insert(null_.end(), src.null_.begin(), src.null_.end());
   i64_.insert(i64_.end(), src.i64_.begin(), src.i64_.end());
   dbl_.insert(dbl_.end(), src.dbl_.begin(), src.dbl_.end());
-  str_.insert(str_.end(), std::make_move_iterator(src.str_.begin()),
-              std::make_move_iterator(src.str_.end()));
+  if (type_ != ValueType::kString) return;
+  const uint64_t base = bytes_.size();
+  for (size_t i = 1; i < src.offsets_.size(); ++i) {
+    offsets_.push_back(base + src.offsets_[i]);
+  }
+  bytes_.insert(bytes_.end(), src.bytes_.begin(), src.bytes_.end());
 }
 
 void Column::Set(size_t i, const Value& v) {
@@ -109,9 +121,23 @@ void Column::Set(size_t i, const Value& v) {
     case ValueType::kDouble:
       dbl_[i] = v.is_null() ? 0.0 : v.AsDouble();
       break;
-    case ValueType::kString:
-      str_[i] = v.is_null() ? std::string() : v.str();
+    case ValueType::kString: {
+      const std::string_view s =
+          v.is_null() ? std::string_view() : std::string_view(v.str());
+      const uint64_t begin = offsets_[i], old_end = offsets_[i + 1];
+      const uint64_t new_end = begin + s.size();
+      if (new_end > old_end) {
+        bytes_.insert(bytes_.begin() + old_end, new_end - old_end, '\0');
+      } else {
+        bytes_.erase(bytes_.begin() + new_end, bytes_.begin() + old_end);
+      }
+      std::copy(s.begin(), s.end(), bytes_.begin() + begin);
+      // Unsigned wrap-around adds the (possibly negative) length change.
+      for (size_t j = i + 1; j < offsets_.size(); ++j) {
+        offsets_[j] += new_end - old_end;
+      }
       break;
+    }
     case ValueType::kNull:
       break;
   }
@@ -129,7 +155,7 @@ void Column::Reserve(size_t n) {
       dbl_.reserve(grown);
       break;
     case ValueType::kString:
-      str_.reserve(grown);
+      offsets_.reserve(grown + 1);
       break;
     case ValueType::kNull:
       break;
@@ -180,7 +206,9 @@ size_t CellHash(const Column& col, size_t i) {
     case ValueType::kDouble:
       return Value(col.dbl(i)).Hash();
     case ValueType::kString:
-      return std::hash<std::string>()(col.str(i));
+      // std::hash<string_view> equals std::hash<string> on the same bytes,
+      // so this stays equal to Value::Hash.
+      return std::hash<std::string_view>()(col.str(i));
     case ValueType::kNull:
       break;
   }

@@ -2,7 +2,9 @@
 #define GMDJ_STORAGE_COLUMN_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -10,20 +12,34 @@
 
 namespace gmdj {
 
-/// One typed column of a Table: the payload vector of its declared type
-/// plus a validity byte per row (1 = NULL).
+/// One typed column of a Table: the payload of its declared type plus a
+/// validity byte per row (1 = NULL).
 ///
-/// Only the payload matching `type()` is populated. A NULL cell still
-/// occupies a payload slot (0, 0.0 or ""), so typed loops may read every
-/// lane and discard NULL lanes by the validity byte. A kNull column (the
-/// type of a bare NULL literal) holds validity bytes only.
+/// Only the payload matching `type()` is populated. Numeric payloads are
+/// one vector slot per row; a NULL cell still occupies one (0 or 0.0), so
+/// typed loops may read every lane and discard NULL lanes by the validity
+/// byte. A string column keeps every cell's bytes back to back in one
+/// byte arena plus `size() + 1` offsets: cell i is bytes
+/// [offsets[i], offsets[i + 1]), and a NULL cell is an empty slot under
+/// its validity byte. A kNull column (the type of a bare NULL literal)
+/// holds validity bytes only.
+///
+/// A `str(i)` view, like the typed arrays, stays valid while the column is
+/// alive and unmodified: a Table's columns are shared copy-on-write, so
+/// holding the column's shared_ptr keeps its bytes, and only an append or
+/// Set on that very column moves them.
 ///
 /// Typing rule (`Accepts`): a cell is NULL, a value of the column's type,
 /// or an int64 stored into a double column (widened). Anything else is
 /// refused, so a column can never hold a value of another runtime type.
 class Column {
  public:
-  explicit Column(ValueType type = ValueType::kInt64) : type_(type) {}
+  /// `AppendRows` row id that appends a NULL cell.
+  static constexpr uint32_t kNullRow = UINT32_MAX;
+
+  explicit Column(ValueType type = ValueType::kInt64) : type_(type) {
+    if (type_ == ValueType::kString) offsets_.push_back(0);
+  }
 
   ValueType type() const { return type_; }
   size_t size() const { return null_.size(); }
@@ -32,13 +48,17 @@ class Column {
   bool is_null(size_t i) const { return null_[i] != 0; }
   int64_t i64(size_t i) const { return i64_[i]; }
   double dbl(size_t i) const { return dbl_[i]; }
-  const std::string& str(size_t i) const { return str_[i]; }
+  std::string_view str(size_t i) const {
+    return {bytes_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
 
-  /// Typed arrays for column kernels (only the one of `type()` is set).
+  /// Typed arrays for column kernels (only the one of `type()` is set; a
+  /// string column sets the offsets, `size() + 1` of them, and the bytes).
   const uint8_t* nulls() const { return null_.data(); }
   const int64_t* i64_data() const { return i64_.data(); }
   const double* dbl_data() const { return dbl_.data(); }
-  const std::string* str_data() const { return str_.data(); }
+  const uint64_t* str_offsets() const { return offsets_.data(); }
+  const char* str_bytes() const { return bytes_.data(); }
 
   /// Cell `i` as a Value (copies a string payload).
   Value Get(size_t i) const;
@@ -51,15 +71,21 @@ class Column {
 
   /// Appends `v`, which must be Accepts(v) (checked in debug builds).
   void Append(const Value& v);
-  void Append(Value&& v);
   void AppendNull();
+  /// Appends the bytes of `s` to a string column.
+  void AppendString(std::string_view s);
 
-  /// Appends cell `i` of `src`, a column of the same type.
+  /// Appends cell `i` of `src`, a column of the same type other than this.
   void AppendFrom(const Column& src, size_t i);
+  /// Appends cell `rows[k]` of `src` for every k (kNullRow: a NULL), `src`
+  /// being a column of the same type other than this. Reserves exactly.
+  void AppendRows(const Column& src, std::span<const uint32_t> rows);
   /// Appends every cell of `src`, a column of the same type.
-  void AppendColumn(Column&& src);
+  void AppendColumn(const Column& src);
 
-  /// Overwrites cell `i` with `v`, which must be Accepts(v).
+  /// Overwrites cell `i` with `v`, which must be Accepts(v). A string cell
+  /// is rewritten in place, moving the bytes after it when its length
+  /// changes (none for the last row).
   void Set(size_t i, const Value& v);
 
   /// Ensures room for `n` cells, growing geometrically: an exact reserve
@@ -71,7 +97,8 @@ class Column {
   std::vector<uint8_t> null_;
   std::vector<int64_t> i64_;
   std::vector<double> dbl_;
-  std::vector<std::string> str_;
+  std::vector<uint64_t> offsets_;  // String columns: size() + 1 ends.
+  std::vector<char> bytes_;        // String columns: every cell's bytes.
 };
 
 /// Internal total order of two cells, identical to Value::Compare on the

@@ -164,9 +164,7 @@ void Table::AddColumn(Field field, std::shared_ptr<const Column> column) {
 Table Table::Gather(std::span<const uint32_t> indices) const {
   Table out(schema_);
   for (size_t c = 0; c < cols_.size(); ++c) {
-    Column* col = const_cast<Column*>(out.cols_[c].get());
-    col->Reserve(indices.size());
-    for (const uint32_t i : indices) col->AppendFrom(*cols_[c], i);
+    const_cast<Column*>(out.cols_[c].get())->AppendRows(*cols_[c], indices);
   }
   out.num_rows_ = indices.size();
   return out;

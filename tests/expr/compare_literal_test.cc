@@ -40,7 +40,8 @@ Table BaseTable() {
 }
 
 /// R(i, d, s): the batch frame. NULLs, NaN, ±0.0, ±inf, the int64
-/// extremes, 2^53 + 1 (not a double), and strings sharing prefixes.
+/// extremes, 2^53 + 1 (not a double), and strings sharing prefixes,
+/// either side of 16 bytes, and with embedded NULs.
 Table DetailTable() {
   const int64_t big = (int64_t{1} << 53) + 1;
   return MakeTable(
@@ -54,7 +55,14 @@ Table DetailTable() {
        {Value(std::numeric_limits<int64_t>::min()), Value(-kInf),
         Value("ab ")},
        {Value(big), Value(kInf), Value("ba")},
-       {Value(int64_t{2}), Value(static_cast<double>(big)), Value("AB")}});
+       {Value(int64_t{2}), Value(static_cast<double>(big)), Value("AB")},
+       {Value(int64_t{5}), Value(1.5), Value(std::string("ab\0", 3))},
+       {Value(int64_t{6}), Value(-1.5), Value(std::string("a\0b", 3))},
+       {Value(int64_t{-1}), Value(3.0), Value(std::string(15, 'x'))},
+       {Value(int64_t{7}), Value(4.0), Value(std::string(16, 'x'))},
+       {Value(int64_t{8}), Value(5.0),
+        Value("a string well past any small-string buffer")},
+       {Value(int64_t{9}), Value(6.0), Value(std::string("\0", 1))}});
 }
 
 std::vector<Value> Literals() {
@@ -75,6 +83,10 @@ std::vector<Value> Literals() {
           Value("a"),
           Value(""),
           Value("b"),
+          Value(std::string("ab\0", 3)),
+          Value(std::string("a\0b", 3)),
+          Value(std::string(16, 'x')),
+          Value(std::string("\0", 1)),
           Value::Null()};
 }
 
@@ -247,7 +259,9 @@ TEST(CompareLiteralOpTest, EveryEvaluatorMatchesTheInterpreter) {
       }
     }
   }
-  EXPECT_EQ(fused, 2u * 6u * (12u + 12u + 5u));
+  // Both sides, six operators: 12 numeric literals per numeric column and
+  // 9 string literals for R.s.
+  EXPECT_EQ(fused, 2u * 6u * (12u + 12u + 9u));
 }
 
 TEST(CompareLiteralOpTest, NonBatchFrameBroadcastsOneRow) {
@@ -288,8 +302,8 @@ TEST(CompareLiteralOpTest, InsideLargerPrograms) {
 }
 
 TEST(CompareLiteralOpTest, StringEqualityComparesLengthsThenBytes) {
-  // "ab" against "", "a", "ab", "ab ", "abc", "AB" and "ba": one match;
-  // NULL is UNKNOWN either way.
+  // "ab" against "", "a", "ab", "ab ", "abc", "AB", "ba", "ab\0" and
+  // the longer edge strings: one match; NULL is UNKNOWN either way.
   Harness h;
   ExprPtr eq = Eq(Col("R.s"), Lit("ab"));
   ExprPtr ne = Ne(Lit("ab"), Col("R.s"));
@@ -309,6 +323,31 @@ TEST(CompareLiteralOpTest, StringEqualityComparesLengthsThenBytes) {
   }
   h.Check(*eq, eq->ToString());
   h.Check(*ne, ne->ToString());
+}
+
+TEST(CompareLiteralOpTest, ChunkFromMidColumnReadsItsOwnCells) {
+  // A chunk that starts past row 0 reads its cells from the offsets of
+  // its first row on, for every literal and operator.
+  Harness h;
+  const size_t begin = 3;
+  const size_t n = h.detail_.num_rows() - begin;
+  h.scratch_.batch_begin = begin;
+  for (const Value& lit : Literals()) {
+    if (!Fuses(ValueType::kString, lit)) continue;
+    for (const CompareOp op : kOps) {
+      ExprPtr e = ColumnLiteral("R.s", op, lit, true);
+      ASSERT_TRUE(e->Bind(h.frames()).ok());
+      const std::optional<ExprProgram> program = Compile(*e, h.frames());
+      ASSERT_TRUE(program.has_value());
+      const ExprVecReg& root =
+          program->EvalBatch(h.ectx_, h.scratch_, &h.vec_, n);
+      for (size_t k = 0; k < n; ++k) {
+        h.ectx_.SetRow(1, begin + k);
+        EXPECT_EQ(root.t[k], e->EvalPred(h.ectx_))
+            << e->ToString() << " row " << begin + k;
+      }
+    }
+  }
 }
 
 TEST(CompareLiteralOpTest, NullTypedColumnIsUnknown) {

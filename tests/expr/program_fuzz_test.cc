@@ -32,6 +32,16 @@ namespace {
 
 using testutil::MakeTable;
 
+/// String cells and literals: short ones sharing prefixes, NUL bytes
+/// inside and at the end, and lengths either side of 16 bytes.
+const std::vector<std::string>& FuzzStrings() {
+  static const std::vector<std::string> kStrings = {
+      "", "a", "ab", "b", "ba", std::string("ab\0", 3),
+      std::string("a\0b", 3), std::string(16, 'a'),
+      "a string well past any small-string buffer"};
+  return kStrings;
+}
+
 // Random expression trees over the fixed two-frame scope. Depth is capped
 // low and integer literals/columns stay in [-3, 3] so the deepest
 // all-integer product is far from overflow (UBSan-clean).
@@ -120,14 +130,14 @@ class ExprGen {
 
   /// A numeric, string (unless `arith_safe`) or NULL literal.
   ExprPtr GenLiteral(bool arith_safe) {
-    static const std::vector<std::string> kStrings = {"", "a", "ab", "b",
-                                                      "ba"};
     const int64_t roll = rng_->Uniform(48, 99);
     if (roll < 68) return Lit(Value(rng_->Uniform(-3, 3)));
     if (roll < 85) {
       return Lit(Value(static_cast<double>(rng_->Uniform(-6, 6)) * 0.5));
     }
-    if (roll < 93 && !arith_safe) return Lit(Value(rng_->Pick(kStrings)));
+    if (roll < 93 && !arith_safe) {
+      return Lit(Value(rng_->Pick(FuzzStrings())));
+    }
     return Lit(Value::Null());
   }
 
@@ -162,12 +172,11 @@ class ExprGen {
 
 Value RandomCell(Rng* rng, ValueType type, double null_p) {
   if (rng->Chance(null_p)) return Value::Null();
-  static const std::vector<std::string> kStrings = {"", "a", "ab", "b", "ba"};
   switch (type) {
     case ValueType::kInt64: return Value(rng->Uniform(-3, 3));
     case ValueType::kDouble:
       return Value(static_cast<double>(rng->Uniform(-6, 6)) * 0.5);
-    default: return Value(rng->Pick(kStrings));
+    default: return Value(rng->Pick(FuzzStrings()));
   }
 }
 
@@ -248,7 +257,7 @@ Value BatchValue(const ExprProgram& program, const ExprVecReg& root,
     case ValueType::kDouble:
       return Value(root.d[k]);
     case ValueType::kString:
-      return Value(*root.s[k]);
+      return Value(std::string(root.s[k]));
     case ValueType::kNull:
       break;
   }

@@ -281,5 +281,33 @@ TEST_F(ReplanTest, AccurateEstimateDoesNotReplan) {
   EXPECT_EQ(engine_.SnapshotMetrics().counters.at("planner.replans"), 0u);
 }
 
+TEST_F(ReplanTest, FeedbackStoreStaysWithinItsCap) {
+  planner::Planner* planner = engine_.planner();
+  ASSERT_NE(planner, nullptr);
+  // Distinct-constant statements that each miss their estimate record
+  // one signature apiece: the store never holds more than its cap.
+  constexpr size_t kCap = planner::Planner::kFeedbackCapacity;
+  for (size_t i = 0; i < 3 * kCap + 7; ++i) {
+    planner::PlanDecision miss;
+    miss.signature = "SELECT * FROM B WHERE B.x > " + std::to_string(i);
+    miss.est_result_rows = 1.0;
+    planner->RecordActuals(miss, 1000.0);
+    ASSERT_LE(planner->feedback_size(), kCap) << "after " << i + 1;
+  }
+  EXPECT_GE(planner->feedback_size(), 1u);
+
+  // A statement that keeps missing still gets its feedback hit.
+  const NestedSelect q = EqExistsQuery("B", "D");
+  const auto first = engine_.Decide(q);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->replanned);
+  planner->RecordActuals(*first, 960.0);
+  const auto second = engine_.Decide(q);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->replanned);
+  EXPECT_EQ(second->est_result_rows, 960.0);
+  EXPECT_LE(planner->feedback_size(), kCap);
+}
+
 }  // namespace
 }  // namespace gmdj

@@ -13,6 +13,7 @@
 #include "engine/olap_engine.h"
 #include "gtest/gtest.h"
 #include "spill/spill_format.h"
+#include "spill/string_golden.h"
 #include "test_util.h"
 
 namespace gmdj {
@@ -85,10 +86,10 @@ TEST(JournalTest, RoundTripsAppendsThroughReplay) {
 
 // A journal written before table columns were typed: the record of
 // `INSERT INTO T VALUES (1), (2.5)` into a DOUBLE column, whose block
-// stored the int64 and the double of one column with the kTagged
-// encoding. The encoder no longer emits kTagged, but journals on disk
-// hold it, so replay must still decode it (widening the int64).
-TEST(JournalTest, TaggedBlockFromOlderJournalStillReplays) {
+// stored the int64 and the double of one column with the retired
+// per-value tagged encoding (byte 3). Replay refuses it with a typed
+// error and applies nothing.
+TEST(JournalTest, RetiredTaggedEncodingIsRefused) {
   const unsigned char kTaggedJournal[] = {
       0x47, 0x4d, 0x44, 0x4a, 0x57, 0x41, 0x4c, 0x31, 0x2b, 0x00, 0x00,
       0x00, 0x16, 0xd6, 0x24, 0xc4, 0x0a, 0xd5, 0x8b, 0xb1, 0x01, 0x01,
@@ -97,9 +98,7 @@ TEST(JournalTest, TaggedBlockFromOlderJournalStillReplays) {
       0xed, 0x55, 0x35, 0x4d, 0x22, 0xdc, 0x03, 0x03, 0x01, 0x02, 0x02,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40};
   static_assert(sizeof(kTaggedJournal) == 63);
-  // Byte 51 is the column's encoding tag: kTagged.
-  ASSERT_EQ(kTaggedJournal[51],
-            static_cast<unsigned char>(ColumnEncoding::kTagged));
+  ASSERT_EQ(kTaggedJournal[51], 3);  // The column's encoding byte.
   const std::string path = TestPath("tagged-golden");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -112,15 +111,55 @@ TEST(JournalTest, TaggedBlockFromOlderJournalStillReplays) {
   Catalog catalog;
   catalog.PutTable("T", testutil::MakeTable({"T.d:d"}, {}));
   auto stats_or = ReplayJournal(path, &catalog);
+  ASSERT_FALSE(stats_or.ok());
+  EXPECT_EQ(stats_or.status().code(), StatusCode::kDataLoss)
+      << stats_or.status().ToString();
+  EXPECT_NE(stats_or.status().message().find("invalid column encoding"),
+            std::string::npos)
+      << stats_or.status().ToString();
+  EXPECT_EQ((*catalog.GetTable("T"))->num_rows(), 0u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(JournalTest, StringRecordBytesArePinned) {
+  // A record of string cells (NULL, '', 20 bytes, an embedded NUL) is
+  // written byte for byte as before, and a journal holding those bytes
+  // replays to the same cells.
+  const std::string written = TestPath("string-golden-write");
+  {
+    auto journal_or = JournalWriter::Open(written, 0);
+    ASSERT_TRUE(journal_or.ok()) << journal_or.status().ToString();
+    ASSERT_TRUE(
+        (*journal_or)->AppendRows("g", golden::StringTable()).ok());
+  }
+  const std::string golden_bytes =
+      golden::Bytes(golden::kJournal, sizeof(golden::kJournal));
+  EXPECT_EQ(ReadFile(written), golden_bytes);
+
+  const std::string path = TestPath("string-golden-replay");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(golden_bytes.data(), 1, golden_bytes.size(), f),
+              golden_bytes.size());
+    std::fclose(f);
+  }
+  Catalog catalog;
+  catalog.PutTable("g", Table(golden::StringTable().schema()));
+  auto stats_or = ReplayJournal(path, &catalog);
   ASSERT_TRUE(stats_or.ok()) << stats_or.status().ToString();
-  EXPECT_EQ(stats_or->records_applied, 1u);
-  EXPECT_EQ(stats_or->rows_applied, 2u);
-  EXPECT_EQ(stats_or->valid_bytes, sizeof(kTaggedJournal));
-  const Table* t = *catalog.GetTable("T");
-  ASSERT_EQ(t->num_rows(), 2u);
-  ASSERT_EQ(t->column(0).type(), ValueType::kDouble);
-  EXPECT_EQ(t->column(0).dbl(0), 1.0);
-  EXPECT_EQ(t->column(0).dbl(1), 2.5);
+  EXPECT_EQ(stats_or->rows_applied, 6u);
+  golden::ExpectStringTable(**catalog.GetTable("g"));
 }
 
 TEST(JournalTest, MissingFileReplaysAsEmpty) {

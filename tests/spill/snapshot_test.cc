@@ -18,6 +18,7 @@
 #include "common/fault_injection.h"
 #include "engine/olap_engine.h"
 #include "gtest/gtest.h"
+#include "spill/string_golden.h"
 #include "test_util.h"
 
 namespace gmdj {
@@ -402,6 +403,45 @@ TEST(SnapshotTest, StaleStagingDirIsSweptAndRefusedByRestore) {
   OlapEngine restored;
   ASSERT_TRUE(restored.RestoreSnapshot(dir).ok());
   ExpectSameCatalog(restored, engine);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(SnapshotTest, StringSnapshotBytesArePinned) {
+  Catalog catalog;
+  catalog.PutTable("g", spill::golden::StringTable());
+  const std::string dir = TestDir("string-golden-save");
+  ASSERT_TRUE(spill::SaveSnapshot(catalog, dir, 42).ok());
+  EXPECT_EQ(ReadFile(dir + "/MANIFEST"), spill::golden::kManifest);
+  EXPECT_EQ(ReadFile(dir + "/t0.tbl"),
+            spill::golden::Bytes(spill::golden::kBlock,
+                                 sizeof(spill::golden::kBlock)));
+}
+
+TEST(SnapshotTest, OlderLayoutStringSnapshotRestores) {
+  // The MANIFEST and data file the row-of-strings column layout wrote.
+  const std::string dir = TestDir("string-golden-restore");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+  WriteFile(dir + "/MANIFEST", spill::golden::kManifest);
+  WriteFile(dir + "/t0.tbl", spill::golden::Bytes(
+                                 spill::golden::kBlock,
+                                 sizeof(spill::golden::kBlock)));
+  Catalog catalog;
+  uint64_t snapshot_id = 0;
+  const Status restored = spill::RestoreSnapshot(&catalog, dir, &snapshot_id);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  EXPECT_EQ(snapshot_id, 42u);
+  spill::golden::ExpectStringTable(**catalog.GetTable("g"));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "spill/string_golden.h"
 #include "test_util.h"
 #include "types/value.h"
 
@@ -126,16 +127,17 @@ TEST(SpillFormatTest, RunsCompress) {
   ExpectSameRows(RoundTrip(table), rows);
 }
 
-/// A one-column block of the decode-only kTagged encoding, as blocks
-/// written before table columns were typed hold it: `values` in rows
-/// 0.., then one NULL row.
-std::string TaggedBlock(const std::vector<Value>& values) {
+/// A one-column block whose column carries encoding byte `tag`: an
+/// int64 1 and a double 2.5, each written as a type byte then its raw
+/// scalar (the layout of the retired encoding 3), then one NULL row.
+std::string BlockWithEncodingByte(uint8_t tag) {
+  const std::vector<Value> values = {Value(int64_t{1}), Value(2.5)};
   const size_t num_rows = values.size() + 1;
   std::string payload((num_rows + 7) / 8, '\0');  // Null bitmap.
   for (size_t i = 0; i < values.size(); ++i) {
     payload[i / 8] = static_cast<char>(payload[i / 8] | (1 << (i % 8)));
   }
-  payload.push_back(static_cast<char>(ColumnEncoding::kTagged));
+  payload.push_back(static_cast<char>(tag));
   for (const Value& v : values) {
     payload.push_back(static_cast<char>(v.type()));
     if (v.type() == ValueType::kInt64) {
@@ -159,24 +161,34 @@ std::string TaggedBlock(const std::vector<Value>& values) {
   return block + payload;
 }
 
-TEST(SpillFormatTest, TaggedColumnDecodesIntoTypedColumn) {
-  // The encoder no longer emits kTagged (a typed column never mixes
-  // types), but the decoder still reads it: an int64 and a double into a
-  // DOUBLE column widen the int64...
+TEST(SpillFormatTest, UnknownEncodingByteIsRefused) {
+  // Only kRaw, kDict and kRle decode. Byte 3 (the retired per-value
+  // tagged encoding) and anything past it is a malformed payload: a typed
+  // Internal error, whatever the column type.
+  for (const uint8_t tag : {uint8_t{3}, uint8_t{4}, uint8_t{255}}) {
+    for (const char* spec : {"a:d", "a", "a:s"}) {
+      std::vector<Column> columns;
+      const Status refused = Decode(BlockWithEncodingByte(tag),
+                                    MakeTable({spec}, {}).schema(), &columns);
+      EXPECT_EQ(refused.code(), StatusCode::kInternal)
+          << "tag " << int{tag} << " " << spec << ": " << refused.ToString();
+    }
+  }
+}
+
+TEST(SpillFormatTest, StringBlockBytesArePinned) {
+  // NULL, '', a 20-byte string and an embedded NUL encode to the bytes the
+  // format has always written, and those bytes decode back cell for cell.
+  const Table table = golden::StringTable();
+  const std::string block =
+      golden::Bytes(golden::kBlock, sizeof(golden::kBlock));
+  EXPECT_EQ(Encode(table), block);
   std::vector<Column> columns;
-  const Status widened =
-      Decode(TaggedBlock({Value(int64_t{1}), Value(2.5)}),
-             MakeTable({"a:d"}, {}).schema(), &columns);
-  ASSERT_TRUE(widened.ok()) << widened.ToString();
-  ASSERT_EQ(columns.size(), 1u);
-  ASSERT_EQ(columns[0].size(), 3u);
-  EXPECT_EQ(columns[0].dbl(0), 1.0);
-  EXPECT_EQ(columns[0].dbl(1), 2.5);
-  EXPECT_TRUE(columns[0].is_null(2));
-  // ...and a double into an INT64 column is refused.
-  const Status refused = Decode(TaggedBlock({Value(int64_t{1}), Value(2.5)}),
-                                MakeTable({"a"}, {}).schema(), &columns);
-  EXPECT_EQ(refused.code(), StatusCode::kInternal) << refused.ToString();
+  const Status decoded = Decode(block, table.schema(), &columns);
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
+  Result<Table> out = Table::FromColumns(table.schema(), std::move(columns));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  golden::ExpectStringTable(*out);
 }
 
 TEST(SpillFormatTest, BadMagicRejected) {
